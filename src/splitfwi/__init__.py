@@ -67,6 +67,7 @@ from .runtime import (
     SampleResult,
     partition_receivers,
     profile_decoder,
+    random_drop_sets,
     run_baseline,
     run_epic,
     run_robustness_sweep,

@@ -17,22 +17,20 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, SplitFwiError
 from .model import ModelConfig, init_weights, load_weights, save_weights
 from .netem import NetworkProfile
 from .physics import default_geometry, generate_dataset, load_dataset, save_dataset
 from .reporting import (
     BenchmarkSpec,
+    report_from_dict,
     run_benchmark,
     write_per_sample_csv,
     write_report_json,
     write_summary_csv,
 )
 from .runconfig import load_run_config
-from .runtime import ComputeModel, PipelineMode, run_baseline
-from .runtime import RunReport, SampleResult  # noqa: F401  (re-export for reports)
+from .runtime import ComputeModel, PipelineMode, random_drop_sets, run_baseline
 
 
 def _cmd_gen_data(args) -> int:
@@ -77,12 +75,7 @@ def _cmd_run(args) -> int:
     if args.drop:
         if not 0 < args.drop <= cfg.infra.n_devices:
             raise ConfigError(f"--drop must be in [1, {cfg.infra.n_devices}], got {args.drop}")
-        drop_sets = []
-        for idx in range(len(waves)):
-            rng = np.random.default_rng([cfg.infra.seed, 7001, args.drop, idx])
-            drop_sets.append(
-                frozenset(rng.choice(cfg.infra.n_devices, size=args.drop, replace=False).tolist())
-            )
+        drop_sets = random_drop_sets(cfg.infra.seed, cfg.infra.n_devices, args.drop, len(waves))
     _, report = run_baseline(mode, waves, weights, cfg.infra,
                              drop_devices=drop_sets, ground_truth=truths)
     out = Path(args.out or cfg.paths.get("out", "."))
@@ -146,37 +139,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .runtime import PipelineMode as PM
-
-    reports = []
-    for path in args.inputs:
-        for entry in json.loads(Path(path).read_text()):
-            report = RunReport(
-                mode=PM(entry["mode"]),
-                n_devices=int(entry["n_devices"]),
-                profile_label=entry["profile"],
-                deadline_s=float(entry["deadline_s"]),
-                decode_budget_s=float(entry["decode_budget_s"]),
-            )
-            for row in entry["rows"]:
-                report.rows.append(
-                    SampleResult(
-                        sample_id=int(row["sample_id"]),
-                        status=row["status"],
-                        mask=tuple(c == "1" for c in row["mask"]),
-                        l_edge_s=float(row["l_edge_s"]),
-                        l_comm_s=float(row["l_comm_s"]),
-                        l_central_s=float(row["l_central_s"]),
-                        l_total_s=float(row["l_total_s"]),
-                        energy_j=float(row["energy_j"]),
-                        comm_bytes=int(row["comm_bytes"]),
-                        deadline_fired=bool(row["deadline_fired"]),
-                        deadline_met=bool(row["deadline_met"]),
-                        late_frames=int(row["late_frames"]),
-                        ssim=None if row["ssim"] is None else float(row["ssim"]),
-                    )
-                )
-            reports.append(report)
+    reports = [
+        report_from_dict(entry)
+        for path in args.inputs
+        for entry in json.loads(Path(path).read_text())
+    ]
     write_summary_csv(reports, args.out)
     print(f"summary for {len(reports)} runs -> {args.out}")
     return 0

@@ -430,6 +430,24 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(t, n_heads, d // n_heads).transpose(1, 0, 2)
 
 
+def _attend(q, k, v, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head scaled dot-product attention of [T, d] queries over
+    [S, d] keys and values.
+
+    Returns the head-merged mix [T, d] (float32) and the weights
+    [n_heads, T, S].
+    """
+    qh = _split_heads(q.astype(np.float64), n_heads)
+    kh = _split_heads(k.astype(np.float64), n_heads)
+    vh = _split_heads(v.astype(np.float64), n_heads)
+    scale = 1.0 / math.sqrt(qh.shape[-1])
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    alpha = softmax(scores.astype(np.float32))
+    mixed = alpha.astype(np.float64) @ vh  # [n_heads, T, d / n_heads]
+    merged = mixed.transpose(1, 0, 2).reshape(q.shape[0], -1).astype(np.float32)
+    return merged, alpha
+
+
 def fuse(latents: LatentSet, fusion: AttentionParams, n_heads: int = 1) -> np.ndarray:
     """Self-attention over the present latents, mean-pooled to one vector.
 
@@ -440,14 +458,7 @@ def fuse(latents: LatentSet, fusion: AttentionParams, n_heads: int = 1) -> np.nd
     q = linear(tokens, fusion.query.weight, fusion.query.bias)
     k = linear(tokens, fusion.key.weight, fusion.key.bias)
     v = linear(tokens, fusion.value.weight, fusion.value.bias)
-    qh = _split_heads(q.astype(np.float64), n_heads)
-    kh = _split_heads(k.astype(np.float64), n_heads)
-    vh = _split_heads(v.astype(np.float64), n_heads)
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale  # [h, k, k]
-    alpha = softmax(scores.astype(np.float32))
-    mixed = alpha.astype(np.float64) @ vh  # [h, k, dh]
-    merged = mixed.transpose(1, 0, 2).reshape(tokens.shape[0], -1).astype(np.float32)
+    merged, _ = _attend(q, k, v, n_heads)
     token_out = linear(merged, fusion.out.weight, fusion.out.bias)  # [k, D]
     return token_out.astype(np.float64).mean(axis=0).astype(np.float32)
 
@@ -480,14 +491,7 @@ def cross_attention(
     q = linear(q_in, attn.query.weight, attn.query.bias)  # [hw, d_k]
     keys = linear(tokens, attn.key.weight, attn.key.bias)  # [k, d_k]
     vals = linear(tokens, attn.value.weight, attn.value.bias)  # [k, d_k]
-    qh = _split_heads(q.astype(np.float64), n_heads)  # [nh, hw, dh]
-    kh = _split_heads(keys.astype(np.float64), n_heads)  # [nh, k, dh]
-    vh = _split_heads(vals.astype(np.float64), n_heads)
-    scale = 1.0 / math.sqrt(qh.shape[-1])
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale  # [nh, hw, k]
-    alpha = softmax(scores.astype(np.float32))
-    mixed = alpha.astype(np.float64) @ vh  # [nh, hw, dh]
-    merged = mixed.transpose(1, 0, 2).reshape(h * w, -1).astype(np.float32)
+    merged, alpha = _attend(q, keys, vals, n_heads)  # alpha: [nh, hw, k]
     proj = linear(merged, attn.out.weight, attn.out.bias)  # [hw, c]
     if attention_out is not None:
         per_latent = alpha.astype(np.float64).mean(axis=0)  # [hw, k]
@@ -512,29 +516,9 @@ def decode(
     attention_out: list | None = None,
 ) -> VelocityMap:
     """Grow the global latent to a velocity map, querying latents per block."""
-    cfg = weights.config
     if len(latents) == 0:
         raise EmptySupportError("decode needs at least one present latent")
-    gl = as_f32(global_latent).reshape(-1)
-    if gl.shape[0] != cfg.latent_dim:
-        raise ShapeError(f"global latent length {gl.shape[0]} != latent_dim {cfg.latent_dim}")
-    c0 = cfg.decoder_channels[0]
-    h0, w0 = cfg.decoder_resolutions[0]
-    x = linear(gl, weights.seed_proj.weight, weights.seed_proj.bias).reshape(c0, h0, w0)
-    for j, block in enumerate(weights.blocks):
-        x = nearest_resize(x, cfg.decoder_resolutions[j + 1])
-        x = conv2d(x, block.conv.kernel, block.conv.bias, stride=(1, 1), padding=(1, 1))
-        x = leaky_relu(x, LEAKY_SLOPE)
-        x = cross_attention(
-            x,
-            weights.position_embeddings,
-            latents,
-            block.attention,
-            cfg.n_heads,
-            attention_out=attention_out,
-        )
-    raw = conv2d(x, weights.head.kernel, weights.head.bias)[0]
-    return VelocityMap(values=squash_to_range(raw, cfg.velocity_range))
+    return _decoder_trunk(global_latent, weights, latents, attention_out)
 
 
 def decode_without_attention(global_latent: np.ndarray, weights: ModelWeights) -> VelocityMap:
@@ -543,6 +527,13 @@ def decode_without_attention(global_latent: np.ndarray, weights: ModelWeights) -
     This is the split-pipeline baseline's central half, where the merged
     latent is the only information the decoder sees.
     """
+    return _decoder_trunk(global_latent, weights)
+
+
+def _decoder_trunk(global_latent, weights: ModelWeights, latents: LatentSet | None = None,
+                   attention_out: list | None = None) -> VelocityMap:
+    """Seed projection, conv blocks and head; each block ends with
+    cross-attention over ``latents`` unless they are None."""
     cfg = weights.config
     gl = as_f32(global_latent).reshape(-1)
     if gl.shape[0] != cfg.latent_dim:
@@ -554,6 +545,15 @@ def decode_without_attention(global_latent: np.ndarray, weights: ModelWeights) -
         x = nearest_resize(x, cfg.decoder_resolutions[j + 1])
         x = conv2d(x, block.conv.kernel, block.conv.bias, stride=(1, 1), padding=(1, 1))
         x = leaky_relu(x, LEAKY_SLOPE)
+        if latents is not None:
+            x = cross_attention(
+                x,
+                weights.position_embeddings,
+                latents,
+                block.attention,
+                cfg.n_heads,
+                attention_out=attention_out,
+            )
     raw = conv2d(x, weights.head.kernel, weights.head.bias)[0]
     return VelocityMap(values=squash_to_range(raw, cfg.velocity_range))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -137,7 +137,6 @@ class EnergyModel:
 class TransmitResult:
     latency_s: float
     energy_j: float
-    delivered: bool
     retransmissions: int
 
 
@@ -180,15 +179,13 @@ def transmit(
     airtime, retries = _airtime_and_retries(size_bytes, profile, mode, seed)
     latency = profile.base_latency_s + airtime + retries * 2.0 * profile.base_latency_s
     energy_j = energy.tx_power_w * airtime + energy.per_byte_j * size_bytes
-    return TransmitResult(latency_s=latency, energy_j=energy_j, delivered=True,
-                          retransmissions=retries)
+    return TransmitResult(latency_s=latency, energy_j=energy_j, retransmissions=retries)
 
 
 @dataclass(frozen=True)
 class UplinkResult:
     completion_s: float
     energy_j: float
-    delivered: bool
     retransmissions: int
 
 
@@ -226,7 +223,6 @@ def transmit_group(
             UplinkResult(
                 completion_s=completion,
                 energy_j=energy.tx_power_w * airtime + energy.per_byte_j * size,
-                delivered=True,
                 retransmissions=retries,
             )
         )
@@ -269,17 +265,12 @@ def comm_reduction_report(
     if raw_bytes <= 0 or latent_bytes <= 0:
         raise ConfigError("payload sizes must be positive")
 
+    shared = replace(profile, medium="shared")
+
     def one(size):
         return transmit(size, profile, energy, mode="expected").latency_s
 
     def all_shared(size):
-        shared = NetworkProfile(
-            bandwidth_bps=profile.bandwidth_bps,
-            base_latency_s=profile.base_latency_s,
-            loss_rate=profile.loss_rate,
-            medium="shared",
-            mtu_bytes=profile.mtu_bytes,
-        )
         ups = transmit_group([size] * n_devices, shared, energy, mode="expected")
         return max(u.completion_s for u in ups)
 

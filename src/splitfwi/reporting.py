@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -21,6 +21,7 @@ from .runtime import (
     InfraConfig,
     PipelineMode,
     RunReport,
+    SampleResult,
     partition_receivers,
     run_baseline,
 )
@@ -173,6 +174,36 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
+def report_from_dict(entry: dict) -> RunReport:
+    """Inverse of report_to_dict."""
+    report = RunReport(
+        mode=PipelineMode(entry["mode"]),
+        n_devices=int(entry["n_devices"]),
+        profile_label=entry["profile"],
+        deadline_s=float(entry["deadline_s"]),
+        decode_budget_s=float(entry["decode_budget_s"]),
+    )
+    for row in entry["rows"]:
+        report.rows.append(
+            SampleResult(
+                sample_id=int(row["sample_id"]),
+                status=row["status"],
+                mask=tuple(c == "1" for c in row["mask"]),
+                l_edge_s=float(row["l_edge_s"]),
+                l_comm_s=float(row["l_comm_s"]),
+                l_central_s=float(row["l_central_s"]),
+                l_total_s=float(row["l_total_s"]),
+                energy_j=float(row["energy_j"]),
+                comm_bytes=int(row["comm_bytes"]),
+                deadline_fired=bool(row["deadline_fired"]),
+                deadline_met=bool(row["deadline_met"]),
+                late_frames=int(row["late_frames"]),
+                ssim=None if row["ssim"] is None else float(row["ssim"]),
+            )
+        )
+    return report
+
+
 def write_report_json(reports, path) -> Path:
     path = Path(path)
     path.write_text(json.dumps([report_to_dict(r) for r in reports], indent=2, sort_keys=True))
@@ -222,37 +253,13 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
     truths = [vm for vm, _ in dataset]
     waves = [rec for _, rec in dataset]
 
-    weights_by_n = {}
-    needs_single = PipelineMode.FLA in spec.modes
-    for n in spec.device_counts:
-        cfg = ModelConfig(
-            n_devices=n,
-            latent_dim=spec.model.latent_dim,
-            d_k=spec.model.d_k,
-            d_pos=spec.model.d_pos,
-            n_heads=spec.model.n_heads,
-            encoder_channels=spec.model.encoder_channels,
-            decoder_channels=spec.model.decoder_channels,
-            decoder_resolutions=spec.model.decoder_resolutions,
-            output_dims=spec.model.output_dims,
-            velocity_range=spec.model.velocity_range,
-        )
-        weights_by_n[n] = init_weights(cfg, spec.weights_seed)
+    weights_by_n = {
+        n: init_weights(replace(spec.model, n_devices=n), spec.weights_seed)
+        for n in spec.device_counts
+    }
     single = None
-    if needs_single:
-        single_cfg = ModelConfig(
-            n_devices=1,
-            latent_dim=spec.model.latent_dim,
-            d_k=spec.model.d_k,
-            d_pos=spec.model.d_pos,
-            n_heads=spec.model.n_heads,
-            encoder_channels=spec.model.encoder_channels,
-            decoder_channels=spec.model.decoder_channels,
-            decoder_resolutions=spec.model.decoder_resolutions,
-            output_dims=spec.model.output_dims,
-            velocity_range=spec.model.velocity_range,
-        )
-        single = init_weights(single_cfg, spec.weights_seed)
+    if PipelineMode.FLA in spec.modes:
+        single = init_weights(replace(spec.model, n_devices=1), spec.weights_seed)
 
     reports = []
     for profile in spec.profiles:

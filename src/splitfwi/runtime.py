@@ -1,27 +1,36 @@
 """Distributed execution engine.
 
-Phase 1: every edge worker encodes its receiver slice and ships the
-latent. Phase 2: the central collector gathers latents in a hash-map
-buffer keyed by (sample_id, device_id), tolerating out-of-order and
-duplicate arrivals, and decodes as soon as all devices reported or the
-per-sample timing budget is exhausted, whichever comes first. The budget
-is T - T_d, where T is the end-to-end deadline and T_d the decoder's own
-latency; late frames are counted and discarded, never applied
-retroactively.
+Every pipeline mode runs the same per-sample loop: each online edge
+device works on its receiver slice and uploads a payload, the emulated
+link times the uploads, and the central node works on what arrived. The
+modes differ only in those steps, in the decode budget T_d and in
+whether a timeout closes collection:
 
-Two clock domains share this logic. Simulated mode derives every
+=========== =================== ========= =========================== =======
+mode        edge work           payload   central work                timeout
+=========== =================== ========= =========================== =======
+EPIC        encode slice        latent    fuse, decode with attention T - T_d
+SLA         encode slice        latent    mean latent, plain decode   none
+CENTRALIZED none                raw slice whole model                 none
+FLA         single-device model map span  stitch the spans            none
+=========== =================== ========= =========================== =======
+
+T is the end-to-end deadline and T_d the central work's own modeled
+latency (full-mask fuse + decode, plain decode, the whole model on the
+first sample's length, and 0 for FLA). EPIC collects latents in a
+hash-map buffer keyed by (sample_id, device_id), tolerating out-of-order
+and duplicate arrivals, and decodes as soon as all devices reported or
+T - T_d passed, whichever comes first; late frames are counted and
+discarded, never applied retroactively. The other modes wait for every
+online device and only record whether T held. An offline device is
+missing from the latent set (EPIC, SLA), zero-filled (CENTRALIZED) or
+the velocity floor over its map span (FLA). A sample with nothing to
+decode (EPIC, SLA) becomes a failed row and the run continues.
+
+Two clock domains share the row accounting. Simulated mode derives every
 timestamp from the network emulator plus a declared parametric compute
 model (flop counts over configured device rates), which makes full runs
-bit-reproducible. Socket mode (see transport.py) uses wall time.
-
-Baseline pipelines for comparison:
-
-* CENTRALIZED: edges forward raw slices; the central node runs the whole
-  model.
-* FLA: each edge runs a complete single-device model over its slice and
-  the central node stitches the per-device column spans together.
-* SLA: edges encode; the central node averages the received latents and
-  decodes without cross-attention.
+bit-reproducible. Socket mode (see transport.py) runs EPIC on wall time.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -114,19 +124,11 @@ def decoder_flops(config: ModelConfig, k: int) -> int:
     """Cost of fuse + decode over k present latents."""
     if k < 1:
         raise ConfigError(f"decoder cost needs k >= 1, got {k}")
-    total = fusion_flops(config, k)
-    c0 = config.decoder_channels[0]
-    h0, w0 = config.decoder_resolutions[0]
-    total += config.latent_dim * c0 * h0 * w0 * 2
-    for j in range(config.n_decoder_blocks):
-        cin = config.decoder_channels[j]
-        cout = config.decoder_channels[j + 1]
-        h, w = config.decoder_resolutions[j + 1]
-        total += h * w * cout * cin * 9 * 2
-        total += _block_attention_flops(config, cout, h, w, k)
-    ho, wo = config.output_dims
-    total += ho * wo * config.decoder_channels[-1] * 2
-    return total
+    attention = sum(
+        _block_attention_flops(config, c, h, w, k)
+        for c, (h, w) in zip(config.decoder_channels[1:], config.decoder_resolutions[1:])
+    )
+    return fusion_flops(config, k) + plain_decoder_flops(config) + attention
 
 
 def plain_decoder_flops(config: ModelConfig) -> int:
@@ -211,16 +213,11 @@ class InsertOutcome(Enum):
     STALE = "stale"
 
 
-class _BufferState(Enum):
-    COLLECTING = "collecting"
-    RELEASED = "released"
-
-
 @dataclass
 class _BufferEntry:
     latents: dict[int, LatentVector] = field(default_factory=dict)
     arrivals: dict[int, float] = field(default_factory=dict)
-    state: _BufferState = _BufferState.COLLECTING
+    released: bool = False
 
 
 class HashBuffer:
@@ -240,11 +237,9 @@ class HashBuffer:
 
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
         with self._cond:
-            if sample_id in self._completed:
-                self._late[sample_id] = self._late.get(sample_id, 0) + 1
-                return InsertOutcome.STALE
-            entry = self._entries.setdefault(sample_id, _BufferEntry())
-            if entry.state is not _BufferState.COLLECTING:
+            completed = sample_id in self._completed
+            entry = None if completed else self._entries.setdefault(sample_id, _BufferEntry())
+            if entry is None or entry.released:
                 self._late[sample_id] = self._late.get(sample_id, 0) + 1
                 return InsertOutcome.STALE
             if device_id in entry.latents:
@@ -253,9 +248,6 @@ class HashBuffer:
             entry.arrivals[device_id] = t
             self._cond.notify_all()
             return InsertOutcome.INSERTED
-
-    def insert_frame_latent(self, frame_latent: LatentVector, t: float) -> InsertOutcome:
-        return self.insert(frame_latent.sample_id, frame_latent.device_id, frame_latent, t)
 
     def present_count(self, sample_id: int) -> int:
         with self._lock:
@@ -271,36 +263,19 @@ class HashBuffer:
         """
         with self._cond:
             entry = self._entries.setdefault(sample_id, _BufferEntry())
-            lset = LatentSet(n_devices)
-            for lat in entry.latents.values():
-                lset.add(lat)
-            if len(entry.latents) == n_devices:
-                collect_time = max(entry.arrivals.values())
-                released = False
-            else:
-                collect_time = deadline
-                released = True
-            entry.state = _BufferState.RELEASED
-            return lset, collect_time, released
+            released = len(entry.latents) != n_devices
+            collect_time = deadline if released else max(entry.arrivals.values())
+            entry.released = True
+            return LatentSet.from_latents(entry.latents.values(), n_devices), collect_time, released
 
     def collect_blocking(self, sample_id: int, n_devices: int, deadline_wall: float):
         """Wall-clock collection: wait until complete or the deadline."""
         with self._cond:
-            while True:
-                entry = self._entries.setdefault(sample_id, _BufferEntry())
-                if len(entry.latents) == n_devices:
-                    released = False
-                    break
-                remaining = deadline_wall - time.monotonic()
-                if remaining <= 0:
-                    released = True
-                    break
-                self._cond.wait(timeout=remaining)
-            lset = LatentSet(n_devices)
-            for lat in entry.latents.values():
-                lset.add(lat)
-            entry.state = _BufferState.RELEASED
-            return lset, released
+            entry = self._entries.setdefault(sample_id, _BufferEntry())
+            complete = self._cond.wait_for(lambda: len(entry.latents) == n_devices,
+                                           timeout=max(0.0, deadline_wall - time.monotonic()))
+            entry.released = True
+            return LatentSet.from_latents(entry.latents.values(), n_devices), not complete
 
     def complete(self, sample_id: int) -> None:
         """Evict the sample; later frames for it are reported stale."""
@@ -397,7 +372,7 @@ def _per_sample_drops(drop_devices, n_samples: int) -> list[frozenset[int]]:
     return [frozenset(int(d) for d in items)] * n_samples
 
 
-def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
+def _per_sample_delays(extra_delay_s) -> dict[int, float]:
     if extra_delay_s is None:
         return {}
     return {int(d): float(v) for d, v in dict(extra_delay_s).items()}
@@ -448,26 +423,206 @@ def _check_budget(deadline_s: float, decode_budget_s: float) -> None:
         )
 
 
-def _failed_row(sample_id, n_devices, deadline, t_d, energy_j, comm_bytes, late) -> SampleResult:
+def _sample_row(report: RunReport, sample_id: int, result, edge_s: dict[int, float],
+                collect_s: float, released: bool, late: int, energy_j: float,
+                comm_bytes: int, ground_truth, velocity_range) -> SampleResult:
+    """One report row, in either clock domain.
+
+    result is (map, central seconds), or None when nothing could be
+    decoded, which makes the row failed. edge_s holds the edge seconds of
+    the devices whose outputs reached the central step.
+    """
+    vmap, central_s = (None, 0.0) if result is None else result
+    l_edge = max(edge_s.values(), default=0.0)
+    l_total = collect_s + central_s
     return SampleResult(
         sample_id=sample_id,
-        status="failed",
-        mask=tuple([False] * n_devices),
-        l_edge_s=0.0,
-        l_comm_s=deadline,
-        l_central_s=0.0,
-        l_total_s=deadline,
+        status="failed" if vmap is None else "ok",
+        mask=tuple(d in edge_s for d in range(report.n_devices)),
+        l_edge_s=l_edge,
+        l_comm_s=collect_s - l_edge,
+        l_central_s=central_s,
+        l_total_s=l_total,
         energy_j=energy_j,
         comm_bytes=comm_bytes,
-        deadline_fired=True,
-        deadline_met=True,
+        deadline_fired=released or vmap is None,
+        deadline_met=vmap is None or l_total <= report.deadline_s,
         late_frames=late,
-        ssim=None,
+        ssim=None if vmap is None or ground_truth is None
+        else _maybe_ssim(vmap, ground_truth[sample_id], velocity_range),
     )
 
 
 # ---------------------------------------------------------------------------
-# the split pipeline
+# the per-sample loop and one plan per mode
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One mode's steps in the per-sample loop (see the module table).
+
+    edge(wave, sample_id, device, (a, b)) -> (output, payload bytes, edge s)
+    central(outputs by present device, wave, slices) -> (map, central s),
+    or None when nothing can be decoded.
+    """
+
+    edge: Callable
+    central: Callable
+    t_d: float
+    timeout: bool = False
+
+
+def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
+              infra: InfraConfig, drop_devices, ground_truth):
+    n = infra.n_devices
+    if plan.timeout:
+        _check_budget(infra.deadline_s, plan.t_d)
+    deadline = infra.deadline_s - plan.t_d
+    drops = _per_sample_drops(drop_devices, len(samples))
+    buffer = HashBuffer()
+    maps: list[VelocityMap | None] = []
+    report = RunReport(
+        mode=mode,
+        n_devices=n,
+        profile_label=infra.network.label(),
+        deadline_s=infra.deadline_s,
+        decode_budget_s=plan.t_d,
+    )
+
+    for idx, sample in enumerate(samples):
+        wave = _as_wave(sample)
+        slices = validate_partition(infra.partition, wave.shape[2], n)
+        outputs, sizes, edge_t = {}, [], {}
+        for d in range(n):
+            if d not in drops[idx]:
+                outputs[d], size, edge_t[d] = plan.edge(wave, idx, d, slices[d])
+                sizes.append(size)
+
+        uplinks = transmit_group(
+            sizes, infra.network, infra.energy, mode=infra.netem_mode,
+            seed=[infra.seed, idx], start_times=list(edge_t.values()),
+        )
+        arrivals = sorted(zip((u.completion_s for u in uplinks), outputs))
+        if plan.timeout:
+            # frames after T - T_d reach the buffer only once it released
+            # the sample, so they are counted late and never decoded
+            for t, d in arrivals:
+                if t <= deadline:
+                    buffer.insert(idx, d, outputs[d], t)
+            lset, collect, released = buffer.finalize(idx, n, deadline)
+            for t, d in arrivals:
+                if t > deadline:
+                    buffer.insert(idx, d, outputs[d], t)
+            buffer.complete(idx)
+            present = lset.entries
+        else:
+            present, released = outputs, False
+            collect = max((t for t, _ in arrivals), default=0.0)
+
+        result = plan.central(present, wave, slices)
+        maps.append(None if result is None else result[0])
+        report.rows.append(
+            _sample_row(
+                report, idx, result, {d: edge_t[d] for d in present}, collect, released,
+                buffer.late_frames(idx), sum((u.energy_j for u in uplinks), 0.0), sum(sizes),
+                ground_truth, weights.config.velocity_range,
+            )
+        )
+    return maps, report
+
+
+def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float]):
+    cfg = weights.config
+
+    def edge(wave, idx, d, span):
+        a, b = span
+        latent = encode(wave[:, :, a:b], weights.encoders[d], device_id=d, sample_id=idx)
+        seconds = encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s
+        return latent, cfg.latent_dim * 4, seconds + delays.get(d, 0.0)
+
+    return edge
+
+
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, attention_out) -> _Plan:
+    cfg = weights.config
+
+    def central(latents, wave, slices):
+        if not latents:
+            return None
+        lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
+        gl = fuse(lset, weights.fusion, cfg.n_heads)
+        vmap = decode(gl, lset, weights, attention_out=attention_out)
+        return vmap, decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
+
+    return _Plan(_encode_step(weights, infra, delays), central,
+                 decode_time_budget(cfg, infra.compute), timeout=True)
+
+
+def _sla_plan(weights: ModelWeights, infra: InfraConfig) -> _Plan:
+    t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
+
+    def central(latents, wave, slices):
+        if not latents:
+            return None
+        merged = (
+            np.stack([lat.values for lat in latents.values()])
+            .astype(np.float64)
+            .mean(axis=0)
+            .astype(np.float32)
+        )
+        return decode_without_attention(merged, weights), t_d
+
+    return _Plan(_encode_step(weights, infra, {}), central, t_d)
+
+
+def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
+    cfg, rate = weights.config, infra.compute.central_flops_per_s
+
+    def edge(wave, idx, d, span):
+        raw = wave[:, :, span[0] : span[1]]
+        return raw, raw.size * 4, 0.0
+
+    def central(raws, wave, slices):
+        filled = np.zeros_like(wave)
+        for d, raw in raws.items():
+            a, b = slices[d]
+            filled[:, :, a:b] = raw
+        flops = full_model_flops(cfg, wave.shape[1], [b - a for a, b in slices])
+        return forward_full(filled, weights, slices), flops / rate
+
+    t_d = 0.0
+    if len(samples):
+        n_t = _as_wave(samples[0]).shape[1]
+        t_d = full_model_flops(cfg, n_t, [b - a for a, b in infra.partition]) / rate
+    return _Plan(edge, central, t_d)
+
+
+def _fla_plan(weights: ModelWeights, infra: InfraConfig) -> _Plan:
+    cfg = weights.config
+    ho, wo = cfg.output_dims
+
+    def edge(wave, idx, d, span):
+        a, b = span
+        lo, hi = _span_columns(wo, wave.shape[2], a, b)
+        cols = forward_full(wave[:, :, a:b], weights, ((0, b - a),)).values[:, lo:hi]
+        flops = encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1)
+        return cols, cols.size * 4, flops / infra.compute.edge_flops_per_s
+
+    def central(spans, wave, slices):
+        stitched = np.full((ho, wo), cfg.velocity_range[0], dtype=np.float32)
+        for d, cols in spans.items():
+            lo, hi = _span_columns(wo, wave.shape[2], *slices[d])
+            stitched[:, lo:hi] = cols
+        return VelocityMap(values=stitched), 0.0
+
+    return _Plan(edge, central, 0.0)
+
+
+def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
+    """Map a receiver slice [a, b) onto output-map columns."""
+    lo = a * out_w // n_rcv
+    hi = b * out_w // n_rcv
+    return lo, hi
 
 
 def run_epic(
@@ -500,111 +655,8 @@ def run_epic(
             ground_truth=ground_truth,
             host=infra.socket_host, port=infra.socket_port,
         )
-
-    t_d = decode_time_budget(cfg, infra.compute)
-    _check_budget(infra.deadline_s, t_d)
-    deadline = infra.deadline_s - t_d
-    delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
-    drops = _per_sample_drops(drop_devices, len(samples))
-    latent_bytes = cfg.latent_dim * 4
-
-    buffer = HashBuffer()
-    maps: list[VelocityMap | None] = []
-    report = RunReport(
-        mode=PipelineMode.EPIC,
-        n_devices=cfg.n_devices,
-        profile_label=infra.network.label(),
-        deadline_s=infra.deadline_s,
-        decode_budget_s=t_d,
-    )
-
-    for idx, sample in enumerate(samples):
-        wave = _as_wave(sample)
-        slices = validate_partition(infra.partition, wave.shape[2], cfg.n_devices)
-        dropped = drops[idx]
-        active = [d for d in range(cfg.n_devices) if d not in dropped]
-
-        latents = {}
-        edge_t = {}
-        for d, (a, b) in enumerate(slices):
-            if d in dropped:
-                continue
-            latents[d] = encode(wave[:, :, a:b], weights.encoders[d], device_id=d, sample_id=idx)
-            edge_t[d] = (
-                encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s
-                + delays.get(d, 0.0)
-            )
-
-        uplinks = transmit_group(
-            [latent_bytes] * len(active),
-            infra.network,
-            infra.energy,
-            mode=infra.netem_mode,
-            seed=[infra.seed, idx],
-            start_times=[edge_t[d] for d in active],
-        )
-        arrivals = sorted(
-            zip((u.completion_s for u in uplinks), active), key=lambda item: (item[0], item[1])
-        )
-        energy_j = sum(u.energy_j for u in uplinks)
-        comm_bytes = latent_bytes * len(active)
-
-        on_time = [(t, d) for t, d in arrivals if t <= deadline]
-        for t, d in on_time:
-            buffer.insert(idx, d, latents[d], t)
-        lset, collect_time, released = buffer.finalize(idx, cfg.n_devices, deadline)
-        for t, d in arrivals:
-            if t > deadline:
-                buffer.insert(idx, d, latents[d], t)
-        late = buffer.late_frames(idx)
-        buffer.complete(idx)
-
-        if len(lset) == 0:
-            maps.append(None)
-            report.rows.append(
-                _failed_row(idx, cfg.n_devices, deadline, t_d, energy_j, comm_bytes, late)
-            )
-            continue
-
-        gl = fuse(lset, weights.fusion, cfg.n_heads)
-        vmap = decode(gl, lset, weights, attention_out=collect_attention)
-        l_central = decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
-        l_edge = max(edge_t[d] for d in lset.present_ids())
-        l_total = collect_time + l_central
-        gt = None if ground_truth is None else ground_truth[idx]
-        maps.append(vmap)
-        report.rows.append(
-            SampleResult(
-                sample_id=idx,
-                status="ok",
-                mask=tuple(bool(v) for v in lset.mask()),
-                l_edge_s=l_edge,
-                l_comm_s=collect_time - l_edge,
-                l_central_s=l_central,
-                l_total_s=l_total,
-                energy_j=energy_j,
-                comm_bytes=comm_bytes,
-                deadline_fired=released,
-                deadline_met=l_total <= infra.deadline_s,
-                late_frames=late,
-                ssim=_maybe_ssim(vmap, gt, cfg.velocity_range),
-            )
-        )
-    return maps, report
-
-
-# ---------------------------------------------------------------------------
-# baseline pipelines
-
-
-def _baseline_report(mode, cfg, infra, t_d) -> RunReport:
-    return RunReport(
-        mode=mode,
-        n_devices=infra.n_devices,
-        profile_label=infra.network.label(),
-        deadline_s=infra.deadline_s,
-        decode_budget_s=t_d,
-    )
+    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), collect_attention)
+    return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
 def run_baseline(
@@ -615,14 +667,11 @@ def run_baseline(
     drop_devices=None,
     ground_truth=None,
 ) -> tuple[list[VelocityMap | None], RunReport]:
-    """Comparison pipelines sharing the RunReport schema.
+    """Run any mode with the RunReport schema; see the module table.
 
-    CENTRALIZED and SLA take the same weights as the split pipeline; FLA
-    needs single-device weights (one complete model per edge). Baselines
-    have no timeout manager: they wait for every active device and the
-    report simply records whether the deadline held. Offline devices are
-    patched with zeros (CENTRALIZED raw columns), the range floor (FLA map
-    spans) or dropped from the latent average (SLA).
+    EPIC goes through run_epic. CENTRALIZED and SLA take the split
+    pipeline's weights; FLA needs single-device weights (one complete
+    model per edge).
     """
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
@@ -630,162 +679,32 @@ def run_baseline(
     if mode == PipelineMode.FLA:
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")
+        plan = _fla_plan(weights, infra)
     elif weights.config.n_devices != infra.n_devices:
         raise ConfigError(
             f"weights built for {weights.config.n_devices} devices, infra has {infra.n_devices}"
         )
-
-    cfg = weights.config
-    drops = _per_sample_drops(drop_devices, len(samples))
-    maps: list[VelocityMap | None] = []
-
-    if mode == PipelineMode.CENTRALIZED:
-        t_d = full_model_flops(cfg, 1000, [b - a for a, b in infra.partition]) / infra.compute.central_flops_per_s
-        report = _baseline_report(mode, cfg, infra, t_d)
-        for idx, sample in enumerate(samples):
-            wave = _as_wave(sample)
-            slices = validate_partition(infra.partition, wave.shape[2], cfg.n_devices)
-            dropped = drops[idx]
-            active = [d for d in range(cfg.n_devices) if d not in dropped]
-            sizes = [wave[:, :, a:b].size * 4 for d, (a, b) in enumerate(slices) if d in active]
-            uplinks = transmit_group(
-                sizes, infra.network, infra.energy, mode=infra.netem_mode,
-                seed=[infra.seed, idx], start_times=[0.0] * len(active),
-            )
-            filled = wave.copy()
-            for d in dropped:
-                a, b = slices[d]
-                filled[:, :, a:b] = 0.0
-            l_central = full_model_flops(cfg, wave.shape[1], [b - a for a, b in slices]) / infra.compute.central_flops_per_s
-            vmap = forward_full(filled, weights, slices)
-            collect = max((u.completion_s for u in uplinks), default=0.0)
-            l_total = collect + l_central
-            gt = None if ground_truth is None else ground_truth[idx]
-            maps.append(vmap)
-            report.rows.append(
-                SampleResult(
-                    sample_id=idx, status="ok",
-                    mask=tuple(d in active for d in range(cfg.n_devices)),
-                    l_edge_s=0.0, l_comm_s=collect, l_central_s=l_central,
-                    l_total_s=l_total,
-                    energy_j=sum(u.energy_j for u in uplinks),
-                    comm_bytes=sum(sizes),
-                    deadline_fired=False,
-                    deadline_met=l_total <= infra.deadline_s,
-                    late_frames=0,
-                    ssim=_maybe_ssim(vmap, gt, cfg.velocity_range),
-                )
-            )
-        return maps, report
-
-    if mode == PipelineMode.FLA:
-        report = _baseline_report(mode, cfg, infra, 0.0)
-        v_min = cfg.velocity_range[0]
-        ho, wo = cfg.output_dims
-        for idx, sample in enumerate(samples):
-            wave = _as_wave(sample)
-            slices = validate_partition(infra.partition, wave.shape[2], infra.n_devices)
-            dropped = drops[idx]
-            active = [d for d in range(infra.n_devices) if d not in dropped]
-            stitched = np.full((ho, wo), v_min, dtype=np.float32)
-            edge_t = []
-            sizes = []
-            for d in active:
-                a, b = slices[d]
-                sub = forward_full(wave[:, :, a:b], weights, ((0, b - a),))
-                span = _span_columns(wo, wave.shape[2], a, b)
-                stitched[:, span[0] : span[1]] = sub.values[:, span[0] : span[1]]
-                edge_t.append(
-                    (encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1))
-                    / infra.compute.edge_flops_per_s
-                )
-                sizes.append(ho * (span[1] - span[0]) * 4)
-            uplinks = transmit_group(
-                sizes, infra.network, infra.energy, mode=infra.netem_mode,
-                seed=[infra.seed, idx], start_times=edge_t,
-            )
-            vmap = VelocityMap(values=stitched)
-            collect = max((u.completion_s for u in uplinks), default=0.0)
-            l_edge = max(edge_t, default=0.0)
-            gt = None if ground_truth is None else ground_truth[idx]
-            maps.append(vmap)
-            report.rows.append(
-                SampleResult(
-                    sample_id=idx, status="ok",
-                    mask=tuple(d in active for d in range(infra.n_devices)),
-                    l_edge_s=l_edge, l_comm_s=collect - l_edge, l_central_s=0.0,
-                    l_total_s=collect,
-                    energy_j=sum(u.energy_j for u in uplinks),
-                    comm_bytes=sum(sizes),
-                    deadline_fired=False,
-                    deadline_met=collect <= infra.deadline_s,
-                    late_frames=0,
-                    ssim=_maybe_ssim(vmap, gt, cfg.velocity_range),
-                )
-            )
-        return maps, report
-
-    # SLA
-    t_d = plain_decoder_flops(cfg) / infra.compute.central_flops_per_s
-    report = _baseline_report(mode, cfg, infra, t_d)
-    latent_bytes = cfg.latent_dim * 4
-    for idx, sample in enumerate(samples):
-        wave = _as_wave(sample)
-        slices = validate_partition(infra.partition, wave.shape[2], cfg.n_devices)
-        dropped = drops[idx]
-        active = [d for d in range(cfg.n_devices) if d not in dropped]
-        if not active:
-            maps.append(None)
-            report.rows.append(_failed_row(idx, cfg.n_devices, 0.0, t_d, 0.0, 0, 0))
-            continue
-        latents = []
-        edge_t = []
-        for d in active:
-            a, b = slices[d]
-            latents.append(encode(wave[:, :, a:b], weights.encoders[d], device_id=d, sample_id=idx))
-            edge_t.append(encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s)
-        uplinks = transmit_group(
-            [latent_bytes] * len(active), infra.network, infra.energy,
-            mode=infra.netem_mode, seed=[infra.seed, idx], start_times=edge_t,
-        )
-        merged = (
-            np.stack([lat.values for lat in latents])
-            .astype(np.float64)
-            .mean(axis=0)
-            .astype(np.float32)
-        )
-        vmap = decode_without_attention(merged, weights)
-        collect = max(u.completion_s for u in uplinks)
-        l_edge = max(edge_t)
-        l_total = collect + t_d
-        gt = None if ground_truth is None else ground_truth[idx]
-        maps.append(vmap)
-        report.rows.append(
-            SampleResult(
-                sample_id=idx, status="ok",
-                mask=tuple(d in active for d in range(cfg.n_devices)),
-                l_edge_s=l_edge, l_comm_s=collect - l_edge, l_central_s=t_d,
-                l_total_s=l_total,
-                energy_j=sum(u.energy_j for u in uplinks),
-                comm_bytes=latent_bytes * len(active),
-                deadline_fired=False,
-                deadline_met=l_total <= infra.deadline_s,
-                late_frames=0,
-                ssim=_maybe_ssim(vmap, gt, cfg.velocity_range),
-            )
-        )
-    return maps, report
-
-
-def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
-    """Map a receiver slice [a, b) onto output-map columns."""
-    lo = a * out_w // n_rcv
-    hi = b * out_w // n_rcv
-    return lo, hi
+    elif mode == PipelineMode.SLA:
+        plan = _sla_plan(weights, infra)
+    else:
+        plan = _centralized_plan(weights, infra, samples)
+    return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
 # ---------------------------------------------------------------------------
 # robustness harness
+
+
+def random_drop_sets(seed: int, n_devices: int, k: int, n_samples: int) -> list[frozenset[int]]:
+    """k seeded-random offline devices per sample, from the stream
+    [seed, 7001, k, sample_id]."""
+    if not 0 <= k <= n_devices:
+        raise ConfigError(f"drop count {k} outside [0, {n_devices}]")
+    return [
+        frozenset(np.random.default_rng([seed, 7001, k, idx]).choice(
+            n_devices, size=k, replace=False).tolist())
+        for idx in range(n_samples)
+    ]
 
 
 def run_robustness_sweep(
@@ -802,16 +721,10 @@ def run_robustness_sweep(
     k may reach n_devices; those samples surface as failed rows rather
     than crashing.
     """
-    n = infra.n_devices
     results: dict[tuple[str, int], RunReport] = {}
     for k in drop_counts:
         k = int(k)
-        if not 0 <= k <= n:
-            raise ConfigError(f"drop count {k} outside [0, {n}]")
-        drop_sets = []
-        for idx in range(len(samples)):
-            rng = np.random.default_rng([infra.seed, 7001, k, idx])
-            drop_sets.append(frozenset(rng.choice(n, size=k, replace=False).tolist()) if k else frozenset())
+        drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
         for mode in modes:
             w = weights
             if mode == PipelineMode.FLA:

@@ -7,9 +7,12 @@ whole buffer to the frame decoder. One writer per connection; the central
 collector accepts any number of connections and funnels every decoded
 latent into the shared hash-map buffer under wall-clock timestamps.
 
-This module is the wall-time twin of the simulated path in runtime.py:
-the pipeline logic (collect until complete or T - T_d, decode what
-arrived) is identical, only the clock differs.
+This module is the wall-time twin of EPIC's simulated path in
+runtime.py. The two share `_sample_row` (one report row from the
+collection and decode results), the T_d < T budget check, and the drop
+and delay helpers; each keeps its own clock and its own collection:
+here the collector waits on the buffer until every device reported or
+T - T_d of wall time passed, then decodes what arrived.
 """
 
 from __future__ import annotations
@@ -27,14 +30,12 @@ from .runtime import (
     HashBuffer,
     InfraConfig,
     RunReport,
-    SampleResult,
     PipelineMode,
     _as_wave,
     _check_budget,
-    _failed_row,
-    _maybe_ssim,
     _per_sample_delays,
     _per_sample_drops,
+    _sample_row,
     profile_decoder,
 )
 
@@ -127,7 +128,8 @@ class _Collector:
                     return
                 if frame.kind == FrameKind.CONTROL:
                     continue
-                self.buffer.insert_frame_latent(latent_from_frame(frame), time.monotonic())
+                latent = latent_from_frame(frame)
+                self.buffer.insert(latent.sample_id, latent.device_id, latent, time.monotonic())
 
     def close(self) -> None:
         self._closing = True
@@ -182,9 +184,8 @@ def run_epic_socket(
     cfg = weights.config
     t_d = profile_decoder(weights, trials=profile_trials)
     _check_budget(infra.deadline_s, t_d)
-    delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
+    delays = _per_sample_delays(extra_delay_s)
     drops = _per_sample_drops(drop_devices, len(samples))
-    latent_bytes = cfg.latent_dim * 4
 
     first = _as_wave(samples[0]) if samples else None
     slices = validate_partition(infra.partition, first.shape[2], cfg.n_devices) if samples else ()
@@ -223,40 +224,21 @@ def run_epic_socket(
                 idx, cfg.n_devices, t0 + infra.deadline_s - t_d
             )
             collect_time = time.monotonic() - t0
-            if len(lset) == 0:
-                buffer.complete(idx)
-                maps.append(None)
-                report.rows.append(
-                    _failed_row(idx, cfg.n_devices, collect_time, t_d, 0.0, 0,
-                                buffer.late_frames(idx))
-                )
-                continue
-            d0 = time.monotonic()
-            gl = fuse(lset, weights.fusion, cfg.n_heads)
-            vmap = decode(gl, lset, weights)
-            l_central = time.monotonic() - d0
+            result = None
+            if len(lset):
+                d0 = time.monotonic()
+                gl = fuse(lset, weights.fusion, cfg.n_heads)
+                vmap = decode(gl, lset, weights)
+                result = vmap, time.monotonic() - d0
             buffer.complete(idx)
-            l_edge = max(
-                (edge_done[idx].get(d, 0.0) for d in lset.present_ids()), default=0.0
-            )
-            l_total = collect_time + l_central
-            gt = None if ground_truth is None else ground_truth[idx]
-            maps.append(vmap)
+            maps.append(None if result is None else result[0])
             report.rows.append(
-                SampleResult(
-                    sample_id=idx,
-                    status="ok",
-                    mask=tuple(bool(v) for v in lset.mask()),
-                    l_edge_s=l_edge,
-                    l_comm_s=collect_time - l_edge,
-                    l_central_s=l_central,
-                    l_total_s=l_total,
-                    energy_j=0.0,
-                    comm_bytes=(latent_bytes + FRAME_OVERHEAD) * len(lset),
-                    deadline_fired=released,
-                    deadline_met=l_total <= infra.deadline_s,
-                    late_frames=buffer.late_frames(idx),
-                    ssim=_maybe_ssim(vmap, gt, cfg.velocity_range),
+                _sample_row(
+                    report, idx, result,
+                    {d: edge_done[idx].get(d, 0.0) for d in lset.present_ids()},
+                    collect_time, released, buffer.late_frames(idx), 0.0,
+                    (cfg.latent_dim * 4 + FRAME_OVERHEAD) * len(lset),
+                    ground_truth, cfg.velocity_range,
                 )
             )
     finally:

@@ -7,8 +7,10 @@ import pytest
 
 from splitfwi.cli import main
 from splitfwi.model import load_weights
+from splitfwi.physics import load_dataset
 from splitfwi.runconfig import load_run_config
 from splitfwi.errors import ConfigError
+from splitfwi.runtime import PipelineMode, run_robustness_sweep
 
 
 def run_cli(*args):
@@ -69,6 +71,19 @@ def test_run_with_drop_masks_one_device(workspace):
     report = json.loads((workspace / "out_drop" / "run_report.json").read_text())
     for row in report[0]["rows"]:
         assert row["mask"].count("1") == 2
+
+
+def test_drop_masks_match_robustness_sweep(workspace, tmp_path):
+    assert run_cli("run", "--config", str(workspace / "run.json"), "--mode", "sla",
+                   "--drop", "2", "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    cfg = load_run_config(workspace / "run.json")
+    samples, _ = load_dataset(workspace / "data")
+    sweep = run_robustness_sweep([rec for _, rec in samples], load_weights(workspace / "weights.bin"),
+                                 cfg.infra, drop_counts=[2], modes=(PipelineMode.SLA,))
+    swept = ["".join("1" if m else "0" for m in row.mask) for row in sweep[("sla", 2)].rows]
+    assert [row["mask"] for row in report[0]["rows"]] == swept
+    assert all(mask.count("1") == 1 for mask in swept)
 
 
 def test_bench_rows(workspace, tmp_path):

@@ -1,4 +1,8 @@
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 
 from conftest import TINY
 from splitfwi.model import ModelConfig, init_weights
@@ -7,6 +11,8 @@ from splitfwi.reporting import (
     PER_SAMPLE_HEADER,
     SUMMARY_HEADER,
     BenchmarkSpec,
+    report_from_dict,
+    report_to_dict,
     run_benchmark,
     write_per_sample_csv,
     write_report_json,
@@ -75,6 +81,27 @@ class TestCsv:
         assert data[0]["mode"] == "epic"
         assert len(data[0]["rows"]) == 2
         assert set(data[0]["rows"][0]) >= {"l_edge_s", "l_comm_s", "l_central_s", "l_total_s"}
+
+    def test_json_reports_rebuild_identical_csvs(self, tmp_path):
+        reports = _reports()
+        path = write_report_json(reports, tmp_path / "r.json")
+        restored = [report_from_dict(entry) for entry in json.loads(path.read_text())]
+        for writer, name in ((write_summary_csv, "m.csv"), (write_per_sample_csv, "s.csv")):
+            want = writer(reports, tmp_path / f"want_{name}").read_bytes()
+            assert writer(restored, tmp_path / name).read_bytes() == want
+
+    @pytest.mark.parametrize("mode", list(PipelineMode))
+    def test_all_dropped_energy_is_float(self, mode):
+        weights = init_weights(TINY, seed=11)
+        if mode == PipelineMode.FLA:
+            weights = init_weights(dataclasses.replace(TINY, n_devices=1), seed=11)
+        rng = np.random.default_rng(2)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
+        infra = InfraConfig(n_devices=TINY.n_devices, network=FOUR_G, deadline_s=0.5)
+        _, report = run_baseline(mode, waves, weights, infra,
+                                 drop_devices=range(TINY.n_devices))
+        energy = report_to_dict(report)["rows"][0]["energy_j"]
+        assert type(energy) is float and energy == 0.0
 
 
 class TestBenchmark:

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from splitfwi.runtime import (
     decode_time_budget,
     decoder_flops,
     encoder_flops,
+    full_model_flops,
     partition_receivers,
     profile_decoder,
     run_baseline,
@@ -123,6 +128,38 @@ class TestHashBuffer:
         buf.complete(0)
         assert buf.insert(1, 0, self._latent(0, sample=1), 0.2) == InsertOutcome.INSERTED
 
+    def test_collect_blocking_wakes_when_all_producers_inserted(self):
+        buf = HashBuffer()
+        n = 8  # more producer threads than cores
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producers = [
+                threading.Thread(target=buf.insert, args=(0, d, self._latent(d), 0.0))
+                for d in range(n)
+            ]
+            for t in producers:
+                t.start()
+            lset, released = buf.collect_blocking(0, n, time.monotonic() + 10.0)
+            for t in producers:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert not released
+        assert lset.present_ids() == list(range(n))
+
+    def test_collect_blocking_releases_at_deadline(self):
+        buf = HashBuffer()
+        buf.insert(0, 1, self._latent(1), 0.0)
+        lset, released = buf.collect_blocking(0, 3, time.monotonic() + 0.05)
+        assert released
+        assert lset.present_ids() == [1]
+        assert buf.insert(0, 2, self._latent(2), 0.0) == InsertOutcome.STALE
+        lset, released = buf.collect_blocking(1, 1, time.monotonic() - 1.0)
+        assert released
+        assert len(lset) == 0
+
 
 class TestRunEpic:
     def test_matches_forward_full_bitwise(self, weights):
@@ -219,6 +256,14 @@ class TestBaselines:
         assert per_device_raw == 280000
         assert per_device_latent == 2048
         assert per_device_raw / per_device_latent == 280000 / 2048
+
+    def test_centralized_budget_uses_sample_length(self, weights):
+        infra = tiny_infra()
+        _, report = run_baseline(PipelineMode.CENTRALIZED, tiny_waves(1, n_t=40), weights, infra)
+        widths = [b - a for a, b in infra.partition]
+        want = full_model_flops(TINY, 40, widths) / infra.compute.central_flops_per_s
+        assert report.decode_budget_s == want
+        assert report.rows[0].l_central_s == want
 
     def test_fla_needs_single_device_weights(self, weights):
         with pytest.raises(ConfigError, match="single-device"):
