@@ -19,18 +19,16 @@ from pathlib import Path
 
 from .errors import ConfigError, SplitFwiError
 from .model import ModelConfig, init_weights, load_weights, save_weights
-from .netem import NetworkProfile
 from .physics import default_geometry, generate_dataset, load_dataset, save_dataset
 from .reporting import (
-    BenchmarkSpec,
     report_from_dict,
     run_benchmark,
     write_per_sample_csv,
     write_report_json,
     write_summary_csv,
 )
-from .runconfig import load_run_config
-from .runtime import ComputeModel, PipelineMode, random_drop_sets, run_baseline
+from .runconfig import load_bench_spec, load_run_config
+from .runtime import PipelineMode, random_drop_sets, run_baseline
 
 
 def _cmd_gen_data(args) -> int:
@@ -51,23 +49,12 @@ def _cmd_gen_weights(args) -> int:
     return 0
 
 
-def _load_run_inputs(cfg):
-    paths = cfg.paths
-    if "weights" not in paths:
-        raise ConfigError("/paths/weights: missing required field")
-    weights = load_weights(paths["weights"])
-    if "data" in paths:
-        samples, _ = load_dataset(paths["data"])
-        waves = [rec for _, rec in samples]
-        truths = [vm for vm, _ in samples]
-    else:
-        raise ConfigError("/paths/data: missing required field")
-    return weights, waves, truths
-
-
 def _cmd_run(args) -> int:
     cfg = load_run_config(args.config)
-    weights, waves, truths = _load_run_inputs(cfg)
+    weights = load_weights(cfg.paths["weights"])
+    samples, _ = load_dataset(cfg.paths["data"])
+    waves = [rec for _, rec in samples]
+    truths = [vm for vm, _ in samples]
     if args.samples is not None:
         waves, truths = waves[: args.samples], truths[: args.samples]
     mode = PipelineMode(args.mode)
@@ -78,7 +65,7 @@ def _cmd_run(args) -> int:
         drop_sets = random_drop_sets(cfg.infra.seed, cfg.infra.n_devices, args.drop, len(waves))
     _, report = run_baseline(mode, waves, weights, cfg.infra,
                              drop_devices=drop_sets, ground_truth=truths)
-    out = Path(args.out or cfg.paths.get("out", "."))
+    out = Path(args.out or cfg.paths["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_per_sample_csv([report], out / "run_samples.csv")
     write_summary_csv([report], out / "run_summary.csv")
@@ -92,47 +79,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_bench_spec(path) -> BenchmarkSpec:
-    doc = json.loads(Path(path).read_text())
-    profiles = []
-    for i, p in enumerate(doc.get("profiles", [{}])):
-        try:
-            profiles.append(
-                NetworkProfile(
-                    bandwidth_bps=float(p.get("b", 15e6)),
-                    base_latency_s=float(p.get("l", 0.05)),
-                    loss_rate=float(p.get("p", 0.005)),
-                    medium=p.get("medium", "dedicated"),
-                    mtu_bytes=int(p.get("mtu", 1500)),
-                )
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"/profiles/{i}: {exc}") from exc
-    seeds = doc.get("seeds", {})
-    compute = doc.get("compute", {})
-    try:
-        modes = tuple(PipelineMode(m) for m in doc.get("modes", ["epic", "centralized"]))
-    except ValueError as exc:
-        raise ConfigError(f"/modes: {exc}") from exc
-    return BenchmarkSpec(
-        modes=modes,
-        device_counts=tuple(int(n) for n in doc.get("device_counts", [2, 5, 7, 10])),
-        profiles=tuple(profiles),
-        n_samples=int(doc.get("n_samples", 4)),
-        family=doc.get("family", "layered"),
-        weights_seed=int(seeds.get("weights", 1)),
-        data_seed=int(seeds.get("data", 7)),
-        run_seed=int(seeds.get("run", 3)),
-        deadline_s=float(doc.get("T", 0.5)),
-        compute=ComputeModel(
-            edge_flops_per_s=float(compute.get("edge_flops_per_s", 2e9)),
-            central_flops_per_s=float(compute.get("central_flops_per_s", 1e10)),
-        ),
-    )
-
-
 def _cmd_bench(args) -> int:
-    spec = _parse_bench_spec(args.config)
+    spec = load_bench_spec(args.config)
     reports = run_benchmark(spec, args.out)
     print(f"benchmark: {len(reports)} runs -> {args.out}")
     return 0
@@ -194,7 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SplitFwiError as exc:
+    except (SplitFwiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import splitfwi
 from splitfwi.cli import main
 from splitfwi.model import load_weights
 from splitfwi.physics import load_dataset
@@ -124,6 +126,34 @@ def test_malformed_config_points_at_field(workspace, tmp_path, capsys):
     assert "/network/b" in err
 
 
+@pytest.mark.parametrize("text, expected", [
+    (None, "bench.json"),
+    ("{not json", "bench.json"),
+    ("[1, 2]", "/: expected dict"),
+    ('{"profiles": [{"b": "fast"}]}', "/profiles/0/b"),
+    ('{"n_samples": 2.9}', "/n_samples"),
+])
+def test_bad_bench_spec_exits_2(tmp_path, capsys, text, expected):
+    cfg = tmp_path / "bench.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["weights", "data"])
+def test_missing_input_file_exits_2(workspace, tmp_path, capsys, key):
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["paths"][key] = str(tmp_path / "missing")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+
+
 def test_env_seed_overrides_run_seed(workspace, monkeypatch):
     monkeypatch.setenv("EPIC_SEED", "99")
     cfg = load_run_config(workspace / "run.json")
@@ -141,10 +171,12 @@ def test_config_pointer_errors(workspace):
 
 
 def test_console_entry_point(workspace):
+    # the child imports the same splitfwi as this test, installed or not
+    src_root = Path(splitfwi.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "splitfwi", "gen-weights", "--devices", "1",
          "--seed", "2", "--out", str(workspace / "w1.bin")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src_root)},
     )
     assert proc.returncode == 0
     assert Path(workspace / "w1.bin").exists()
