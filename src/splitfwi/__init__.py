@@ -7,6 +7,7 @@ from .errors import (
     InputValidationError,
     PartitionError,
     ProtocolError,
+    ReportError,
     ShapeError,
     SplitFwiError,
     StabilityError,

@@ -13,7 +13,6 @@ pointer of the offending field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .errors import ConfigError, SplitFwiError
 from .model import ModelConfig, init_weights, load_weights, save_weights
 from .physics import default_geometry, generate_dataset, load_dataset, save_dataset
 from .reporting import (
-    report_from_dict,
+    read_report_json,
     run_benchmark,
     write_per_sample_csv,
     write_report_json,
@@ -57,6 +56,7 @@ def _cmd_run(args) -> int:
     truths = [vm for vm, _ in samples]
     if args.samples is not None:
         waves, truths = waves[: args.samples], truths[: args.samples]
+    cfg.check_receivers(waves)
     mode = PipelineMode(args.mode)
     drop_sets = None
     if args.drop:
@@ -87,11 +87,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = [
-        report_from_dict(entry)
-        for path in args.inputs
-        for entry in json.loads(Path(path).read_text())
-    ]
+    reports = [report for path in args.inputs for report in read_report_json(path)]
     write_summary_csv(reports, args.out)
     print(f"summary for {len(reports)} runs -> {args.out}")
     return 0

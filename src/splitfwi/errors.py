@@ -37,5 +37,9 @@ class ConfigError(SplitFwiError):
     """A run configuration value is missing or invalid."""
 
 
+class ReportError(SplitFwiError):
+    """A stored run report is malformed."""
+
+
 class ZeroEnergyError(SplitFwiError):
     """Energy fractions are undefined for an all-zero record."""

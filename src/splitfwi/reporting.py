@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ReportError
 from .model import ModelConfig, init_weights
 from .netem import NetworkProfile
 from .physics import default_geometry, generate_dataset
@@ -22,6 +22,7 @@ from .runtime import (
     PipelineMode,
     RunReport,
     SampleResult,
+    _reuse_edge_outputs,
     partition_receivers,
     run_baseline,
 )
@@ -174,34 +175,78 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def report_from_dict(entry: dict) -> RunReport:
-    """Inverse of report_to_dict."""
+# key of a stored report or row -> its JSON type; a float may be stored as an int
+_REPORT_KEYS = {"mode": str, "n_devices": int, "profile": str, "deadline_s": float,
+                "decode_budget_s": float, "rows": list}
+_ROW_KEYS = {"sample_id": int, "status": str, "mask": str, "l_edge_s": float,
+             "l_comm_s": float, "l_central_s": float, "l_total_s": float, "energy_j": float,
+             "comm_bytes": int, "deadline_fired": bool, "deadline_met": bool,
+             "late_frames": int, "ssim": float}
+
+
+def _stored(doc, pointer: str, kinds: dict) -> dict:
+    """The keys of kinds, read from the object doc at pointer; null is
+    allowed only for ssim."""
+    if not isinstance(doc, dict):
+        raise ReportError(f"{pointer or '/'}: expected an object, got {type(doc).__name__}")
+    vals = {}
+    for key, kind in kinds.items():
+        if key not in doc:
+            raise ReportError(f"{pointer}/{key}: missing")
+        val = doc[key]
+        ok = isinstance(val, (int, float) if kind is float else kind) and (
+            kind is bool or not isinstance(val, bool))
+        if not ok and not (key == "ssim" and val is None):
+            raise ReportError(f"{pointer}/{key}: expected {kind.__name__}, got {type(val).__name__}")
+        vals[key] = float(val) if kind is float and val is not None else val
+    return vals
+
+
+def _report_from(entry, pointer: str) -> RunReport:
+    doc = _stored(entry, pointer, _REPORT_KEYS)
+    modes = [m.value for m in PipelineMode]
+    if doc["mode"] not in modes:
+        raise ReportError(f"{pointer}/mode: must be one of {', '.join(modes)}, got {doc['mode']!r}")
     report = RunReport(
-        mode=PipelineMode(entry["mode"]),
-        n_devices=int(entry["n_devices"]),
-        profile_label=entry["profile"],
-        deadline_s=float(entry["deadline_s"]),
-        decode_budget_s=float(entry["decode_budget_s"]),
+        mode=PipelineMode(doc["mode"]),
+        n_devices=doc["n_devices"],
+        profile_label=doc["profile"],
+        deadline_s=doc["deadline_s"],
+        decode_budget_s=doc["decode_budget_s"],
     )
-    for row in entry["rows"]:
-        report.rows.append(
-            SampleResult(
-                sample_id=int(row["sample_id"]),
-                status=row["status"],
-                mask=tuple(c == "1" for c in row["mask"]),
-                l_edge_s=float(row["l_edge_s"]),
-                l_comm_s=float(row["l_comm_s"]),
-                l_central_s=float(row["l_central_s"]),
-                l_total_s=float(row["l_total_s"]),
-                energy_j=float(row["energy_j"]),
-                comm_bytes=int(row["comm_bytes"]),
-                deadline_fired=bool(row["deadline_fired"]),
-                deadline_met=bool(row["deadline_met"]),
-                late_frames=int(row["late_frames"]),
-                ssim=None if row["ssim"] is None else float(row["ssim"]),
-            )
-        )
+    for i, row in enumerate(doc["rows"]):
+        here = f"{pointer}/rows/{i}"
+        vals = _stored(row, here, _ROW_KEYS)
+        if vals["status"] not in ("ok", "failed"):
+            raise ReportError(f"{here}/status: must be 'ok' or 'failed', got {vals['status']!r}")
+        if len(vals["mask"]) != report.n_devices or set(vals["mask"]) - {"0", "1"}:
+            raise ReportError(f"{here}/mask: expected {report.n_devices} digits 0 or 1, "
+                              f"got {vals['mask']!r}")
+        vals["mask"] = tuple(c == "1" for c in vals["mask"])
+        report.rows.append(SampleResult(**vals))
     return report
+
+
+def report_from_dict(entry: dict) -> RunReport:
+    """Inverse of report_to_dict; a malformed entry raises ReportError
+    naming the JSON pointer of the offending field."""
+    return _report_from(entry, "")
+
+
+def read_report_json(path) -> list[RunReport]:
+    """Inverse of write_report_json; errors name the file and the JSON
+    pointer of the offending field."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ReportError(f"report {path} is not valid JSON: {exc}") from exc
+    try:
+        if not isinstance(doc, list):
+            raise ReportError(f"/: expected a list of reports, got {type(doc).__name__}")
+        return [_report_from(entry, f"/{i}") for i, entry in enumerate(doc)]
+    except ReportError as exc:
+        raise ReportError(f"report {path}: {exc}") from exc
 
 
 def write_report_json(reports, path) -> Path:
@@ -243,7 +288,9 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
     """Execute the sweep; optionally write the three report files.
 
     Simulated clock throughout, so repeated runs with the same spec give
-    byte-identical CSVs.
+    byte-identical CSVs. Each edge output is computed once for the whole
+    sweep: profiles and modes that share a device count share latents,
+    and FLA's map spans serve every profile.
     """
     n_receivers = spec.model.output_dims[1]
     geometry = default_geometry(n_receivers=n_receivers)
@@ -262,20 +309,21 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
         single = init_weights(replace(spec.model, n_devices=1), spec.weights_seed)
 
     reports = []
-    for profile in spec.profiles:
-        for n in spec.device_counts:
-            infra = InfraConfig(
-                n_devices=n,
-                partition=partition_receivers(n_receivers, n),
-                network=profile,
-                deadline_s=spec.deadline_s,
-                compute=spec.compute,
-                seed=spec.run_seed,
-            )
-            for mode in spec.modes:
-                w = single if mode == PipelineMode.FLA else weights_by_n[n]
-                _, report = run_baseline(mode, waves, w, infra, ground_truth=truths)
-                reports.append(report)
+    with _reuse_edge_outputs(waves, single, *weights_by_n.values()):
+        for profile in spec.profiles:
+            for n in spec.device_counts:
+                infra = InfraConfig(
+                    n_devices=n,
+                    partition=partition_receivers(n_receivers, n),
+                    network=profile,
+                    deadline_s=spec.deadline_s,
+                    compute=spec.compute,
+                    seed=spec.run_seed,
+                )
+                for mode in spec.modes:
+                    w = single if mode == PipelineMode.FLA else weights_by_n[n]
+                    _, report = run_baseline(mode, waves, w, infra, ground_truth=truths)
+                    reports.append(report)
 
     if out_dir is not None:
         out = Path(out_dir)

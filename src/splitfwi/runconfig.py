@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ModelConfig
 from .netem import EnergyModel, NetworkProfile
 from .reporting import BenchmarkSpec
 from .runtime import ComputeModel, InfraConfig, PipelineMode
@@ -61,6 +62,16 @@ _PROFILE_DEFAULTS = {key: getattr(NetworkProfile, f) for key, (f, _) in _NETWORK
 class RunConfig:
     infra: InfraConfig
     paths: dict[str, str]
+
+    def check_receivers(self, waves) -> None:
+        """Fail at /partition unless the partition covers every wave's
+        receivers; the config alone cannot tell how many a dataset has."""
+        covered = self.infra.partition[-1][1]
+        for i, wave in enumerate(waves):
+            n_receivers = wave.data.shape[-1]
+            if n_receivers != covered:
+                _fail("/partition", f"covers receivers [0, {covered}), but sample {i} of the "
+                                    f"dataset has {n_receivers}")
 
 
 def _fail(pointer: str, why: str):
@@ -209,10 +220,16 @@ def parse_bench_spec(doc: dict) -> BenchmarkSpec:
     profiles = _items(doc, "profiles", dict, [{}])
     seeds = _seeds(doc, {k: getattr(BenchmarkSpec, f"{k}_seed")
                          for k in ("weights", "data", "run")})
+    # a bench spec cannot set the model, so its receiver count is the default's
+    n_receivers = ModelConfig().output_dims[1]
+    for i, n in enumerate(counts):
+        if not 1 <= n <= n_receivers:
+            _fail(f"/device_counts/{i}", f"must be in [1, {n_receivers}], the model's "
+                                          f"receiver count, got {n}")
     return BenchmarkSpec(
         modes=tuple(PipelineMode(_choice(f"/modes/{i}", m, [p.value for p in PipelineMode]))
                     for i, m in enumerate(modes)),
-        device_counts=tuple(_positive(f"/device_counts/{i}", n) for i, n in enumerate(counts)),
+        device_counts=tuple(counts),
         profiles=tuple(_network(p, f"/profiles/{i}", _PROFILE_DEFAULTS)
                        for i, p in enumerate(profiles)),
         n_samples=_positive("/n_samples",

@@ -27,6 +27,15 @@ missing from the latent set (EPIC, SLA), zero-filled (CENTRALIZED) or
 the velocity floor over its map span (FLA). A sample with nothing to
 decode (EPIC, SLA) becomes a failed row and the run continues.
 
+Edge outputs are pure functions of (weights, slice), so each is computed
+once per call: a slice's latent serves EPIC, SLA and CENTRALIZED (whose
+central step fuses and decodes per-device latents, encoding a zero slice
+for an offline device, which equals `forward_full` on the zero-filled
+wave), and an FLA map span serves every drop set. Within one
+`run_robustness_sweep` or `reporting.run_benchmark` call the reuse spans
+every drop count and mode; it is keyed by sample index and by the weights
+that call owns, and it ends when the call returns.
+
 Two clock domains share the row accounting. Simulated mode derives every
 timestamp from the network emulator plus a declared parametric compute
 model (flop counts over configured device rates), which makes full runs
@@ -35,9 +44,11 @@ bit-reproducible. Socket mode (see transport.py) runs EPIC on wall time.
 
 from __future__ import annotations
 
+import contextvars
 import statistics
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -454,6 +465,74 @@ def _sample_row(report: RunReport, sample_id: int, result, edge_s: dict[int, flo
 
 
 # ---------------------------------------------------------------------------
+# edge outputs, computed once per call
+
+
+class _EdgeOutputs:
+    """The edge outputs of one call that owns `samples`, each computed once.
+
+    A key holds the sample index, the slice and the id() of a weights
+    object in `weights`, which keeps it alive so that its id cannot be
+    reused; never the id() of an input array, which as_f32 may just have
+    allocated.
+    """
+
+    def __init__(self, samples, weights):
+        self.samples = samples
+        self.weights = tuple(weights)
+        self._done: dict[tuple, object] = {}
+
+    def serves(self, samples, weights: ModelWeights) -> bool:
+        return samples is self.samples and any(weights is w for w in self.weights)
+
+    def _once(self, key, compute):
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
+
+    def latent(self, weights: ModelWeights, d: int, idx: int, span, wave_slice) -> LatentVector:
+        """Device d's latent of sample idx's slice span."""
+        return self._once(("latent", id(weights), d, idx, span), lambda: encode(
+            wave_slice, weights.encoders[d], device_id=d, sample_id=idx))
+
+    def zero_latent(self, weights: ModelWeights, d: int, shape) -> LatentVector:
+        """Device d's latent of an all-zero slice, the same for every sample."""
+        return self._once(("zero", id(weights), d, shape), lambda: encode(
+            np.zeros(shape, dtype=np.float32), weights.encoders[d], device_id=d))
+
+    def map_columns(self, weights: ModelWeights, idx: int, span, wave_slice, cols) -> np.ndarray:
+        """Columns [lo, hi) of the single-device model's map of sample
+        idx's slice span; a copy, so the rest of the map is not kept."""
+        lo, hi = cols
+        return self._once(("map", id(weights), idx, span), lambda: forward_full(
+            wave_slice, weights, ((0, span[1] - span[0]),)).values[:, lo:hi].copy())
+
+
+_REUSED: contextvars.ContextVar[_EdgeOutputs | None] = contextvars.ContextVar(
+    "splitfwi_reused_edge_outputs", default=None)
+
+
+@contextmanager
+def _reuse_edge_outputs(samples, *weights):
+    """Runs over `samples` with any of `weights` inside the block share
+    their edge outputs; the outputs are dropped when the block exits."""
+    token = _REUSED.set(_EdgeOutputs(samples, [w for w in weights if w is not None]))
+    try:
+        yield
+    finally:
+        _REUSED.reset(token)
+
+
+def _edge_outputs(samples, weights: ModelWeights) -> _EdgeOutputs:
+    """The enclosing block's outputs if it owns samples and weights, else
+    outputs for this call alone."""
+    reused = _REUSED.get()
+    if reused is not None and reused.serves(samples, weights):
+        return reused
+    return _EdgeOutputs(samples, (weights,))
+
+
+# ---------------------------------------------------------------------------
 # the per-sample loop and one plan per mode
 
 
@@ -462,8 +541,8 @@ class _Plan:
     """One mode's steps in the per-sample loop (see the module table).
 
     edge(wave, sample_id, device, (a, b)) -> (output, payload bytes, edge s)
-    central(outputs by present device, wave, slices) -> (map, central s),
-    or None when nothing can be decoded.
+    central(outputs by present device, wave, sample_id, slices)
+    -> (map, central s), or None when nothing can be decoded.
     """
 
     edge: Callable
@@ -519,7 +598,7 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
             present, released = outputs, False
             collect = max((t for t, _ in arrivals), default=0.0)
 
-        result = plan.central(present, wave, slices)
+        result = plan.central(present, wave, idx, slices)
         maps.append(None if result is None else result[0])
         report.rows.append(
             _sample_row(
@@ -531,22 +610,24 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
     return maps, report
 
 
-def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float]):
+def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float],
+                 reuse: _EdgeOutputs):
     cfg = weights.config
 
     def edge(wave, idx, d, span):
         a, b = span
-        latent = encode(wave[:, :, a:b], weights.encoders[d], device_id=d, sample_id=idx)
+        latent = reuse.latent(weights, d, idx, span, wave[:, :, a:b])
         seconds = encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s
         return latent, cfg.latent_dim * 4, seconds + delays.get(d, 0.0)
 
     return edge
 
 
-def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, attention_out) -> _Plan:
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, attention_out,
+               reuse: _EdgeOutputs) -> _Plan:
     cfg = weights.config
 
-    def central(latents, wave, slices):
+    def central(latents, wave, idx, slices):
         if not latents:
             return None
         lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
@@ -554,14 +635,14 @@ def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, attention_out)
         vmap = decode(gl, lset, weights, attention_out=attention_out)
         return vmap, decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
 
-    return _Plan(_encode_step(weights, infra, delays), central,
+    return _Plan(_encode_step(weights, infra, delays, reuse), central,
                  decode_time_budget(cfg, infra.compute), timeout=True)
 
 
-def _sla_plan(weights: ModelWeights, infra: InfraConfig) -> _Plan:
+def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) -> _Plan:
     t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
 
-    def central(latents, wave, slices):
+    def central(latents, wave, idx, slices):
         if not latents:
             return None
         merged = (
@@ -572,23 +653,27 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig) -> _Plan:
         )
         return decode_without_attention(merged, weights), t_d
 
-    return _Plan(_encode_step(weights, infra, {}), central, t_d)
+    return _Plan(_encode_step(weights, infra, {}, reuse), central, t_d)
 
 
-def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
+def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
+                      reuse: _EdgeOutputs) -> _Plan:
     cfg, rate = weights.config, infra.compute.central_flops_per_s
 
     def edge(wave, idx, d, span):
         raw = wave[:, :, span[0] : span[1]]
         return raw, raw.size * 4, 0.0
 
-    def central(raws, wave, slices):
-        filled = np.zeros_like(wave)
-        for d, raw in raws.items():
-            a, b = slices[d]
-            filled[:, :, a:b] = raw
+    def central(raws, wave, idx, slices):
+        # the whole model on the wave with offline slices zero-filled, as
+        # forward_full computes it: one latent per slice, fused and decoded
+        lset = LatentSet(cfg.n_devices)
+        for d, (a, b) in enumerate(slices):
+            lset.add(reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
+                     else reuse.zero_latent(weights, d, (*wave.shape[:2], b - a)))
+        vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
         flops = full_model_flops(cfg, wave.shape[1], [b - a for a, b in slices])
-        return forward_full(filled, weights, slices), flops / rate
+        return vmap, flops / rate
 
     t_d = 0.0
     if len(samples):
@@ -597,18 +682,18 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Pl
     return _Plan(edge, central, t_d)
 
 
-def _fla_plan(weights: ModelWeights, infra: InfraConfig) -> _Plan:
+def _fla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) -> _Plan:
     cfg = weights.config
     ho, wo = cfg.output_dims
 
     def edge(wave, idx, d, span):
         a, b = span
-        lo, hi = _span_columns(wo, wave.shape[2], a, b)
-        cols = forward_full(wave[:, :, a:b], weights, ((0, b - a),)).values[:, lo:hi]
+        cols = reuse.map_columns(weights, idx, span, wave[:, :, a:b],
+                                 _span_columns(wo, wave.shape[2], a, b))
         flops = encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1)
         return cols, cols.size * 4, flops / infra.compute.edge_flops_per_s
 
-    def central(spans, wave, slices):
+    def central(spans, wave, idx, slices):
         stitched = np.full((ho, wo), cfg.velocity_range[0], dtype=np.float32)
         for d, cols in spans.items():
             lo, hi = _span_columns(wo, wave.shape[2], *slices[d])
@@ -655,7 +740,8 @@ def run_epic(
             ground_truth=ground_truth,
             host=infra.socket_host, port=infra.socket_port,
         )
-    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), collect_attention)
+    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), collect_attention,
+                      _edge_outputs(samples, weights))
     return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
@@ -676,18 +762,19 @@ def run_baseline(
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
+    reuse = _edge_outputs(samples, weights)
     if mode == PipelineMode.FLA:
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")
-        plan = _fla_plan(weights, infra)
+        plan = _fla_plan(weights, infra, reuse)
     elif weights.config.n_devices != infra.n_devices:
         raise ConfigError(
             f"weights built for {weights.config.n_devices} devices, infra has {infra.n_devices}"
         )
     elif mode == PipelineMode.SLA:
-        plan = _sla_plan(weights, infra)
+        plan = _sla_plan(weights, infra, reuse)
     else:
-        plan = _centralized_plan(weights, infra, samples)
+        plan = _centralized_plan(weights, infra, samples, reuse)
     return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
@@ -719,20 +806,22 @@ def run_robustness_sweep(
     """For each k, drop k seeded-random devices per sample and rerun.
 
     k may reach n_devices; those samples surface as failed rows rather
-    than crashing.
+    than crashing. Each edge output is computed once for the whole sweep
+    (see the module docstring).
     """
     results: dict[tuple[str, int], RunReport] = {}
-    for k in drop_counts:
-        k = int(k)
-        drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
-        for mode in modes:
-            w = weights
-            if mode == PipelineMode.FLA:
-                if fla_weights is None:
-                    raise ConfigError("robustness sweep over FLA needs fla_weights")
-                w = fla_weights
-            _, report = run_baseline(
-                mode, samples, w, infra, drop_devices=drop_sets, ground_truth=ground_truth
-            )
-            results[(mode.value, k)] = report
+    with _reuse_edge_outputs(samples, weights, fla_weights):
+        for k in drop_counts:
+            k = int(k)
+            drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
+            for mode in modes:
+                w = weights
+                if mode == PipelineMode.FLA:
+                    if fla_weights is None:
+                        raise ConfigError("robustness sweep over FLA needs fla_weights")
+                    w = fla_weights
+                _, report = run_baseline(
+                    mode, samples, w, infra, drop_devices=drop_sets, ground_truth=ground_truth
+                )
+                results[(mode.value, k)] = report
     return results

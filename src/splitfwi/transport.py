@@ -41,6 +41,10 @@ from .runtime import (
 
 __all__ = ["read_frame", "send_frame", "latent_from_frame", "latent_to_frame", "run_epic_socket"]
 
+# read_frame's default payload bound, far above any latent (2 KiB at the
+# full-size latent_dim of 512)
+MAX_PAYLOAD = 1 << 20
+
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     buf = bytearray()
@@ -52,14 +56,23 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     return bytes(buf)
 
 
-def read_frame(sock: socket.socket) -> Frame | None:
-    """Read one length-delimited frame; None on a clean EOF."""
+def read_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> Frame | None:
+    """Read one length-delimited frame; None on a clean EOF.
+
+    A header declaring more than max_payload bytes is rejected before
+    any of its payload is read, so a corrupted length cannot stall the
+    reader; a run passes the size of its latent payload.
+    """
     head = _read_exact(sock, HEADER_SIZE)
     if head is None:
         return None
     magic, version, _, _, _, payload_len = HEADER.unpack(head)
     if magic != b"EP":
         raise ProtocolError(f"bad frame magic {magic!r} on stream")
+    if payload_len > max_payload:
+        raise ProtocolError(
+            f"frame declares a {payload_len}-byte payload; at most {max_payload} bytes expected"
+        )
     rest = _read_exact(sock, payload_len + 4)
     if rest is None:
         raise ProtocolError("stream closed mid-frame")
@@ -91,8 +104,9 @@ def latent_from_frame(frame: Frame) -> LatentVector:
 class _Collector:
     """Accepts device connections and feeds frames into the buffer."""
 
-    def __init__(self, host: str, port: int, buffer: HashBuffer):
+    def __init__(self, host: str, port: int, buffer: HashBuffer, max_payload: int):
         self.buffer = buffer
+        self.max_payload = max_payload
         self._listener = socket.create_server((host, port))
         self._threads: list[threading.Thread] = []
         self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
@@ -119,7 +133,7 @@ class _Collector:
         with conn:
             while True:
                 try:
-                    frame = read_frame(conn)
+                    frame = read_frame(conn, self.max_payload)
                 except ProtocolError:
                     if self._closing:
                         return
@@ -191,7 +205,7 @@ def run_epic_socket(
     slices = validate_partition(infra.partition, first.shape[2], cfg.n_devices) if samples else ()
 
     buffer = HashBuffer()
-    collector = _Collector(host, port, buffer)
+    collector = _Collector(host, port, buffer, max_payload=cfg.latent_dim * 4)
     collector.start()
 
     dispatch = [threading.Event() for _ in samples]

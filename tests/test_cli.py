@@ -116,6 +116,45 @@ def test_report_merges_runs(workspace, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("edit, expected", [
+    (lambda doc: "{not json", "is not valid JSON"),
+    (lambda doc: {"mode": "epic"}, "/: expected a list"),
+    (lambda doc: [dict(doc[0], mode=1)], "/0/mode: expected str"),
+    (lambda doc: [dict(doc[0], mode="warp")], "/0/mode: must be one of"),
+    (lambda doc: [7], "/0: expected an object"),
+    (lambda doc: [{k: v for k, v in doc[0].items() if k != "rows"}], "/0/rows: missing"),
+    (lambda doc: [dict(doc[0], rows=[dict(doc[0]["rows"][0], mask="10")])], "/0/rows/0/mask"),
+    (lambda doc: [dict(doc[0], rows=[dict(doc[0]["rows"][0], deadline_met=1)])],
+     "/0/rows/0/deadline_met: expected bool"),
+    (lambda doc: [dict(doc[0], rows=[dict(doc[0]["rows"][0], ssim="high")])],
+     "/0/rows/0/ssim: expected float"),
+    (lambda doc: [dict(doc[0], rows=[dict(doc[0]["rows"][0], status="fine")])],
+     "/0/rows/0/status"),
+])
+def test_bad_report_exits_2(workspace, tmp_path, capsys, edit, expected):
+    assert run_cli("run", "--config", str(workspace / "run.json")) == 0
+    doc = json.loads((workspace / "out" / "run_report.json").read_text())
+    bad = edit(doc)
+    path = tmp_path / "bad_report.json"
+    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+    assert run_cli("report", "--inputs", str(path), "--out", str(tmp_path / "m.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad_report.json" in err and expected in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_partition_must_cover_the_dataset(workspace, tmp_path, capsys):
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["partition"] = [[0, 20], [20, 40], [40, 69]]
+    doc["paths"]["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /partition:") and "69" in err and "70" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_points_at_field(workspace, tmp_path, capsys):
     bad = dict(json.loads((workspace / "run.json").read_text()))
     bad["network"] = {"l": 0.05}

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import TINY
+from splitfwi.errors import ReportError
 from splitfwi.model import ModelConfig, init_weights
 from splitfwi.netem import FOUR_G, NetworkProfile
 from splitfwi.reporting import (
     PER_SAMPLE_HEADER,
     SUMMARY_HEADER,
     BenchmarkSpec,
+    read_report_json,
     report_from_dict,
     report_to_dict,
     run_benchmark,
@@ -89,6 +91,21 @@ class TestCsv:
         for writer, name in ((write_summary_csv, "m.csv"), (write_per_sample_csv, "s.csv")):
             want = writer(reports, tmp_path / f"want_{name}").read_bytes()
             assert writer(restored, tmp_path / name).read_bytes() == want
+
+    def test_read_report_json_round_trip(self, tmp_path):
+        path = write_report_json(_reports(), tmp_path / "r.json")
+        again = write_report_json(read_report_json(path), tmp_path / "again.json")
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_stored_ints_read_as_floats(self, tmp_path):
+        entry = report_to_dict(_reports()[0])
+        entry["rows"][0]["energy_j"] = 0
+        assert type(report_from_dict(entry).rows[0].energy_j) is float
+
+    def test_malformed_entry_names_pointer(self):
+        entry = dict(report_to_dict(_reports()[0]), mode=1)
+        with pytest.raises(ReportError, match="^/mode: expected str, got int$"):
+            report_from_dict(entry)
 
     @pytest.mark.parametrize("mode", list(PipelineMode))
     def test_all_dropped_energy_is_float(self, mode):

@@ -157,6 +157,7 @@ def test_bench_defaults():
     ("family", "folded", "/family"),
     ("seeds", {"weights": -1}, "/seeds/weights"),
     ("profiles", [{}, {"medium": "air"}], "/profiles/1"),
+    ("device_counts", [70, 71], "/device_counts/1"),
 ])
 def test_bench_spec_errors_name_pointer(key, value, pointer):
     with pytest.raises(ConfigError) as info:

@@ -7,7 +7,7 @@ import pytest
 from conftest import TINY
 from splitfwi.errors import ProtocolError
 from splitfwi.model import LatentVector, forward_full, init_weights
-from splitfwi.netem import FrameKind, frame_encode
+from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, frame_encode
 from splitfwi.runtime import InfraConfig, PipelineMode
 from splitfwi.transport import latent_from_frame, latent_to_frame, read_frame, run_epic_socket
 
@@ -59,6 +59,44 @@ def test_read_frame_over_socket_pair():
     assert frame is not None
     np.testing.assert_array_equal(latent_from_frame(frame).values, latent.values)
     assert read_frame_closed(b) is None
+
+
+def _read_sent(frame_bytes, **kwargs):
+    """read_frame on a socket pair whose writer sent frame_bytes and closed."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(frame_bytes)
+        a.close()
+        return read_frame(b, **kwargs)
+
+
+def test_read_frame_rejects_oversized_header():
+    head = HEADER.pack(b"EP", 1, int(FrameKind.LATENT), 0, 0, 2**32 - 1)
+    with pytest.raises(ProtocolError, match="4294967295-byte payload"):
+        _read_sent(head)
+    frame = latent_to_frame(LatentVector(values=np.zeros(16, np.float32), device_id=0))
+    with pytest.raises(ProtocolError, match="at most 60 bytes"):
+        _read_sent(frame, max_payload=60)
+    assert _read_sent(frame, max_payload=64).payload == bytes(64)
+
+
+def test_read_frame_rejects_truncated_frame():
+    frame = latent_to_frame(LatentVector(values=np.ones(16, np.float32), device_id=0))
+    for cut in (HEADER_SIZE, HEADER_SIZE + 1, len(frame) - 1):
+        with pytest.raises(ProtocolError, match="closed mid-frame"):
+            _read_sent(frame[:cut])
+    assert _read_sent(frame[:0]) is None
+
+
+def test_read_frame_rejects_every_bit_flip():
+    rng = np.random.default_rng(5)
+    frame = latent_to_frame(LatentVector(values=rng.normal(size=16).astype(np.float32),
+                                         device_id=1, sample_id=3))
+    for bit in range(8 * len(frame)):
+        flipped = bytearray(frame)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ProtocolError):
+            _read_sent(bytes(flipped), max_payload=16 * 4)
 
 
 def read_frame_closed(sock):
