@@ -3,6 +3,7 @@
 from .errors import (
     ConfigError,
     CorruptFileError,
+    DatasetError,
     EmptySupportError,
     InputValidationError,
     PartitionError,
@@ -11,6 +12,7 @@ from .errors import (
     ShapeError,
     SplitFwiError,
     StabilityError,
+    WorkerError,
     ZeroEnergyError,
 )
 from .metrics import SsimParams, loss_mae_mse, ssim

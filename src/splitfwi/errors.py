@@ -41,5 +41,13 @@ class ReportError(SplitFwiError):
     """A stored run report is malformed."""
 
 
+class DatasetError(SplitFwiError):
+    """A stored dataset's manifest or one of its files is malformed."""
+
+
+class WorkerError(SplitFwiError):
+    """A worker thread of a socket run raised an unexpected exception."""
+
+
 class ZeroEnergyError(SplitFwiError):
     """Energy fractions are undefined for an all-zero record."""

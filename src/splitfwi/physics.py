@@ -6,6 +6,19 @@ interior and soaks up outgoing waves. Sources and receivers sit on the
 surface row; each source fires a Ricker wavelet and every receiver samples
 the pressure field once per timestep.
 
+Shots are independent, so `simulate` advances all of them together: the
+fields of every shot sit in one flat float64 buffer laid out as
+[shot, row, col], a cell's stencil neighbours are the same buffer shifted
+by 1 and by the row width, and each step is a fixed series of long
+contiguous passes into buffers allocated once. Sources are injected and
+receivers gathered through precomputed flat indices. A record is
+bit-identical to stepping each shot alone: every cell is computed from
+the same operands in the same order, (up + down) + left + right - 4 *
+centre, then 2 * cur - prev + coef * lap, then the source, then damping,
+and the Laplacian's border ring of each shot, which the shifted passes
+would otherwise fill across row and shot boundaries, is reset to zero
+every step.
+
 The module also hosts the root-cause analysis tools built on wave
 superposition: differential records that isolate a region of interest by
 subtracting a background simulation, and receiver energy distributions
@@ -16,15 +29,19 @@ and faulted velocity models paired with their simulated records.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    DatasetError,
     InputValidationError,
     PartitionError,
     ShapeError,
+    SplitFwiError,
     StabilityError,
     ZeroEnergyError,
 )
@@ -156,28 +173,58 @@ def simulate(vm: VelocityModel, geom: AcquisitionGeometry) -> WaveformRecord:
     taper_c = _sponge_taper(cols + 2 * pad, pad)
     damp = np.outer(taper, taper_c)
     wavelet = geom.amplitude * ricker_wavelet(geom.f0, geom.n_t, geom.dt) * geom.dt**2
-    rcv_cols = np.asarray(geom.receiver_cols, dtype=np.intp) + pad
 
-    records = np.empty((len(geom.source_cols), geom.n_t, len(geom.receiver_cols)), dtype=np.float32)
-    shape = vp.shape
-    for s, src_col in enumerate(geom.source_cols):
-        cur = np.zeros(shape, dtype=np.float64)
-        prev = np.zeros(shape, dtype=np.float64)
-        lap = np.zeros(shape, dtype=np.float64)
-        for t in range(geom.n_t):
-            lap[1:-1, 1:-1] = (
-                cur[:-2, 1:-1]
-                + cur[2:, 1:-1]
-                + cur[1:-1, :-2]
-                + cur[1:-1, 2:]
-                - 4.0 * cur[1:-1, 1:-1]
-            )
-            nxt = 2.0 * cur - prev + coef * lap
-            nxt[pad, pad + src_col] += wavelet[t]
-            nxt *= damp
-            cur *= damp
-            records[s, t] = nxt[pad, rcv_cols].astype(np.float32)
-            prev, cur = cur, nxt
+    # one flat [shot, row, col] buffer: stencil neighbours are shifts by 1 and width
+    n_src = len(geom.source_cols)
+    height, width = vp.shape
+    plane = height * width
+    size = n_src * plane
+    inner = slice(width + 1, size - width - 1)
+    up = slice(1, size - 2 * width - 1)
+    down = slice(2 * width + 1, size - 1)
+    left = slice(width, size - width - 2)
+    right = slice(width + 2, size - width)
+    shot_base = np.arange(n_src, dtype=np.intp)[:, None] * plane + pad * width + pad
+    src_idx = shot_base[:, 0] + np.asarray(geom.source_cols, dtype=np.intp)
+    rcv_idx = shot_base + np.asarray(geom.receiver_cols, dtype=np.intp)
+    # coef and damp stay one shot's plane, broadcast over the shots, which
+    # keeps the step's working set small enough to stay in cache
+    shots = (n_src, plane)
+    coef = coef.ravel()
+    damp = damp.ravel()
+
+    cur = np.zeros(size)
+    prev = np.zeros(size)
+    nxt = np.empty(size)
+    lap = np.zeros(size)
+    sample = np.empty(rcv_idx.shape)
+    records = np.empty((n_src, geom.n_t, len(geom.receiver_cols)), dtype=np.float32)
+    # The shifted slices also reach across each shot's border ring (a row's
+    # end wraps into the next row, an edge row into the neighbouring shot).
+    # The Laplacian is zero on that ring, so the ring is cleared every step.
+    lap_edge_rows = lap.reshape(n_src, height, width)[:, :: height - 1]
+    lap_edge_cols = lap.reshape(n_src * height, width)[:, :: width - 1]
+    lap_shots = lap.reshape(shots)
+    for t in range(geom.n_t):
+        # lap = (up + down) + left + right - 4 * centre, staging 4 * centre in nxt
+        np.add(cur[up], cur[down], out=lap[inner])
+        np.add(lap[inner], cur[left], out=lap[inner])
+        np.add(lap[inner], cur[right], out=lap[inner])
+        np.multiply(cur[inner], 4.0, out=nxt[inner])
+        np.subtract(lap[inner], nxt[inner], out=lap[inner])
+        lap_edge_rows[...] = 0.0
+        lap_edge_cols[...] = 0.0
+        # nxt = 2 * cur - prev + coef * lap, then the sources, then damping
+        np.multiply(cur, 2.0, out=nxt)
+        np.subtract(nxt, prev, out=nxt)
+        np.multiply(coef, lap_shots, out=lap_shots)
+        np.add(nxt, lap, out=nxt)
+        np.add.at(nxt, src_idx, wavelet[t])
+        np.multiply(nxt.reshape(shots), damp, out=nxt.reshape(shots))
+        np.multiply(cur.reshape(shots), damp, out=cur.reshape(shots))
+        np.take(nxt, rcv_idx, out=sample)
+        records[:, t] = sample
+        prev, cur, nxt = cur, nxt, prev
     return WaveformRecord(data=records)
 
 
@@ -319,12 +366,50 @@ def save_dataset(samples, out_dir, *, seed: int, family: str, geometry: Acquisit
 
 
 def load_dataset(in_dir) -> tuple[list[tuple[VelocityModel, WaveformRecord]], dict]:
+    """Read a dataset written by save_dataset.
+
+    The whole manifest is checked before any tensor file is read. A
+    malformed manifest, or a tensor file that does not load as its sample,
+    raises DatasetError naming the manifest and the JSON pointer of the
+    offending field; a missing file raises OSError.
+    """
     root = Path(in_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
-    dx = float(manifest.get("dx", 10.0))
+    path = root / "manifest.json"
+
+    def bad(pointer: str, why: str) -> DatasetError:
+        return DatasetError(f"manifest {path}: {pointer}: {why}")
+
+    def tensor(pointer: str, name: str, build):
+        try:
+            return build(load_tensor(root / name))
+        except SplitFwiError as exc:
+            raise bad(pointer, f"{name}: {exc}") from exc
+
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DatasetError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise bad("/", f"expected an object, got {type(manifest).__name__}")
+    dx = manifest.get("dx", 10.0)
+    if type(dx) not in (int, float) or not 0 < dx <= sys.float_info.max:
+        raise bad("/dx", f"expected a positive finite number, got {dx!r}")
+    if "files" not in manifest:
+        raise bad("/files", "missing")
+    files = manifest["files"]
+    if not isinstance(files, list):
+        raise bad("/files", f"expected a list, got {type(files).__name__}")
+    for i, entry in enumerate(files):
+        if not isinstance(entry, dict):
+            raise bad(f"/files/{i}", f"expected an object, got {type(entry).__name__}")
+        for key in ("velocity", "waveform"):
+            if key not in entry:
+                raise bad(f"/files/{i}/{key}", "missing")
+            if not isinstance(entry[key], str):
+                raise bad(f"/files/{i}/{key}", f"expected str, got {type(entry[key]).__name__}")
     samples = []
-    for entry in manifest["files"]:
-        vm = VelocityModel(grid=load_tensor(root / entry["velocity"]), dx=dx)
-        rec = WaveformRecord(data=load_tensor(root / entry["waveform"]))
+    for i, entry in enumerate(files):
+        vm = tensor(f"/files/{i}/velocity", entry["velocity"], partial(VelocityModel, dx=float(dx)))
+        rec = tensor(f"/files/{i}/waveform", entry["waveform"], WaveformRecord)
         samples.append((vm, rec))
     return samples, manifest

@@ -245,6 +245,7 @@ class HashBuffer:
         self._entries: dict[int, _BufferEntry] = {}
         self._completed: set[int] = set()
         self._late: dict[int, int] = {}
+        self._interrupted = False
 
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
         with self._cond:
@@ -280,13 +281,21 @@ class HashBuffer:
             return LatentSet.from_latents(entry.latents.values(), n_devices), collect_time, released
 
     def collect_blocking(self, sample_id: int, n_devices: int, deadline_wall: float):
-        """Wall-clock collection: wait until complete or the deadline."""
+        """Wall-clock collection: wait until complete, the deadline or an
+        interrupt."""
         with self._cond:
             entry = self._entries.setdefault(sample_id, _BufferEntry())
-            complete = self._cond.wait_for(lambda: len(entry.latents) == n_devices,
-                                           timeout=max(0.0, deadline_wall - time.monotonic()))
+            self._cond.wait_for(lambda: self._interrupted or len(entry.latents) == n_devices,
+                                timeout=max(0.0, deadline_wall - time.monotonic()))
             entry.released = True
-            return LatentSet.from_latents(entry.latents.values(), n_devices), not complete
+            released = len(entry.latents) != n_devices
+            return LatentSet.from_latents(entry.latents.values(), n_devices), released
+
+    def interrupt(self) -> None:
+        """Release every current and later collect_blocking call at once."""
+        with self._cond:
+            self._interrupted = True
+            self._cond.notify_all()
 
     def complete(self, sample_id: int) -> None:
         """Evict the sample; later frames for it are reported stale."""

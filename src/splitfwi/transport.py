@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ProtocolError, SplitFwiError, WorkerError
 from .model import LatentVector, VelocityMap, decode, fuse, validate_partition, encode
 from .netem import FRAME_OVERHEAD, HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
 from .runtime import (
@@ -101,12 +101,45 @@ def latent_from_frame(frame: Frame) -> LatentVector:
     return LatentVector(values=values, device_id=frame.device_id, sample_id=frame.sample_id)
 
 
+class _FirstFailure:
+    """The first exception raised by any reader or edge thread of one run.
+
+    A guarded thread that raises records its exception here instead of
+    dying quietly, and interrupts the buffer so the waiting collector stops
+    at once; the run re-raises it after cleanup.
+    """
+
+    def __init__(self, buffer: HashBuffer):
+        self._buffer = buffer
+        self._lock = threading.Lock()
+        self.exc: Exception | None = None
+
+    def guard(self, target):
+        def run(*args):
+            try:
+                target(*args)
+            except Exception as exc:
+                with self._lock:
+                    if self.exc is None:
+                        self.exc = exc
+                self._buffer.interrupt()
+        return run
+
+    def reraise(self) -> None:
+        if isinstance(self.exc, SplitFwiError):
+            raise self.exc
+        if self.exc is not None:
+            raise WorkerError(f"socket worker thread failed: {self.exc!r}") from self.exc
+
+
 class _Collector:
     """Accepts device connections and feeds frames into the buffer."""
 
-    def __init__(self, host: str, port: int, buffer: HashBuffer, max_payload: int):
+    def __init__(self, host: str, port: int, buffer: HashBuffer, max_payload: int,
+                 failure: _FirstFailure):
         self.buffer = buffer
         self.max_payload = max_payload
+        self._failure = failure
         self._listener = socket.create_server((host, port))
         self._threads: list[threading.Thread] = []
         self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
@@ -125,7 +158,7 @@ class _Collector:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            t = threading.Thread(target=self._reader, args=(conn,), daemon=True)
+            t = threading.Thread(target=self._failure.guard(self._reader), args=(conn,), daemon=True)
             t.start()
             self._threads.append(t)
 
@@ -162,11 +195,14 @@ def _edge_worker(
     delay_s: float,
     drops: list[frozenset[int]],
     edge_done: list[dict[int, float]],
+    failure: _FirstFailure,
 ) -> None:
     a, b = slices[device_id]
     with socket.create_connection(address) as sock:
         for idx, sample in enumerate(samples):
             dispatch[idx].wait()
+            if failure.exc is not None:
+                return
             if device_id in drops[idx]:
                 continue
             t0 = time.monotonic()
@@ -193,7 +229,10 @@ def run_epic_socket(
     """Wall-clock twin of run_epic over localhost TCP.
 
     Edge workers run as threads, one connection each; the decode budget
-    T_d comes from one-time wall profiling of the decoder.
+    T_d comes from one-time wall profiling of the decoder. The first
+    exception raised in an edge or reader thread ends the run: it is
+    re-raised after cleanup, a SplitFwiError as is and anything else as
+    a WorkerError.
     """
     cfg = weights.config
     t_d = profile_decoder(weights, trials=profile_trials)
@@ -205,16 +244,17 @@ def run_epic_socket(
     slices = validate_partition(infra.partition, first.shape[2], cfg.n_devices) if samples else ()
 
     buffer = HashBuffer()
-    collector = _Collector(host, port, buffer, max_payload=cfg.latent_dim * 4)
+    failure = _FirstFailure(buffer)
+    collector = _Collector(host, port, buffer, cfg.latent_dim * 4, failure)
     collector.start()
 
     dispatch = [threading.Event() for _ in samples]
     edge_done: list[dict[int, float]] = [dict() for _ in samples]
     workers = [
         threading.Thread(
-            target=_edge_worker,
+            target=failure.guard(_edge_worker),
             args=(d, collector.address, weights, slices, samples, dispatch,
-                  delays.get(d, 0.0), drops, edge_done),
+                  delays.get(d, 0.0), drops, edge_done, failure),
             daemon=True,
         )
         for d in range(cfg.n_devices)
@@ -237,6 +277,8 @@ def run_epic_socket(
             lset, released = buffer.collect_blocking(
                 idx, cfg.n_devices, t0 + infra.deadline_s - t_d
             )
+            if failure.exc is not None:
+                break
             collect_time = time.monotonic() - t0
             result = None
             if len(lset):
@@ -261,4 +303,5 @@ def run_epic_socket(
         for w in workers:
             w.join(timeout=5.0)
         collector.close()
+    failure.reraise()
     return maps, report

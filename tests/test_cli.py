@@ -219,3 +219,23 @@ def test_console_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert Path(workspace / "w1.bin").exists()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("{not json", "is not valid JSON"),
+    ("[]", "/: expected an object"),
+    ('{"dx": 10.0}', "/files: missing"),
+    ('{"dx": "ten", "files": []}', "/dx: expected a positive finite number"),
+    ('{"files": [{"velocity": "v.tnsr"}]}', "/files/0/waveform: missing"),
+])
+def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, text, expected):
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "manifest.json").write_text(text)
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["paths"].update(data=str(tmp_path / "data"), out=str(tmp_path / "out"))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ") and "manifest.json" in err and expected in err
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,14 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitfwi.errors import (
+    DatasetError,
     InputValidationError,
     PartitionError,
     ShapeError,
@@ -9,9 +16,11 @@ from splitfwi.errors import (
     ZeroEnergyError,
 )
 from splitfwi.physics import (
+    SPONGE_CELLS,
     AcquisitionGeometry,
     VelocityModel,
     WaveformRecord,
+    _sponge_taper,
     default_geometry,
     differential_waveform,
     energy_distribution,
@@ -221,3 +230,165 @@ class TestGenerateDataset:
         for (vma, reca), (vmb, recb) in zip(samples, loaded):
             np.testing.assert_array_equal(vma.grid, vmb.grid)
             np.testing.assert_array_equal(reca.data, recb.data)
+
+
+def _per_shot_reference(vm, geom):
+    """The leapfrog loop stepping one shot at a time on 2-D slices."""
+    pad = SPONGE_CELLS
+    vp = np.pad(vm.grid.astype(np.float64), pad, mode="edge")
+    coef = (vp * geom.dt / vm.dx) ** 2
+    damp = np.outer(_sponge_taper(vp.shape[0], pad), _sponge_taper(vp.shape[1], pad))
+    wavelet = geom.amplitude * ricker_wavelet(geom.f0, geom.n_t, geom.dt) * geom.dt**2
+    rcv_cols = np.asarray(geom.receiver_cols) + pad
+    records = np.empty((len(geom.source_cols), geom.n_t, len(rcv_cols)), dtype=np.float32)
+    for s, src_col in enumerate(geom.source_cols):
+        cur, prev, lap = np.zeros(vp.shape), np.zeros(vp.shape), np.zeros(vp.shape)
+        for t in range(geom.n_t):
+            lap[1:-1, 1:-1] = (cur[:-2, 1:-1] + cur[2:, 1:-1] + cur[1:-1, :-2] + cur[1:-1, 2:]
+                               - 4.0 * cur[1:-1, 1:-1])
+            nxt = 2.0 * cur - prev + coef * lap
+            nxt[pad, pad + src_col] += wavelet[t]
+            nxt *= damp
+            cur *= damp
+            records[s, t] = nxt[pad, rcv_cols].astype(np.float32)
+            prev, cur = cur, nxt
+    return records
+
+
+class TestSimulateBits:
+    """Pinned record bytes: a rewrite of the time stepping must keep every bit.
+
+    The digests were taken from the one-shot-at-a-time leapfrog loop. The
+    stepping is plain IEEE float64 arithmetic (no BLAS, no reductions), so
+    the bytes do not depend on the machine.
+    """
+
+    DT_ODD = 0.4 * 10.0 / 3000.0
+    DIGESTS = {
+        "layered": "3c7f766a37a8ac9da8832934841537b1c79037c85dd7af6683e71361a0b22e0c",
+        "faulted": "3e5300e3f4dec1e867fdfcc39c1cd7307d6c62690596055b27f0fbe0925708aa",
+        "one_shot": "8863ee03f66faeee1bb43d49c97b1b7710d04186d84311f100058ce60635c24a",
+        "repeated": "08a19242179d23b64dcfbb8cc169c43cb54034d7265015ea1198269f99b966fa",
+    }
+
+    @staticmethod
+    def _odd_model():
+        rng = np.random.default_rng(17)
+        grid = rng.uniform(1500.0, 3000.0, size=(17, 33)).astype(np.float32)
+        return VelocityModel(grid=grid, dx=10.0)
+
+    def _record(self, case):
+        if case in ("layered", "faulted"):
+            seed = 21 if case == "layered" else 22
+            return generate_dataset(seed, 1, case, geometry=default_geometry())[0][1]
+        # non-square grid; unsorted receivers with repeats, edge columns included
+        receivers = (30, 2, 2, 17, 0, 32)
+        if case == "one_shot":
+            geom = AcquisitionGeometry(source_cols=(7,), receiver_cols=receivers,
+                                       n_t=300, dt=self.DT_ODD, f0=20.0)
+        else:
+            geom = AcquisitionGeometry(source_cols=(4, 4, 0, 32, 4), receiver_cols=receivers + (4,),
+                                       n_t=300, dt=self.DT_ODD, f0=20.0, amplitude=2.5)
+        return simulate(self._odd_model(), geom)
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_record_digest(self, case):
+        data = self._record(case).data
+        assert np.abs(data).max() > 0
+        assert hashlib.sha256(data.tobytes()).hexdigest() == self.DIGESTS[case]
+
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_shot_loop(self, rows, cols, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        grid = np.random.default_rng(seed).uniform(1500.0, 4500.0, (rows, cols)).astype(np.float32)
+        col = st.integers(0, cols - 1)
+        geom = AcquisitionGeometry(
+            source_cols=tuple(data.draw(st.lists(col, min_size=1, max_size=4))),
+            receiver_cols=tuple(data.draw(st.lists(col, min_size=1, max_size=6))),
+            n_t=data.draw(st.integers(1, 60)), dt=0.45 * 10.0 / 4500.0,
+            amplitude=data.draw(st.sampled_from([1.0, -2.5, 0.0])),
+        )
+        vm = VelocityModel(grid=grid, dx=10.0)
+        expected = _per_shot_reference(vm, geom)
+        assert simulate(vm, geom).data.tobytes() == expected.tobytes()
+
+    def test_each_shot_equals_one_source_run(self):
+        vm = generate_dataset(23, 1, "faulted", geometry=default_geometry(n_t=120))[0][0]
+        geom = default_geometry(n_t=120)
+        rec = simulate(vm, geom)
+        for s, col in enumerate(geom.source_cols):
+            one = dataclasses.replace(geom, source_cols=(col,))
+            np.testing.assert_array_equal(simulate(vm, one).data[0], rec.data[s])
+
+    def test_repeated_sources_give_repeated_shots(self):
+        rec = self._record("repeated").data
+        np.testing.assert_array_equal(rec[0], rec[1])
+        np.testing.assert_array_equal(rec[0], rec[4])
+        np.testing.assert_array_equal(rec[:, :, 1], rec[:, :, 2])
+
+
+class TestManifestErrors:
+    """A malformed dataset manifest raises DatasetError naming the file and pointer."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest")
+        geom = default_geometry(n_t=20)
+        samples = generate_dataset(4, 2, "layered", geometry=geom)
+        save_dataset(samples, root, seed=4, family="layered", geometry=geom)
+        return root
+
+    def _broken(self, dataset, tmp_path, edit):
+        for f in dataset.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        doc = json.loads((dataset / "manifest.json").read_text())
+        bad = edit(doc)
+        if not isinstance(bad, (str, bytes)):
+            bad = json.dumps(bad)
+        if isinstance(bad, str):
+            bad = bad.encode()
+        (tmp_path / "manifest.json").write_bytes(bad)
+        return tmp_path
+
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda doc: "{not json", "is not valid JSON"),
+        (lambda doc: b"\xff\xfe{}", "is not valid JSON"),
+        (lambda doc: [doc], "/: expected an object, got list"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "files"}, "/files: missing"),
+        (lambda doc: dict(doc, files={"0": doc["files"][0]}), "/files: expected a list, got dict"),
+        (lambda doc: dict(doc, dx="ten"), "/dx: expected a positive finite number, got 'ten'"),
+        (lambda doc: dict(doc, dx=0), "/dx: expected a positive finite number"),
+        (lambda doc: dict(doc, dx=True), "/dx: expected a positive finite number"),
+        (lambda doc: json.dumps(dict(doc, dx=10 ** 400)), "/dx: expected a positive finite number"),
+        (lambda doc: json.dumps(dict(doc, dx=float("nan"))), "/dx: expected a positive finite number"),
+        (lambda doc: dict(doc, files=[doc["files"][0], 3]), "/files/1: expected an object, got int"),
+        (lambda doc: dict(doc, files=[{"velocity": doc["files"][0]["velocity"]}]),
+         "/files/0/waveform: missing"),
+        (lambda doc: dict(doc, files=[dict(doc["files"][0], velocity=7)]),
+         "/files/0/velocity: expected str, got int"),
+        (lambda doc: dict(doc, files=[dict(doc["files"][0], velocity=doc["files"][0]["waveform"])]),
+         "/files/0/velocity: sample_0000_waveform.tnsr: velocity grid must be 2-D"),
+        (lambda doc: dict(doc, files=[dict(doc["files"][0], waveform="manifest.json")]),
+         "/files/0/waveform: manifest.json: "),
+    ])
+    def test_pointer_names_the_field(self, dataset, tmp_path, edit, pointer):
+        root = self._broken(dataset, tmp_path, edit)
+        with pytest.raises(DatasetError) as info:
+            load_dataset(root)
+        message = str(info.value)
+        assert message.startswith(f"manifest {root / 'manifest.json'}")
+        assert pointer in message
+
+    def test_missing_files_raise_os_error(self, dataset, tmp_path):
+        with pytest.raises(OSError):
+            load_dataset(tmp_path)
+        root = self._broken(dataset, tmp_path, lambda doc: doc)
+        (root / "sample_0001_waveform.tnsr").unlink()
+        with pytest.raises(OSError, match="sample_0001_waveform"):
+            load_dataset(root)
+
+    def test_integral_dx_reads_as_float(self, dataset, tmp_path):
+        root = self._broken(dataset, tmp_path, lambda doc: dict(doc, dx=10))
+        samples, _ = load_dataset(root)
+        assert len(samples) == 2 and samples[0][0].dx == 10.0

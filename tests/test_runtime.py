@@ -160,6 +160,21 @@ class TestHashBuffer:
         assert released
         assert len(lset) == 0
 
+    def test_interrupt_releases_waiting_and_later_collects(self):
+        buf = HashBuffer()
+        buf.insert(0, 0, self._latent(0), 0.0)
+        timer = threading.Timer(0.05, buf.interrupt)
+        timer.start()
+        t0 = time.monotonic()
+        lset, released = buf.collect_blocking(0, 2, t0 + 30.0)
+        timer.join()
+        assert time.monotonic() - t0 < 10.0
+        assert released and lset.present_ids() == [0]
+        t0 = time.monotonic()
+        lset, released = buf.collect_blocking(1, 1, t0 + 30.0)
+        assert time.monotonic() - t0 < 10.0
+        assert released and len(lset) == 0
+
 
 class TestRunEpic:
     def test_matches_forward_full_bitwise(self, weights):

@@ -1,14 +1,17 @@
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import TINY
-from splitfwi.errors import ProtocolError
+from splitfwi import transport
+from splitfwi.errors import ProtocolError, ShapeError, WorkerError
 from splitfwi.model import LatentVector, forward_full, init_weights
 from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, frame_encode
-from splitfwi.runtime import InfraConfig, PipelineMode
+from splitfwi.runtime import HashBuffer, InfraConfig, PipelineMode
 from splitfwi.transport import latent_from_frame, latent_to_frame, read_frame, run_epic_socket
 
 
@@ -133,3 +136,84 @@ class TestSocketPipeline:
         assert row.mask == (True, False, True)
         assert row.deadline_fired
         assert maps[0] is not None
+
+
+class TestSocketThreadFailures:
+    """A reader or edge thread that raises ends the run with its error."""
+
+    DEADLINE = 3.0
+
+    def _failure(self, weights, monkeypatch, expected, match):
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        rng = np.random.default_rng(6)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(3)]
+        infra = InfraConfig(n_devices=TINY.n_devices, deadline_s=self.DEADLINE, transport="socket")
+        t0 = time.monotonic()
+        with pytest.raises(expected, match=match) as info:
+            run_epic_socket(waves, weights, infra)
+        # the collector stops waiting when a thread fails, not at T - T_d
+        assert time.monotonic() - t0 < self.DEADLINE
+        assert hooked == []
+        return info.value
+
+    def test_edge_encode_error_is_wrapped(self, weights, monkeypatch):
+        real_encode = transport.encode
+
+        def failing_encode(wave, enc, device_id, sample_id):
+            if device_id == 1:
+                raise RuntimeError("encoder exploded")
+            return real_encode(wave, enc, device_id=device_id, sample_id=sample_id)
+
+        monkeypatch.setattr(transport, "encode", failing_encode)
+        exc = self._failure(weights, monkeypatch, WorkerError, "encoder exploded")
+        assert isinstance(exc.__cause__, RuntimeError)
+
+    def test_edge_split_fwi_error_raised_as_is(self, weights, monkeypatch):
+        def failing_encode(wave, enc, device_id, sample_id):
+            raise ShapeError(f"device {device_id} cannot encode")
+
+        monkeypatch.setattr(transport, "encode", failing_encode)
+        self._failure(weights, monkeypatch, ShapeError, "cannot encode")
+
+    def test_non_finite_frame_fails_the_reader(self, weights, monkeypatch):
+        real_to_frame = transport.latent_to_frame
+
+        def poisoned(latent):
+            frame = real_to_frame(latent)
+            if latent.device_id != 2 or latent.sample_id != 1:
+                return frame
+            payload = np.full(latent.values.shape, np.nan, "<f4").tobytes()
+            return frame_encode(FrameKind.LATENT, latent.sample_id, latent.device_id, payload)
+
+        monkeypatch.setattr(transport, "latent_to_frame", poisoned)
+        self._failure(weights, monkeypatch, ProtocolError, "non-finite")
+
+
+def test_first_failure_keeps_one_of_concurrent_errors():
+    buffer = HashBuffer()
+    failure = transport._FirstFailure(buffer)
+    errors = [RuntimeError(f"thread {i}") for i in range(8)]  # more threads than cores
+    start = threading.Barrier(len(errors))
+
+    def boom(exc):
+        start.wait(timeout=5.0)
+        raise exc
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=failure.guard(boom), args=(e,)) for e in errors]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert any(failure.exc is e for e in errors)
+    with pytest.raises(WorkerError) as info:
+        failure.reraise()
+    assert info.value.__cause__ is failure.exc
+    _, released = buffer.collect_blocking(0, 1, time.monotonic() + 30.0)
+    assert released
