@@ -18,6 +18,10 @@ attention weights renormalize over the survivors.
 
 There is no training here; weights are sampled once (seeded) or loaded
 from a weight file, and every operation is a pure function of its inputs.
+Building a ModelWeights also prepares one position grid per decoder
+block, the embeddings resized to that block's resolution, so decoding
+does not resize them again; the grids are derived state, not fields, and
+a weight file does not store them.
 """
 
 from __future__ import annotations
@@ -186,6 +190,15 @@ class ModelWeights:
     blocks: list[DecoderBlockParams]
     position_embeddings: np.ndarray  # [d_pos, H_out, W_out]
     head: ConvParams  # 1x1 conv to a single channel
+
+    def __post_init__(self):
+        # Block j's position grid at its resolution, resized once here
+        # instead of in every decode. An attribute, not a field: weight
+        # files, repr and == ignore it, and dataclasses.replace rebuilds it.
+        self.position_grids = tuple(
+            bilinear_resize(self.position_embeddings, res)
+            for res in self.config.decoder_resolutions[1:]
+        )
 
     def named_tensors(self):
         """Yield (name, array) in the canonical serialization order."""
@@ -548,7 +561,7 @@ def _decoder_trunk(global_latent, weights: ModelWeights, latents: LatentSet | No
         if latents is not None:
             x = cross_attention(
                 x,
-                weights.position_embeddings,
+                weights.position_grids[j],
                 latents,
                 block.attention,
                 cfg.n_heads,

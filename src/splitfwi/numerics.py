@@ -4,6 +4,10 @@ All kernels take and return float32 arrays. Dot products accumulate in
 float64 and round to float32 on store, which keeps comparisons against
 scalar reference loops tight and the arithmetic order stable. Every kernel
 is pure: identical inputs produce bit-identical outputs.
+
+conv2d lowers to one GEMM over a channel-major window matrix (see its
+docstring); tests/test_map_bits.py keeps the row-major form it replaced
+as a byte-for-byte reference.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
 
     Zero padding, integer strides. Each output element is the dot product
     of the kernel with the padded input window plus the channel bias.
+    The input is written once into a zeroed float64 buffer, and its
+    windows form a channel-major matrix [C_in*kh*kw, H'*W'], so the GEMM
+    kernel @ windows yields [C_out, H'*W'] with no transpose on either
+    side. Against a row-major window matrix [H'*W', C_in*kh*kw] only the
+    M and N roles of the GEMM swap: the K axis keeps the kernel's
+    (c, kh, kw) order, each output sums the same products in the same
+    order, and the result is bit-identical.
     """
     x = as_f32(x)
     kernel = as_f32(kernel)
@@ -57,14 +68,16 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
         raise ShapeError(
             f"conv2d kernel {kernel.shape} exceeds padded input {x.shape} with padding {padding!r}"
         )
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))).astype(np.float64)
+    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=np.float64)
+    xp[:, ph : ph + h, pw : pw + w] = x
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(out_h * out_w, c_in * kh * kw)
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, out_h * out_w)
     km = kernel.reshape(c_out, c_in * kh * kw).astype(np.float64)
-    out = cols @ km.T + bias.astype(np.float64)
-    return out.T.reshape(c_out, out_h, out_w).astype(np.float32)
+    out = km @ cols
+    out += bias.astype(np.float64)[:, None]
+    return out.reshape(c_out, out_h, out_w).astype(np.float32)
 
 
 def linear(x, weight, bias) -> np.ndarray:

@@ -12,7 +12,9 @@ runtime.py. The two share `_sample_row` (one report row from the
 collection and decode results), the T_d < T budget check, and the drop
 and delay helpers; each keeps its own clock and its own collection:
 here the collector waits on the buffer until every device reported or
-T - T_d of wall time passed, then decodes what arrived.
+T - T_d of wall time passed, then decodes what arrived. T_d is measured
+by profile_decoder once per weights object and trial count in a
+process, so a stream of calls with the same weights profiles only once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 
@@ -195,13 +198,13 @@ def _edge_worker(
     delay_s: float,
     drops: list[frozenset[int]],
     edge_done: list[dict[int, float]],
-    failure: _FirstFailure,
+    stop: threading.Event,
 ) -> None:
     a, b = slices[device_id]
     with socket.create_connection(address) as sock:
         for idx, sample in enumerate(samples):
             dispatch[idx].wait()
-            if failure.exc is not None:
+            if stop.is_set():
                 return
             if device_id in drops[idx]:
                 continue
@@ -209,10 +212,27 @@ def _edge_worker(
             wave = _as_wave(sample)
             latent = encode(wave[:, :, a:b], weights.encoders[device_id],
                             device_id=device_id, sample_id=idx)
-            if delay_s > 0.0:
-                time.sleep(delay_s)
+            # the extra delay ends early when the run stops, and a stopped
+            # worker sends nothing
+            if stop.wait(delay_s):
+                return
             edge_done[idx][device_id] = time.monotonic() - t0
             send_frame(sock, latent_to_frame(latent))
+
+
+# Socket T_d per (id of a weights object, profiling trials). ModelWeights
+# is unhashable, so entries are keyed on id() and a finalizer drops each
+# entry with its weights, which the cache does not keep alive.
+_decode_budgets: dict[tuple[int, int], float] = {}
+
+
+def _decode_budget(weights, trials: int) -> float:
+    key = (id(weights), trials)
+    if key not in _decode_budgets:
+        t_d = profile_decoder(weights, trials=trials)
+        _decode_budgets[key] = t_d
+        weakref.finalize(weights, _decode_budgets.pop, key, None)
+    return _decode_budgets[key]
 
 
 def run_epic_socket(
@@ -229,13 +249,16 @@ def run_epic_socket(
     """Wall-clock twin of run_epic over localhost TCP.
 
     Edge workers run as threads, one connection each; the decode budget
-    T_d comes from one-time wall profiling of the decoder. The first
+    T_d comes from wall profiling of the decoder, done once per weights
+    object and profile_trials in a process and reused by later calls. A
+    device's extra delay ends when the run returns, so a straggler does
+    not hold the return past the deadline. The first
     exception raised in an edge or reader thread ends the run: it is
     re-raised after cleanup, a SplitFwiError as is and anything else as
     a WorkerError.
     """
     cfg = weights.config
-    t_d = profile_decoder(weights, trials=profile_trials)
+    t_d = _decode_budget(weights, profile_trials)
     _check_budget(infra.deadline_s, t_d)
     delays = _per_sample_delays(extra_delay_s)
     drops = _per_sample_drops(drop_devices, len(samples))
@@ -245,6 +268,7 @@ def run_epic_socket(
 
     buffer = HashBuffer()
     failure = _FirstFailure(buffer)
+    stop = threading.Event()
     collector = _Collector(host, port, buffer, cfg.latent_dim * 4, failure)
     collector.start()
 
@@ -254,7 +278,7 @@ def run_epic_socket(
         threading.Thread(
             target=failure.guard(_edge_worker),
             args=(d, collector.address, weights, slices, samples, dispatch,
-                  delays.get(d, 0.0), drops, edge_done, failure),
+                  delays.get(d, 0.0), drops, edge_done, stop),
             daemon=True,
         )
         for d in range(cfg.n_devices)
@@ -298,6 +322,7 @@ def run_epic_socket(
                 )
             )
     finally:
+        stop.set()
         for ev in dispatch:
             ev.set()
         for w in workers:

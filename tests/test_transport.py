@@ -1,14 +1,16 @@
+import gc
 import socket
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import TINY
-from splitfwi import transport
-from splitfwi.errors import ProtocolError, ShapeError, WorkerError
+from splitfwi import runtime, transport
+from splitfwi.errors import ConfigError, ProtocolError, ShapeError, WorkerError
 from splitfwi.model import LatentVector, forward_full, init_weights
 from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, frame_encode
 from splitfwi.runtime import HashBuffer, InfraConfig, PipelineMode
@@ -129,13 +131,45 @@ class TestSocketPipeline:
         rng = np.random.default_rng(4)
         waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
         infra = self._infra(deadline=1.0)
+        t0 = time.monotonic()
         maps, report = run_epic_socket(
             waves, weights, infra, extra_delay_s={1: 3.0}
         )
+        # the straggler's extra delay ends with the run instead of holding it
+        assert time.monotonic() - t0 < infra.deadline_s + 0.5
         row = report.rows[0]
         assert row.mask == (True, False, True)
         assert row.deadline_fired
         assert maps[0] is not None
+
+    def test_decoder_profiled_once_per_weights_and_trials(self, monkeypatch):
+        profiled = []
+
+        def counting(weights, trials):
+            profiled.append((id(weights), trials))
+            return runtime.profile_decoder(weights, trials=trials)
+
+        monkeypatch.setattr(transport, "profile_decoder", counting)
+        rng = np.random.default_rng(5)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
+        infra = self._infra()
+        first = init_weights(TINY, seed=12)
+        budgets = [run_epic_socket(waves, first, infra)[1].decode_budget_s for _ in range(2)]
+        assert len(profiled) == 1 and budgets[0] == budgets[1]
+        run_epic_socket(waves, first, infra, profile_trials=1)
+        assert len(profiled) == 2
+        second = init_weights(TINY, seed=12)
+        run_epic_socket(waves, second, infra)
+        assert profiled[-1] == (id(second), 3) and len(profiled) == 3
+        # the cache does not keep a weights object alive, and forgets it
+        gone = weakref.ref(second)
+        del second
+        gc.collect()
+        assert gone() is None
+        assert all(key[0] != profiled[-1][0] for key in transport._decode_budgets)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                run_epic_socket(waves, first, infra, profile_trials=0)
 
 
 class TestSocketThreadFailures:
