@@ -78,6 +78,11 @@ def _summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def _metric(results: list[dict], name: str) -> dict:
+    values = [r["metrics"][name]["value"] for r in results]
+    return {"unit": results[0]["metrics"][name]["unit"], **_summary(values), "runs": values}
+
+
 def _better(tree: Path) -> dict[str, str]:
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -118,16 +123,10 @@ def main(argv=None) -> int:
     for tree in trees:
         per_workload = {}
         for workload, results in runs[tree].items():
-            names = results[0]["metrics"]
             per_workload[workload] = {
                 "attempted": sum(r["attempted"] for r in results),
                 "failed": sum(r["failed"] for r in results),
-                "metrics": {
-                    name: {"unit": names[name]["unit"],
-                           **_summary(vals := [r["metrics"][name]["value"] for r in results]),
-                           "runs": vals}
-                    for name in names
-                },
+                "metrics": {name: _metric(results, name) for name in results[0]["metrics"]},
             }
         entries.append({
             "commit": _commit(tree),
