@@ -3,15 +3,15 @@
     python3 scripts/bench_e2e.py --tree . --seeds 101-110
     python3 scripts/bench_e2e.py --tree ../parent --tree . --seeds 101-110
 
-Runs ``perfbench/run.py --trace 0`` in each checkout for every workload
-and seed, and appends one entry per checkout to the output file: the
-commit hash, the environment line of the runs, and for each workload
-the median, quartiles, count and per-seed values of every end-to-end
-metric, with the failed and attempted unit counts. With two or more
-checkouts the runs of one (workload, seed) follow each other, in an order
-that alternates from seed to seed, so that drift in the machine's speed
-falls on every side; a summary of each later checkout against the first
-is printed, with the pairs it wins.
+Runs ``perfbench/run.py --seconds 20 --trace 0`` in each checkout for
+every workload and seed, and appends one entry per checkout to
+BENCH_e2e.json: the commit hash, the environment line of the runs, and
+for each workload the median, quartiles, count and per-seed values of
+every end-to-end metric, with the failed and attempted unit counts.
+With two or more checkouts the runs of one (workload, seed) follow each
+other, in an order that alternates from seed to seed, so that drift in
+the machine's speed falls on every side; a summary of each later
+checkout against the first is printed, with the pairs it wins.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-sim", "stream-socket", "gen-physics")
+RUN_SECONDS = 20
 RUN_TIMEOUT_S = 900
+OUT = ROOT / "BENCH_e2e.json"
 
 
 def _seeds(text: str) -> list[int]:
@@ -44,10 +46,6 @@ def _parse(argv):
     p.add_argument("--tree", action="append", type=Path, required=True,
                    help="checkout to measure; repeat to interleave several")
     p.add_argument("--seeds", type=_seeds, required=True, help="e.g. 101-110 or 3,5,7")
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="workload to run; repeat for several (default: all)")
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--out", type=Path, default=ROOT / "BENCH_e2e.json")
     return p.parse_args(argv)
 
 
@@ -62,9 +60,9 @@ def _commit(tree: Path) -> str:
     return head + ("+dirty" if _git(tree, "status", "--porcelain", "--untracked-files=no") else "")
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -105,14 +103,13 @@ def _report(entries: list[dict], better: dict[str, str]) -> None:
 def main(argv=None) -> int:
     args = _parse(argv)
     trees = [t.resolve() for t in args.tree]
-    workloads = args.workload or list(WORKLOADS)
-    runs = {t: {w: [] for w in workloads} for t in trees}
+    runs = {t: {w: [] for w in WORKLOADS} for t in trees}
     environment = {}
     for i, seed in enumerate(args.seeds):
-        for workload in workloads:
+        for workload in WORKLOADS:
             for tree in trees if i % 2 == 0 else trees[::-1]:
                 t0 = time.monotonic()
-                info, result = _run(tree, workload, seed, args.seconds)
+                info, result = _run(tree, workload, seed)
                 environment.setdefault(tree, info["environment"])
                 runs[tree][workload].append(result)
                 sps = result["metrics"]["throughput_sps"]["value"]
@@ -130,14 +127,14 @@ def main(argv=None) -> int:
             }
         entries.append({
             "commit": _commit(tree),
-            "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0",
+            "command": f"perfbench/run.py --seconds {RUN_SECONDS} --trace 0",
             "seeds": args.seeds,
             "environment": environment[tree],
             "workloads": per_workload,
         })
 
-    existing = json.loads(args.out.read_text()) if args.out.exists() else []
-    args.out.write_text(json.dumps(existing + entries, indent=1) + "\n")
+    existing = json.loads(OUT.read_text()) if OUT.exists() else []
+    OUT.write_text(json.dumps(existing + entries, indent=1) + "\n")
     _report(entries, _better(trees[0]))
     return 0
 

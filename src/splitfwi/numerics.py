@@ -7,7 +7,10 @@ is pure: identical inputs produce bit-identical outputs.
 
 conv2d lowers to one GEMM over a channel-major window matrix (see its
 docstring); tests/test_map_bits.py keeps the row-major form it replaced
-as a byte-for-byte reference.
+as a byte-for-byte reference. Bit-identity here is a property of the
+float32 outputs: the float64 sums beneath them depend on which BLAS
+kernel runs, and can change in the last bit with the operand layout or
+the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     windows form a channel-major matrix [C_in*kh*kw, H'*W'], so the GEMM
     kernel @ windows yields [C_out, H'*W'] with no transpose on either
     side. Against a row-major window matrix [H'*W', C_in*kh*kw] only the
-    M and N roles of the GEMM swap: the K axis keeps the kernel's
-    (c, kh, kw) order, each output sums the same products in the same
-    order, and the result is bit-identical.
+    M and N roles of the GEMM swap, and the K axis keeps the kernel's
+    (c, kh, kw) order. The swap does change which BLAS kernel and tiling
+    run (a vector-matrix gemv when C_out == 1), so a float64 sum can
+    differ from the row-major one in its last bit; the float32 output
+    matched the row-major form byte for byte on every tested input, but
+    that is measured, not guaranteed.
     """
     x = as_f32(x)
     kernel = as_f32(kernel)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import socket
 import threading
 import time
-import weakref
 
 import numpy as np
 
@@ -220,19 +219,13 @@ def _edge_worker(
             send_frame(sock, latent_to_frame(latent))
 
 
-# Socket T_d per (id of a weights object, profiling trials). ModelWeights
-# is unhashable, so entries are keyed on id() and a finalizer drops each
-# entry with its weights, which the cache does not keep alive.
-_decode_budgets: dict[tuple[int, int], float] = {}
-
-
 def _decode_budget(weights, trials: int) -> float:
-    key = (id(weights), trials)
-    if key not in _decode_budgets:
-        t_d = profile_decoder(weights, trials=trials)
-        _decode_budgets[key] = t_d
-        weakref.finalize(weights, _decode_budgets.pop, key, None)
-    return _decode_budgets[key]
+    # Socket T_d per profiling trial count, kept on the weights object it
+    # was measured for, so it lives and dies with that object.
+    budgets = vars(weights).setdefault("_decode_budgets", {})
+    if trials not in budgets:
+        budgets[trials] = profile_decoder(weights, trials=trials)
+    return budgets[trials]
 
 
 def run_epic_socket(

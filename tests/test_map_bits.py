@@ -2,8 +2,12 @@
 position resize that the model used before.
 
 `conv2d` builds a channel-major window matrix and the decoder takes each
-block's position grid from the weights; both must leave every output bit
-as it was. The references below keep the earlier code: `conv2d_rows`
+block's position grid from the weights; both must leave every float32
+output bit as it was. The float64 sums under the float32 store are not
+compared: swapping the GEMM's operands changes which BLAS kernel runs,
+so they can differ in the last bit, and these tests show only that no
+difference reached a stored output on the inputs they draw. The
+references below keep the earlier code: `conv2d_rows`
 multiplies a row-major window matrix by the transposed kernel, and
 `forward_rows` encodes with it and resizes the position embeddings in
 every decoder block.

@@ -1,9 +1,7 @@
-import gc
 import socket
 import sys
 import threading
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -161,12 +159,6 @@ class TestSocketPipeline:
         second = init_weights(TINY, seed=12)
         run_epic_socket(waves, second, infra)
         assert profiled[-1] == (id(second), 3) and len(profiled) == 3
-        # the cache does not keep a weights object alive, and forgets it
-        gone = weakref.ref(second)
-        del second
-        gc.collect()
-        assert gone() is None
-        assert all(key[0] != profiled[-1][0] for key in transport._decode_budgets)
         for _ in range(2):
             with pytest.raises(ConfigError):
                 run_epic_socket(waves, first, infra, profile_trials=0)
