@@ -36,10 +36,13 @@ wave), and an FLA map span serves every drop set. Within one
 every drop count and mode; it is keyed by sample index and by the weights
 that call owns, and it ends when the call returns.
 
-Two clock domains share the row accounting. Simulated mode derives every
+The loop runs on either of two clocks, through a link that brings the
+edge outputs to the central step. The virtual link derives every
 timestamp from the network emulator plus a declared parametric compute
 model (flop counts over configured device rates), which makes full runs
-bit-reproducible. Socket mode (see transport.py) runs EPIC on wall time.
+bit-reproducible. The wall link (see transport.py) runs EPIC's edges as
+threads that send frames over TCP, on wall time. Validation, the central
+step, late-frame counting and the report rows are the same code for both.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -234,24 +237,29 @@ class _BufferEntry:
 class HashBuffer:
     """Out-of-order collector keyed by (sample_id, device_id).
 
-    Inserts are idempotent per key; inserts after release or completion
-    are counted as late and dropped. Safe for concurrent producers with a
-    single consumer per sample.
+    Inserts are idempotent per key; inserts after release are counted as
+    late and dropped, and inserts after completion are dropped uncounted.
+    Completed samples leave nothing behind: every id below a low
+    watermark is complete, so memory stays bounded by the samples in
+    flight. Safe for concurrent producers with a single consumer per
+    sample.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._entries: dict[int, _BufferEntry] = {}
-        self._completed: set[int] = set()
+        self._low = 0  # every sample id below is complete
+        self._completed: set[int] = set()  # completed ids at or above _low
         self._late: dict[int, int] = {}
         self._interrupted = False
 
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
         with self._cond:
-            completed = sample_id in self._completed
-            entry = None if completed else self._entries.setdefault(sample_id, _BufferEntry())
-            if entry is None or entry.released:
+            if sample_id < self._low or sample_id in self._completed:
+                return InsertOutcome.STALE
+            entry = self._entries.setdefault(sample_id, _BufferEntry())
+            if entry.released:
                 self._late[sample_id] = self._late.get(sample_id, 0) + 1
                 return InsertOutcome.STALE
             if device_id in entry.latents:
@@ -298,10 +306,16 @@ class HashBuffer:
             self._cond.notify_all()
 
     def complete(self, sample_id: int) -> None:
-        """Evict the sample; later frames for it are reported stale."""
+        """Evict the sample and its late count; later frames for it are
+        stale and stored nowhere."""
         with self._cond:
             self._entries.pop(sample_id, None)
-            self._completed.add(sample_id)
+            self._late.pop(sample_id, None)
+            if sample_id >= self._low:
+                self._completed.add(sample_id)
+            while self._low in self._completed:
+                self._completed.remove(self._low)
+                self._low += 1
 
     def late_frames(self, sample_id: int) -> int:
         with self._lock:
@@ -435,37 +449,27 @@ def profile_decoder(weights: ModelWeights, trials: int = 5, seed: int = 1234) ->
     return statistics.median(durations)
 
 
-def _check_budget(deadline_s: float, decode_budget_s: float) -> None:
-    if decode_budget_s >= deadline_s:
-        raise ConfigError(
-            f"decode budget T_d={decode_budget_s:.6g}s must be below the deadline "
-            f"T={deadline_s:.6g}s"
-        )
-
-
-def _sample_row(report: RunReport, sample_id: int, result, edge_s: dict[int, float],
-                collect_s: float, released: bool, late: int, energy_j: float,
-                comm_bytes: int, ground_truth, velocity_range) -> SampleResult:
+def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late: int,
+                ground_truth, velocity_range) -> SampleResult:
     """One report row, in either clock domain.
 
     result is (map, central seconds), or None when nothing could be
-    decoded, which makes the row failed. edge_s holds the edge seconds of
-    the devices whose outputs reached the central step.
+    decoded, which makes the row failed.
     """
     vmap, central_s = (None, 0.0) if result is None else result
-    l_edge = max(edge_s.values(), default=0.0)
-    l_total = collect_s + central_s
+    l_edge = max(got.edge_s.values(), default=0.0)
+    l_total = got.collect_s + central_s
     return SampleResult(
         sample_id=sample_id,
         status="failed" if vmap is None else "ok",
-        mask=tuple(d in edge_s for d in range(report.n_devices)),
+        mask=tuple(d in got.edge_s for d in range(report.n_devices)),
         l_edge_s=l_edge,
-        l_comm_s=collect_s - l_edge,
+        l_comm_s=got.collect_s - l_edge,
         l_central_s=central_s,
         l_total_s=l_total,
-        energy_j=energy_j,
-        comm_bytes=comm_bytes,
-        deadline_fired=released or vmap is None,
+        energy_j=got.energy_j,
+        comm_bytes=got.comm_bytes,
+        deadline_fired=got.released or vmap is None,
         deadline_met=vmap is None or l_total <= report.deadline_s,
         late_frames=late,
         ssim=None if vmap is None or ground_truth is None
@@ -552,39 +556,47 @@ class _Plan:
     edge(wave, sample_id, device, (a, b)) -> (output, payload bytes, edge s)
     central(outputs by present device, wave, sample_id, slices)
     -> (map, central s), or None when nothing can be decoded.
+    Only the virtual link runs edge; the wall link's edges are threads.
     """
 
-    edge: Callable
+    edge: Callable | None
     central: Callable
     t_d: float
     timeout: bool = False
 
 
-def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
-              infra: InfraConfig, drop_devices, ground_truth):
-    n = infra.n_devices
-    if plan.timeout:
-        _check_budget(infra.deadline_s, plan.t_d)
-    deadline = infra.deadline_s - plan.t_d
-    drops = _per_sample_drops(drop_devices, len(samples))
-    buffer = HashBuffer()
-    maps: list[VelocityMap | None] = []
-    report = RunReport(
-        mode=mode,
-        n_devices=n,
-        profile_label=infra.network.label(),
-        deadline_s=infra.deadline_s,
-        decode_budget_s=plan.t_d,
-    )
+class _Collected(NamedTuple):
+    """What a link's collect step hands the central step, in its clock."""
 
-    for idx, sample in enumerate(samples):
-        wave = _as_wave(sample)
-        slices = validate_partition(infra.partition, wave.shape[2], n)
+    outputs: dict  # output by device that reached the central step
+    edge_s: dict  # edge seconds of those devices
+    collect_s: float  # from dispatch until collection closed
+    released: bool  # the timeout closed collection
+    energy_j: float
+    comm_bytes: int  # payload bytes of every online device, late ones too
+
+
+class _Link(NamedTuple):
+    """How edge outputs reach the central step, on one clock:
+    collect(sample_id, wave, slices, online device ids) -> _Collected."""
+
+    collect: Callable
+    buffer: HashBuffer
+    label: str
+
+
+def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
+    """The simulated clock: edge seconds from the plan, arrivals from the
+    emulated link, collection closed by the buffer at T - T_d."""
+    n = infra.n_devices
+    deadline = infra.deadline_s - plan.t_d
+    buffer = HashBuffer()
+
+    def collect(idx, wave, slices, online):
         outputs, sizes, edge_t = {}, [], {}
-        for d in range(n):
-            if d not in drops[idx]:
-                outputs[d], size, edge_t[d] = plan.edge(wave, idx, d, slices[d])
-                sizes.append(size)
+        for d in online:
+            outputs[d], size, edge_t[d] = plan.edge(wave, idx, d, slices[d])
+            sizes.append(size)
 
         uplinks = transmit_group(
             sizes, infra.network, infra.energy, mode=infra.netem_mode,
@@ -597,25 +609,44 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
             for t, d in arrivals:
                 if t <= deadline:
                     buffer.insert(idx, d, outputs[d], t)
-            lset, collect, released = buffer.finalize(idx, n, deadline)
+            lset, collect_s, released = buffer.finalize(idx, n, deadline)
             for t, d in arrivals:
                 if t > deadline:
                     buffer.insert(idx, d, outputs[d], t)
-            buffer.complete(idx)
             present = lset.entries
         else:
             present, released = outputs, False
-            collect = max((t for t, _ in arrivals), default=0.0)
+            collect_s = max((t for t, _ in arrivals), default=0.0)
+        return _Collected(present, {d: edge_t[d] for d in present}, collect_s, released,
+                          sum((u.energy_j for u in uplinks), 0.0), sum(sizes))
 
-        result = plan.central(present, wave, idx, slices)
+    return _Link(collect, buffer, infra.network.label())
+
+
+def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
+              infra: InfraConfig, drop_devices, ground_truth, link: _Link | None = None):
+    """The per-sample loop of every mode and both clocks; link defaults
+    to the virtual one."""
+    n = infra.n_devices
+    if plan.timeout and plan.t_d >= infra.deadline_s:
+        raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
+                          f"T={infra.deadline_s:.6g}s")
+    link = link or _virtual_link(plan, infra)
+    drops = _per_sample_drops(drop_devices, len(samples))
+    maps: list[VelocityMap | None] = []
+    report = RunReport(mode=mode, n_devices=n, profile_label=link.label,
+                       deadline_s=infra.deadline_s, decode_budget_s=plan.t_d)
+
+    for idx, sample in enumerate(samples):
+        wave = _as_wave(sample)
+        slices = validate_partition(infra.partition, wave.shape[2], n)
+        got = link.collect(idx, wave, slices, [d for d in range(n) if d not in drops[idx]])
+        result = plan.central(got.outputs, wave, idx, slices)
+        late = link.buffer.late_frames(idx)
+        link.buffer.complete(idx)
         maps.append(None if result is None else result[0])
-        report.rows.append(
-            _sample_row(
-                report, idx, result, {d: edge_t[d] for d in present}, collect, released,
-                buffer.late_frames(idx), sum((u.energy_j for u in uplinks), 0.0), sum(sizes),
-                ground_truth, weights.config.velocity_range,
-            )
-        )
+        report.rows.append(_sample_row(report, idx, result, got, late, ground_truth,
+                                       weights.config.velocity_range))
     return maps, report
 
 
@@ -632,16 +663,14 @@ def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, fl
     return edge
 
 
-def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, attention_out,
-               reuse: _EdgeOutputs) -> _Plan:
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, reuse: _EdgeOutputs) -> _Plan:
     cfg = weights.config
 
     def central(latents, wave, idx, slices):
         if not latents:
             return None
         lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
-        gl = fuse(lset, weights.fusion, cfg.n_heads)
-        vmap = decode(gl, lset, weights, attention_out=attention_out)
+        vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
         return vmap, decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
 
     return _Plan(_encode_step(weights, infra, delays, reuse), central,
@@ -726,7 +755,6 @@ def run_epic(
     extra_delay_s=None,
     drop_devices=None,
     ground_truth=None,
-    collect_attention: list | None = None,
 ) -> tuple[list[VelocityMap | None], RunReport]:
     """Run the split pipeline over samples; see the module docstring.
 
@@ -743,13 +771,8 @@ def run_epic(
     if infra.transport == "socket":
         from .transport import run_epic_socket
 
-        return run_epic_socket(
-            samples, weights, infra,
-            extra_delay_s=extra_delay_s, drop_devices=drop_devices,
-            ground_truth=ground_truth,
-            host=infra.socket_host, port=infra.socket_port,
-        )
-    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), collect_attention,
+        return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
+    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s),
                       _edge_outputs(samples, weights))
     return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 

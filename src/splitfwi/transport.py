@@ -7,13 +7,13 @@ whole buffer to the frame decoder. One writer per connection; the central
 collector accepts any number of connections and funnels every decoded
 latent into the shared hash-map buffer under wall-clock timestamps.
 
-This module is the wall-time twin of EPIC's simulated path in
-runtime.py. The two share `_sample_row` (one report row from the
-collection and decode results), the T_d < T budget check, and the drop
-and delay helpers; each keeps its own clock and its own collection:
-here the collector waits on the buffer until every device reported or
-T - T_d of wall time passed, then decodes what arrived. T_d is measured
-by profile_decoder once per weights object and trial count in a
+This module is the wall link of EPIC's per-sample loop, `_run_plan` in
+runtime.py, which also drives the simulated twin: the loop validates each
+sample, collects, decodes and builds the row the same way on both clocks.
+Here collection dispatches the sample to the edge threads and waits on
+the buffer until every device reported or T - T_d of wall time passed;
+the central step fuses and decodes what arrived, timed on the wall
+clock. T_d is measured by profile_decoder once per weights object in a
 process, so a stream of calls with the same weights profiles only once.
 """
 
@@ -26,18 +26,20 @@ import time
 import numpy as np
 
 from .errors import ProtocolError, SplitFwiError, WorkerError
-from .model import LatentVector, VelocityMap, decode, fuse, validate_partition, encode
-from .netem import FRAME_OVERHEAD, HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
+from .model import LatentSet, LatentVector, VelocityMap, decode, encode, fuse
+from .netem import HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
 from .runtime import (
     HashBuffer,
     InfraConfig,
-    RunReport,
     PipelineMode,
+    RunReport,
     _as_wave,
-    _check_budget,
+    _Collected,
+    _Link,
     _per_sample_delays,
     _per_sample_drops,
-    _sample_row,
+    _Plan,
+    _run_plan,
     profile_decoder,
 )
 
@@ -187,19 +189,11 @@ class _Collector:
             t.join(timeout=2.0)
 
 
-def _edge_worker(
-    device_id: int,
-    address: tuple[str, int],
-    weights,
-    slices,
-    samples,
-    dispatch: list[threading.Event],
-    delay_s: float,
-    drops: list[frozenset[int]],
-    edge_done: list[dict[int, float]],
-    stop: threading.Event,
-) -> None:
-    a, b = slices[device_id]
+def _edge_worker(device_id: int, address: tuple[str, int], weights, span: tuple[int, int],
+                 samples, dispatch: list[threading.Event], delay_s: float,
+                 drops: list[frozenset[int]], edge_done: list[dict[int, float]],
+                 stop: threading.Event) -> None:
+    a, b = span
     with socket.create_connection(address) as sock:
         for idx, sample in enumerate(samples):
             dispatch[idx].wait()
@@ -219,13 +213,12 @@ def _edge_worker(
             send_frame(sock, latent_to_frame(latent))
 
 
-def _decode_budget(weights, trials: int) -> float:
-    # Socket T_d per profiling trial count, kept on the weights object it
-    # was measured for, so it lives and dies with that object.
-    budgets = vars(weights).setdefault("_decode_budgets", {})
-    if trials not in budgets:
-        budgets[trials] = profile_decoder(weights, trials=trials)
-    return budgets[trials]
+def _decode_budget(weights) -> float:
+    # Socket T_d, kept on the weights object it was measured for, so it
+    # lives and dies with that object.
+    if "_decode_budget" not in vars(weights):
+        vars(weights)["_decode_budget"] = profile_decoder(weights, trials=3)
+    return vars(weights)["_decode_budget"]
 
 
 def run_epic_socket(
@@ -235,34 +228,30 @@ def run_epic_socket(
     extra_delay_s=None,
     drop_devices=None,
     ground_truth=None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    profile_trials: int = 3,
 ) -> tuple[list[VelocityMap | None], RunReport]:
-    """Wall-clock twin of run_epic over localhost TCP.
+    """Wall-clock twin of run_epic over TCP at infra.socket_host and
+    infra.socket_port (port 0 binds an ephemeral port).
 
     Edge workers run as threads, one connection each; the decode budget
     T_d comes from wall profiling of the decoder, done once per weights
-    object and profile_trials in a process and reused by later calls. A
-    device's extra delay ends when the run returns, so a straggler does
-    not hold the return past the deadline. The first
+    object in a process and reused by later calls. Rows count the payload
+    bytes of every online device, like the simulated twin, and charge no
+    energy. A device's extra delay ends when the run returns, so a
+    straggler does not hold the return past the deadline. The first
     exception raised in an edge or reader thread ends the run: it is
     re-raised after cleanup, a SplitFwiError as is and anything else as
     a WorkerError.
     """
     cfg = weights.config
-    t_d = _decode_budget(weights, profile_trials)
-    _check_budget(infra.deadline_s, t_d)
-    delays = _per_sample_delays(extra_delay_s)
+    t_d = _decode_budget(weights)
     drops = _per_sample_drops(drop_devices, len(samples))
-
-    first = _as_wave(samples[0]) if samples else None
-    slices = validate_partition(infra.partition, first.shape[2], cfg.n_devices) if samples else ()
+    delays = _per_sample_delays(extra_delay_s)
 
     buffer = HashBuffer()
     failure = _FirstFailure(buffer)
     stop = threading.Event()
-    collector = _Collector(host, port, buffer, cfg.latent_dim * 4, failure)
+    collector = _Collector(infra.socket_host, infra.socket_port, buffer, cfg.latent_dim * 4,
+                           failure)
     collector.start()
 
     dispatch = [threading.Event() for _ in samples]
@@ -270,7 +259,7 @@ def run_epic_socket(
     workers = [
         threading.Thread(
             target=failure.guard(_edge_worker),
-            args=(d, collector.address, weights, slices, samples, dispatch,
+            args=(d, collector.address, weights, infra.partition[d], samples, dispatch,
                   delays.get(d, 0.0), drops, edge_done, stop),
             daemon=True,
         )
@@ -279,41 +268,27 @@ def run_epic_socket(
     for w in workers:
         w.start()
 
-    maps: list[VelocityMap | None] = []
-    report = RunReport(
-        mode=PipelineMode.EPIC,
-        n_devices=cfg.n_devices,
-        profile_label=f"socket:{collector.address[0]}:{collector.address[1]}",
-        deadline_s=infra.deadline_s,
-        decode_budget_s=t_d,
-    )
+    def collect(idx, wave, slices, online):
+        t0 = time.monotonic()
+        dispatch[idx].set()
+        lset, released = buffer.collect_blocking(idx, cfg.n_devices, t0 + infra.deadline_s - t_d)
+        failure.reraise()
+        return _Collected(lset.entries, {d: edge_done[idx].get(d, 0.0) for d in lset.entries},
+                          time.monotonic() - t0, released, 0.0, cfg.latent_dim * 4 * len(online))
+
+    def central(latents, wave, idx, slices):
+        if not latents:
+            return None
+        t0 = time.monotonic()
+        lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
+        vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
+        return vmap, time.monotonic() - t0
+
+    host, port = collector.address
     try:
-        for idx in range(len(samples)):
-            t0 = time.monotonic()
-            dispatch[idx].set()
-            lset, released = buffer.collect_blocking(
-                idx, cfg.n_devices, t0 + infra.deadline_s - t_d
-            )
-            if failure.exc is not None:
-                break
-            collect_time = time.monotonic() - t0
-            result = None
-            if len(lset):
-                d0 = time.monotonic()
-                gl = fuse(lset, weights.fusion, cfg.n_heads)
-                vmap = decode(gl, lset, weights)
-                result = vmap, time.monotonic() - d0
-            buffer.complete(idx)
-            maps.append(None if result is None else result[0])
-            report.rows.append(
-                _sample_row(
-                    report, idx, result,
-                    {d: edge_done[idx].get(d, 0.0) for d in lset.present_ids()},
-                    collect_time, released, buffer.late_frames(idx), 0.0,
-                    (cfg.latent_dim * 4 + FRAME_OVERHEAD) * len(lset),
-                    ground_truth, cfg.velocity_range,
-                )
-            )
+        result = _run_plan(PipelineMode.EPIC, _Plan(None, central, t_d, timeout=True), samples,
+                           weights, infra, drops, ground_truth,
+                           _Link(collect, buffer, f"socket:{host}:{port}"))
     finally:
         stop.set()
         for ev in dispatch:
@@ -322,4 +297,4 @@ def run_epic_socket(
             w.join(timeout=5.0)
         collector.close()
     failure.reraise()
-    return maps, report
+    return result

@@ -4,6 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import TINY, make_latents
 from splitfwi.errors import ConfigError
@@ -174,6 +177,121 @@ class TestHashBuffer:
         lset, released = buf.collect_blocking(1, 1, t0 + 30.0)
         assert time.monotonic() - t0 < 10.0
         assert released and len(lset) == 0
+
+
+SAMPLES = st.integers(min_value=0, max_value=5)
+BUFFER_DEVICES = 3
+
+
+class HashBufferMachine(RuleBasedStateMachine):
+    """HashBuffer against a dict model under any order of inserts,
+    duplicates, closes, completions and an interrupt."""
+
+    def __init__(self):
+        super().__init__()
+        self.buf = HashBuffer()
+        self.arrivals: dict[int, dict[int, float]] = {}  # open sample -> device -> t
+        self.released: set[int] = set()
+        self.late: dict[int, int] = {}
+        self.done: set[int] = set()
+        self.interrupted = False
+        self.clock = 0.0
+
+    def _latent(self, sample, d):
+        return LatentVector(values=np.full(4, d, np.float32), device_id=d, sample_id=sample)
+
+    @rule(sample=SAMPLES, d=st.integers(min_value=0, max_value=BUFFER_DEVICES - 1))
+    def insert(self, sample, d):
+        self.clock += 1.0
+        outcome = self.buf.insert(sample, d, self._latent(sample, d), self.clock)
+        devices = self.arrivals.get(sample, {})
+        if sample in self.done:
+            assert outcome == InsertOutcome.STALE
+        elif sample in self.released:
+            assert outcome == InsertOutcome.STALE
+            self.late[sample] = self.late.get(sample, 0) + 1
+        elif d in devices:
+            assert outcome == InsertOutcome.DUPLICATE
+        else:
+            assert outcome == InsertOutcome.INSERTED
+            self.arrivals.setdefault(sample, {})[d] = self.clock
+
+    def _open_keys(self):
+        return sorted((s, d) for s, devices in self.arrivals.items() for d in devices
+                      if s not in self.released)
+
+    @precondition(lambda self: self._open_keys())
+    @rule(data=st.data())
+    def duplicate(self, data):
+        sample, d = data.draw(st.sampled_from(self._open_keys()))
+        assert self.buf.insert(sample, d, self._latent(sample, d), 0.0) == InsertOutcome.DUPLICATE
+
+    def _close(self, sample):
+        devices = self.arrivals.get(sample, {})
+        self.released.add(sample)
+        return sorted(devices), len(devices) != BUFFER_DEVICES
+
+    @rule(sample=SAMPLES)
+    def finalize(self, sample):
+        if sample in self.done:
+            return
+        devices = dict(self.arrivals.get(sample, {}))
+        lset, collect, released = self.buf.finalize(sample, BUFFER_DEVICES, deadline=100.0)
+        assert (lset.present_ids(), released) == self._close(sample)
+        assert collect == (100.0 if released else max(devices.values()))
+
+    @rule(sample=SAMPLES)
+    def collect_blocking(self, sample):
+        if sample in self.done:
+            return
+        # an interrupted buffer returns at once however far the deadline
+        deadline = time.monotonic() + (30.0 if self.interrupted else -1.0)
+        lset, released = self.buf.collect_blocking(sample, BUFFER_DEVICES, deadline)
+        assert (lset.present_ids(), released) == self._close(sample)
+
+    @rule(sample=SAMPLES)
+    def complete(self, sample):
+        self.buf.complete(sample)
+        self.done.add(sample)
+        self.arrivals.pop(sample, None)
+        self.released.discard(sample)
+        self.late.pop(sample, None)
+
+    @rule()
+    def interrupt(self):
+        self.buf.interrupt()
+        self.interrupted = True
+
+    @invariant()
+    def matches_model(self):
+        for sample in range(6):
+            if sample not in self.done:
+                assert self.buf.present_count(sample) == len(self.arrivals.get(sample, {}))
+                assert self.buf.late_frames(sample) == self.late.get(sample, 0)
+
+    @invariant()
+    def holds_nothing_for_completed_samples(self):
+        low = min(set(range(7)) - self.done)
+        assert self.buf._low == low
+        assert self.buf._completed == {s for s in self.done if s > low}
+        assert not (set(self.buf._entries) | set(self.buf._late)) & self.done
+
+
+TestHashBufferModel = HashBufferMachine.TestCase
+TestHashBufferModel.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
+
+
+def test_hash_buffer_bounded_over_in_order_samples():
+    buf = HashBuffer()
+    latent = LatentVector(values=np.zeros(4, np.float32), device_id=0)
+    for sample in range(1000):
+        buf.insert(sample, 0, latent, 0.0)
+        buf.finalize(sample, 2, deadline=1.0)
+        assert buf.insert(sample, 1, latent, 2.0) == InsertOutcome.STALE
+        assert buf.late_frames(sample) == 1
+        buf.complete(sample)
+    assert buf.insert(3, 0, latent, 3.0) == InsertOutcome.STALE
+    assert (buf._low, buf._entries, buf._completed, buf._late) == (1000, {}, set(), {})
 
 
 class TestRunEpic:

@@ -8,9 +8,9 @@ import pytest
 
 from conftest import TINY
 from splitfwi import runtime, transport
-from splitfwi.errors import ConfigError, ProtocolError, ShapeError, WorkerError
+from splitfwi.errors import PartitionError, ProtocolError, ShapeError, WorkerError
 from splitfwi.model import LatentVector, forward_full, init_weights
-from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, frame_encode
+from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, NetworkProfile, frame_encode
 from splitfwi.runtime import HashBuffer, InfraConfig, PipelineMode
 from splitfwi.transport import latent_from_frame, latent_to_frame, read_frame, run_epic_socket
 
@@ -140,11 +140,11 @@ class TestSocketPipeline:
         assert row.deadline_fired
         assert maps[0] is not None
 
-    def test_decoder_profiled_once_per_weights_and_trials(self, monkeypatch):
+    def test_decoder_profiled_once_per_weights(self, monkeypatch):
         profiled = []
 
         def counting(weights, trials):
-            profiled.append((id(weights), trials))
+            profiled.append(id(weights))
             return runtime.profile_decoder(weights, trials=trials)
 
         monkeypatch.setattr(transport, "profile_decoder", counting)
@@ -153,15 +153,56 @@ class TestSocketPipeline:
         infra = self._infra()
         first = init_weights(TINY, seed=12)
         budgets = [run_epic_socket(waves, first, infra)[1].decode_budget_s for _ in range(2)]
-        assert len(profiled) == 1 and budgets[0] == budgets[1]
-        run_epic_socket(waves, first, infra, profile_trials=1)
-        assert len(profiled) == 2
+        assert profiled == [id(first)] and budgets[0] == budgets[1]
         second = init_weights(TINY, seed=12)
         run_epic_socket(waves, second, infra)
-        assert profiled[-1] == (id(second), 3) and len(profiled) == 3
-        for _ in range(2):
-            with pytest.raises(ConfigError):
-                run_epic_socket(waves, first, infra, profile_trials=0)
+        assert profiled == [id(first), id(second)]
+
+    def test_empty_input_gives_empty_report(self, weights):
+        maps, report = run_epic_socket([], weights, self._infra())
+        assert maps == [] and report.rows == []
+        assert report.mode == PipelineMode.EPIC
+
+    def test_narrower_sample_rejected_before_dispatch(self, weights, monkeypatch):
+        encoded = []
+        real_encode = transport.encode
+
+        def counting(wave, enc, device_id, sample_id):
+            encoded.append(sample_id)
+            return real_encode(wave, enc, device_id=device_id, sample_id=sample_id)
+
+        monkeypatch.setattr(transport, "encode", counting)
+        rng = np.random.default_rng(7)
+        waves = [rng.normal(size=(5, 40, w)).astype(np.float32) for w in (70, 60)]
+        with pytest.raises(PartitionError, match="60 receivers"):
+            run_epic_socket(waves, weights, self._infra())
+        assert sorted(encoded) == [0] * TINY.n_devices
+
+
+def test_socket_and_simulated_twins_agree(weights):
+    """One drop schedule through both clocks: the rows that the two twins
+    can share (everything but the timings) and the decoded maps agree."""
+    rng = np.random.default_rng(8)
+    waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(3)]
+    drops = [(), {1}, {0, 1, 2}]
+    link = NetworkProfile(bandwidth_bps=1e9, base_latency_s=1e-3, loss_rate=0.0)
+    twins = [
+        runtime.run_epic(waves, weights, InfraConfig(
+            n_devices=TINY.n_devices, deadline_s=1.0, network=link, transport=clock),
+            drop_devices=drops)
+        for clock in ("simulated", "socket")
+    ]
+    (sim_maps, sim), (wall_maps, wall) = twins
+    fields = ("status", "mask", "comm_bytes", "deadline_fired", "late_frames")
+    for a, b in zip(sim.rows, wall.rows, strict=True):
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+    assert [r.status for r in sim.rows] == ["ok", "ok", "failed"]
+    assert [r.deadline_fired for r in sim.rows] == [False, True, True]
+    for a, b, row in zip(sim_maps, wall_maps, sim.rows):
+        if row.status == "ok":
+            np.testing.assert_array_equal(a.values, b.values)
+        else:
+            assert a is None and b is None
 
 
 class TestSocketThreadFailures:
