@@ -22,6 +22,10 @@ Building a ModelWeights also prepares one position grid per decoder
 block, the embeddings resized to that block's resolution, so decoding
 does not resize them again; the grids are derived state, not fields, and
 a weight file does not store them.
+
+The declared cost of each layer, which the runtime's simulated clock
+charges, is derived here from the same weight inventory that shapes the
+weights.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CorruptFileError,
     EmptySupportError,
     InputValidationError,
@@ -416,6 +421,12 @@ class VelocityMap:
 # forward pass
 
 
+def _receiver_stride(width: int) -> int:
+    """An encoder block halves the receiver axis only while it is wider
+    than 4 columns."""
+    return 2 if width > 4 else 1
+
+
 def encode(wave_slice, encoder: list[ConvParams], device_id: int = 0, sample_id: int = 0) -> LatentVector:
     """Run one device's conv stack over its receiver slice.
 
@@ -430,8 +441,8 @@ def encode(wave_slice, encoder: list[ConvParams], device_id: int = 0, sample_id:
     if not np.isfinite(x).all():
         raise InputValidationError("encoder input contains non-finite values")
     for conv in encoder:
-        stride_w = 2 if x.shape[2] > 4 else 1
-        x = conv2d(x, conv.kernel, conv.bias, stride=(2, stride_w), padding=(1, 1))
+        stride = (2, _receiver_stride(x.shape[2]))
+        x = conv2d(x, conv.kernel, conv.bias, stride=stride, padding=(1, 1))
         x = leaky_relu(x, LEAKY_SLOPE)
     pooled = global_avg_pool(x).reshape(-1)
     return LatentVector(values=pooled, device_id=device_id, sample_id=sample_id)
@@ -609,6 +620,61 @@ def forward_full(waveform, weights: ModelWeights, partition) -> VelocityMap:
         latents.add(encode(wave[:, :, a:b], weights.encoders[d], device_id=d))
     gl = fuse(latents, weights.fusion, cfg.n_heads)
     return decode(gl, latents, weights)
+
+
+# ---------------------------------------------------------------------------
+# declared cost model: multiply-adds (x2) of each layer of the forward pass
+
+
+def _layer_flops(inventory, name: str, positions: int) -> int:
+    """A weighted layer's cost: 2 x its weight tensor's size x the number
+    of positions it is applied at."""
+    return 2 * math.prod(inventory[name][0]) * positions
+
+
+def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> int:
+    """Projections of `queries` query and k key/value tokens, plus the
+    score and mixing products."""
+    return (
+        _layer_flops(inventory, f"{prefix}.query.weight", queries)
+        + _layer_flops(inventory, f"{prefix}.key.weight", k)
+        + _layer_flops(inventory, f"{prefix}.value.weight", k)
+        + _layer_flops(inventory, f"{prefix}.out.weight", queries)
+        + 2 * 2 * queries * k * d_k
+    )
+
+
+def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
+    """Cost of one encoder stack on an [C, n_t, width] slice, pooling
+    included; every device's stack has the same shapes."""
+    inventory = _weight_inventory(config)
+    h, w = n_t, width
+    total = 0
+    for b in range(config.n_encoder_blocks):
+        # a 3x3 kernel with padding 1 gives (n - 1) // stride + 1 outputs
+        h, w = (h - 1) // 2 + 1, (w - 1) // _receiver_stride(w) + 1
+        total += _layer_flops(inventory, f"encoder0.conv{b}.kernel", h * w)
+    return total + config.latent_dim * h * w  # pooling
+
+
+def plain_decoder_flops(config: ModelConfig) -> int:
+    """Cost of the attention-free decoder path (SLA central half)."""
+    inventory = _weight_inventory(config)
+    total = _layer_flops(inventory, "decoder.seed.weight", 1)
+    for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
+        total += _layer_flops(inventory, f"decoder.block{j}.conv.kernel", h * w)
+    return total + _layer_flops(inventory, "decoder.head.kernel", math.prod(config.output_dims))
+
+
+def decoder_flops(config: ModelConfig, k: int) -> int:
+    """Cost of fuse + decode over k present latents."""
+    if k < 1:
+        raise ConfigError(f"decoder cost needs k >= 1, got {k}")
+    inventory = _weight_inventory(config)
+    total = plain_decoder_flops(config) + _attention_flops(inventory, "fusion", k, k, config.d_k)
+    for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
+        total += _attention_flops(inventory, f"decoder.block{j}.attn", h * w, k, config.d_k)
+    return total
 
 
 # ---------------------------------------------------------------------------

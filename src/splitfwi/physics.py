@@ -39,12 +39,12 @@ import numpy as np
 from .errors import (
     DatasetError,
     InputValidationError,
-    PartitionError,
     ShapeError,
     SplitFwiError,
     StabilityError,
     ZeroEnergyError,
 )
+from .model import validate_partition
 from .numerics import as_f32
 from .tensorio import load_tensor, save_tensor
 
@@ -249,17 +249,10 @@ def energy_distribution(rec: WaveformRecord, groups) -> EnergyDistribution:
     """Sum squared amplitudes per receiver and fraction them over groups.
 
     ``groups`` is a sequence of (start, stop) receiver ranges that must
-    partition the receiver line.
+    partition the receiver line, as validate_partition checks.
     """
-    n_rcv = rec.data.shape[2]
-    ranges = tuple((int(a), int(b)) for a, b in groups)
-    cursor = 0
-    for i, (a, b) in enumerate(ranges):
-        if a != cursor or b <= a:
-            raise PartitionError(f"group {i} = [{a},{b}) breaks coverage at {cursor}")
-        cursor = b
-    if cursor != n_rcv:
-        raise PartitionError(f"groups cover [0,{cursor}) but there are {n_rcv} receivers")
+    groups = tuple(groups)
+    ranges = validate_partition(groups, rec.data.shape[2], len(groups))
     per_receiver = (rec.data.astype(np.float64) ** 2).sum(axis=(0, 1))
     total = per_receiver.sum()
     if total == 0.0:

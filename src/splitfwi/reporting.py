@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ReportError
 from .model import ModelConfig, init_weights
@@ -27,25 +28,28 @@ from .runtime import (
     run_baseline,
 )
 
-PER_SAMPLE_HEADER = [
-    "mode",
-    "n_devices",
-    "profile",
-    "sample_id",
-    "status",
-    "mask",
-    "l_edge_s",
-    "l_comm_s",
-    "l_central_s",
-    "l_total_s",
-    "energy_j",
-    "comm_bytes",
-    "comm_fraction_pct",
-    "deadline_fired",
-    "deadline_met",
-    "late_frames",
-    "ssim",
-]
+
+def _row_columns() -> dict[str, tuple[type, bool]]:
+    """A report row's columns -> (type, nullable): SampleResult's fields
+    in order, read off their type hints, and the derived
+    comm_fraction_pct after comm_bytes. float | None reads as
+    (float, True) and tuple[bool, ...] as (tuple, False)."""
+    hints = get_type_hints(SampleResult)
+    columns = {}
+    for f in fields(SampleResult):
+        hint = hints[f.name]
+        nullable = type(None) in get_args(hint)
+        if nullable:
+            (hint,) = [a for a in get_args(hint) if a is not type(None)]
+        columns[f.name] = (get_origin(hint) or hint, nullable)
+        if f.name == "comm_bytes":
+            columns["comm_fraction_pct"] = (float, False)
+    return columns
+
+
+_ROW_COLUMNS = _row_columns()
+
+PER_SAMPLE_HEADER = ["mode", "n_devices", "profile", *_ROW_COLUMNS]
 
 SUMMARY_HEADER = [
     "mode",
@@ -75,31 +79,18 @@ def _mask_str(mask) -> str:
     return "".join("1" if m else "0" for m in mask)
 
 
+# CSV cell of a column value by column type; None is an empty cell
+_CELL = {bool: lambda v: str(int(v)), int: str, str: str, tuple: _mask_str, float: _num}
+
+
+def _row_values(r: SampleResult) -> list[tuple[str, type, object]]:
+    return [(name, kind, getattr(r, name)) for name, (kind, _) in _ROW_COLUMNS.items()]
+
+
 def per_sample_rows(report: RunReport) -> list[list[str]]:
-    rows = []
-    for r in report.rows:
-        rows.append(
-            [
-                report.mode.value,
-                str(report.n_devices),
-                report.profile_label,
-                str(r.sample_id),
-                r.status,
-                _mask_str(r.mask),
-                _num(r.l_edge_s),
-                _num(r.l_comm_s),
-                _num(r.l_central_s),
-                _num(r.l_total_s),
-                _num(r.energy_j),
-                str(r.comm_bytes),
-                _num(r.comm_fraction_pct),
-                str(int(r.deadline_fired)),
-                str(int(r.deadline_met)),
-                str(r.late_frames),
-                _num(r.ssim),
-            ]
-        )
-    return rows
+    head = [report.mode.value, str(report.n_devices), report.profile_label]
+    return [head + ["" if v is None else _CELL[kind](v) for _, kind, v in _row_values(r)]
+            for r in report.rows]
 
 
 def summary_row(report: RunReport) -> list[str]:
@@ -154,49 +145,34 @@ def report_to_dict(report: RunReport) -> dict:
         "deadline_s": report.deadline_s,
         "decode_budget_s": report.decode_budget_s,
         "rows": [
-            {
-                "sample_id": r.sample_id,
-                "status": r.status,
-                "mask": _mask_str(r.mask),
-                "l_edge_s": r.l_edge_s,
-                "l_comm_s": r.l_comm_s,
-                "l_central_s": r.l_central_s,
-                "l_total_s": r.l_total_s,
-                "energy_j": r.energy_j,
-                "comm_bytes": r.comm_bytes,
-                "comm_fraction_pct": r.comm_fraction_pct,
-                "deadline_fired": r.deadline_fired,
-                "deadline_met": r.deadline_met,
-                "late_frames": r.late_frames,
-                "ssim": r.ssim,
-            }
+            {name: _mask_str(v) if kind is tuple else v for name, kind, v in _row_values(r)}
             for r in report.rows
         ],
     }
 
 
-# key of a stored report or row -> its JSON type; a float may be stored as an int
-_REPORT_KEYS = {"mode": str, "n_devices": int, "profile": str, "deadline_s": float,
-                "decode_budget_s": float, "rows": list}
-_ROW_KEYS = {"sample_id": int, "status": str, "mask": str, "l_edge_s": float,
-             "l_comm_s": float, "l_central_s": float, "l_total_s": float, "energy_j": float,
-             "comm_bytes": int, "deadline_fired": bool, "deadline_met": bool,
-             "late_frames": int, "ssim": float}
+# key of a stored report or row -> (type, nullable)
+_REPORT_KEYS = {key: (kind, False) for key, kind in (
+    ("mode", str), ("n_devices", int), ("profile", str), ("deadline_s", float),
+    ("decode_budget_s", float), ("rows", list))}
+_ROW_KEYS = {f.name: _ROW_COLUMNS[f.name] for f in fields(SampleResult)}
 
 
 def _stored(doc, pointer: str, kinds: dict) -> dict:
-    """The keys of kinds, read from the object doc at pointer; null is
-    allowed only for ssim."""
+    """The keys of kinds, read from the object doc at pointer. A float may
+    be stored as an int and a tuple of flags as a digit string; null is
+    allowed only for a nullable key."""
     if not isinstance(doc, dict):
         raise ReportError(f"{pointer or '/'}: expected an object, got {type(doc).__name__}")
     vals = {}
-    for key, kind in kinds.items():
+    for key, (kind, nullable) in kinds.items():
         if key not in doc:
             raise ReportError(f"{pointer}/{key}: missing")
         val = doc[key]
+        kind = str if kind is tuple else kind
         ok = isinstance(val, (int, float) if kind is float else kind) and (
             kind is bool or not isinstance(val, bool))
-        if not ok and not (key == "ssim" and val is None):
+        if not ok and not (nullable and val is None):
             raise ReportError(f"{pointer}/{key}: expected {kind.__name__}, got {type(val).__name__}")
         vals[key] = float(val) if kind is float and val is not None else val
     return vals

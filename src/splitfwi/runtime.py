@@ -39,7 +39,8 @@ that call owns, and it ends when the call returns.
 The loop runs on either of two clocks, through a link that brings the
 edge outputs to the central step. The virtual link derives every
 timestamp from the network emulator plus a declared parametric compute
-model (flop counts over configured device rates), which makes full runs
+model: the flop counts that model.py derives from each layer's weight
+shape, over configured device rates. That makes full runs
 bit-reproducible. The wall link (see transport.py) runs EPIC's edges as
 threads that send frames over TCP, on wall time. Validation, the central
 step, late-frame counting and the report rows are the same code for both.
@@ -63,14 +64,16 @@ from .metrics import ssim
 from .model import (
     LatentSet,
     LatentVector,
-    ModelConfig,
     ModelWeights,
     VelocityMap,
     decode,
     decode_without_attention,
+    decoder_flops,
     encode,
+    encoder_flops,
     forward_full,
     fuse,
+    plain_decoder_flops,
     validate_partition,
 )
 from .netem import EnergyModel, NetworkProfile, transmit_group
@@ -85,7 +88,7 @@ class PipelineMode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# compute model and cost estimators
+# compute model
 
 
 @dataclass(frozen=True)
@@ -99,70 +102,6 @@ class ComputeModel:
     def __post_init__(self):
         if self.edge_flops_per_s <= 0 or self.central_flops_per_s <= 0:
             raise ConfigError("compute rates must be positive")
-
-
-def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
-    """Multiply-add count (x2) of one encoder stack on an [C, n_t, width] slice."""
-    h, w = n_t, width
-    total = 0
-    ch = config.encoder_channels
-    for b in range(config.n_encoder_blocks):
-        sw = 2 if w > 4 else 1
-        ho = (h + 2 - 3) // 2 + 1
-        wo = (w + 2 - 3) // sw + 1
-        total += ho * wo * ch[b + 1] * ch[b] * 9 * 2
-        h, w = ho, wo
-    total += ch[-1] * h * w  # pooling
-    return total
-
-
-def fusion_flops(config: ModelConfig, k: int) -> int:
-    dim, dk = config.latent_dim, config.d_k
-    proj = 3 * k * dim * dk * 2
-    attend = 2 * k * k * dk * 2
-    out = k * dk * dim * 2
-    return proj + attend + out
-
-
-def _block_attention_flops(config: ModelConfig, c: int, h: int, w: int, k: int) -> int:
-    dim, dk, dp = config.latent_dim, config.d_k, config.d_pos
-    pixels = h * w
-    q = pixels * (c + dp) * dk * 2
-    kv = 2 * k * dim * dk * 2
-    attend = 2 * pixels * k * dk * 2
-    out = pixels * dk * c * 2
-    return q + kv + attend + out
-
-
-def decoder_flops(config: ModelConfig, k: int) -> int:
-    """Cost of fuse + decode over k present latents."""
-    if k < 1:
-        raise ConfigError(f"decoder cost needs k >= 1, got {k}")
-    attention = sum(
-        _block_attention_flops(config, c, h, w, k)
-        for c, (h, w) in zip(config.decoder_channels[1:], config.decoder_resolutions[1:])
-    )
-    return fusion_flops(config, k) + plain_decoder_flops(config) + attention
-
-
-def plain_decoder_flops(config: ModelConfig) -> int:
-    """Cost of the attention-free decoder path (SLA central half)."""
-    c0 = config.decoder_channels[0]
-    h0, w0 = config.decoder_resolutions[0]
-    total = config.latent_dim * c0 * h0 * w0 * 2
-    for j in range(config.n_decoder_blocks):
-        cin = config.decoder_channels[j]
-        cout = config.decoder_channels[j + 1]
-        h, w = config.decoder_resolutions[j + 1]
-        total += h * w * cout * cin * 9 * 2
-    ho, wo = config.output_dims
-    total += ho * wo * config.decoder_channels[-1] * 2
-    return total
-
-
-def full_model_flops(config: ModelConfig, n_t: int, widths) -> int:
-    total = sum(encoder_flops(config, n_t, w) for w in widths)
-    return total + decoder_flops(config, len(list(widths)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +360,6 @@ def _maybe_ssim(vmap: VelocityMap, truth, velocity_range) -> float | None:
     return ssim(vmap.values, as_f32(gt), dynamic_range=velocity_range[1] - velocity_range[0])
 
 
-def decode_time_budget(config: ModelConfig, compute: ComputeModel) -> float:
-    """Simulated T_d: modeled cost of a full-mask fuse+decode."""
-    return decoder_flops(config, config.n_devices) / compute.central_flops_per_s
-
-
 def profile_decoder(weights: ModelWeights, trials: int = 5, seed: int = 1234) -> float:
     """One-time wall-clock profiling of the central decoder.
 
@@ -673,8 +607,8 @@ def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, reuse: _EdgeOu
         vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
         return vmap, decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
 
-    return _Plan(_encode_step(weights, infra, delays, reuse), central,
-                 decode_time_budget(cfg, infra.compute), timeout=True)
+    t_d = decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
+    return _Plan(_encode_step(weights, infra, delays, reuse), central, t_d, timeout=True)
 
 
 def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) -> _Plan:
@@ -696,7 +630,11 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) ->
 
 def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
                       reuse: _EdgeOutputs) -> _Plan:
-    cfg, rate = weights.config, infra.compute.central_flops_per_s
+    cfg = weights.config
+
+    def model_s(n_t, slices):
+        flops = sum(encoder_flops(cfg, n_t, b - a) for a, b in slices)
+        return (flops + decoder_flops(cfg, len(slices))) / infra.compute.central_flops_per_s
 
     def edge(wave, idx, d, span):
         raw = wave[:, :, span[0] : span[1]]
@@ -710,13 +648,9 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
             lset.add(reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
                      else reuse.zero_latent(weights, d, (*wave.shape[:2], b - a)))
         vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
-        flops = full_model_flops(cfg, wave.shape[1], [b - a for a, b in slices])
-        return vmap, flops / rate
+        return vmap, model_s(wave.shape[1], slices)
 
-    t_d = 0.0
-    if len(samples):
-        n_t = _as_wave(samples[0]).shape[1]
-        t_d = full_model_flops(cfg, n_t, [b - a for a, b in infra.partition]) / rate
+    t_d = model_s(_as_wave(samples[0]).shape[1], infra.partition) if len(samples) else 0.0
     return _Plan(edge, central, t_d)
 
 
@@ -748,6 +682,13 @@ def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_devices(weights: ModelWeights, infra: InfraConfig) -> None:
+    if weights.config.n_devices != infra.n_devices:
+        raise ConfigError(
+            f"weights built for {weights.config.n_devices} devices, infra has {infra.n_devices}"
+        )
+
+
 def run_epic(
     samples,
     weights: ModelWeights,
@@ -763,11 +704,7 @@ def run_epic(
     samples or one set per sample. A sample with no latents by the
     deadline is marked failed and the run continues.
     """
-    cfg = weights.config
-    if cfg.n_devices != infra.n_devices:
-        raise ConfigError(
-            f"weights built for {cfg.n_devices} devices, infra has {infra.n_devices}"
-        )
+    _check_devices(weights, infra)
     if infra.transport == "socket":
         from .transport import run_epic_socket
 
@@ -799,14 +736,10 @@ def run_baseline(
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")
         plan = _fla_plan(weights, infra, reuse)
-    elif weights.config.n_devices != infra.n_devices:
-        raise ConfigError(
-            f"weights built for {weights.config.n_devices} devices, infra has {infra.n_devices}"
-        )
-    elif mode == PipelineMode.SLA:
-        plan = _sla_plan(weights, infra, reuse)
     else:
-        plan = _centralized_plan(weights, infra, samples, reuse)
+        _check_devices(weights, infra)
+        plan = (_sla_plan(weights, infra, reuse) if mode == PipelineMode.SLA
+                else _centralized_plan(weights, infra, samples, reuse))
     return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
 
 

@@ -34,6 +34,7 @@ from .runtime import (
     PipelineMode,
     RunReport,
     _as_wave,
+    _check_devices,
     _Collected,
     _Link,
     _per_sample_delays,
@@ -242,6 +243,7 @@ def run_epic_socket(
     re-raised after cleanup, a SplitFwiError as is and anything else as
     a WorkerError.
     """
+    _check_devices(weights, infra)
     cfg = weights.config
     t_d = _decode_budget(weights)
     drops = _per_sample_drops(drop_devices, len(samples))

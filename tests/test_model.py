@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_latents
 from splitfwi.errors import (
+    ConfigError,
     CorruptFileError,
     EmptySupportError,
     InputValidationError,
@@ -18,11 +19,14 @@ from splitfwi.model import (
     cross_attention,
     decode,
     decode_without_attention,
+    decoder_flops,
     encode,
+    encoder_flops,
     forward_full,
     fuse,
     init_weights,
     load_weights,
+    plain_decoder_flops,
     save_weights,
     weights_to_bytes,
 )
@@ -367,3 +371,24 @@ class TestConfigValidation:
         gl = fuse(lset, w.fusion, cfg.n_heads)
         vmap = decode(gl, lset, w)
         assert vmap.values.shape == (70, 70)
+
+
+class TestDeclaredCosts:
+    """Full-size flop counts; they set every simulated L_edge and L_central
+    of a default-config run, and the golden hashes cover TINY only."""
+
+    def test_encoder_flops(self):
+        got = {w: encoder_flops(ModelConfig(), 1000, w) for w in (7, 10, 14, 35, 70)}
+        assert got == {7: 567043072, 10: 428162304, 14: 571363072,
+                       35: 539042304, 70: 794512128}
+
+    def test_decoder_flops(self):
+        got = [decoder_flops(ModelConfig(), k) for k in range(1, 6)]
+        assert got == [378995712, 381454592, 383913984, 386373888, 388834304]
+
+    def test_plain_decoder_flops(self):
+        assert plain_decoder_flops(ModelConfig()) == 260550912
+
+    def test_decoder_cost_needs_a_latent(self):
+        with pytest.raises(ConfigError, match="k >= 1"):
+            decoder_flops(ModelConfig(), 0)

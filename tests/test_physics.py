@@ -186,6 +186,17 @@ class TestEnergyDistribution:
         with pytest.raises(PartitionError):
             energy_distribution(rec, [(0, 30), (40, 70)])
 
+    @pytest.mark.parametrize("groups", [[(0, 30), (30, 60)], [(0, 35), (35, 35), (35, 70)]])
+    def test_short_or_empty_group_rejected(self, groups):
+        rec = WaveformRecord(data=np.ones((1, 2, 70), np.float32))
+        with pytest.raises(PartitionError):
+            energy_distribution(rec, groups)
+
+    def test_groups_may_be_any_iterable(self):
+        rec = WaveformRecord(data=np.ones((1, 2, 70), np.float32))
+        ed = energy_distribution(rec, ((a, a + 35) for a in (0, 35)))
+        assert ed.group_fractions == (0.5, 0.5)
+
 
 class TestGenerateDataset:
     def test_deterministic(self):

@@ -25,10 +25,8 @@ from splitfwi.runtime import (
     InfraConfig,
     InsertOutcome,
     PipelineMode,
-    decode_time_budget,
     decoder_flops,
     encoder_flops,
-    full_model_flops,
     partition_receivers,
     profile_decoder,
     run_baseline,
@@ -394,7 +392,8 @@ class TestBaselines:
         infra = tiny_infra()
         _, report = run_baseline(PipelineMode.CENTRALIZED, tiny_waves(1, n_t=40), weights, infra)
         widths = [b - a for a, b in infra.partition]
-        want = full_model_flops(TINY, 40, widths) / infra.compute.central_flops_per_s
+        flops = sum(encoder_flops(TINY, 40, w) for w in widths) + decoder_flops(TINY, len(widths))
+        want = flops / infra.compute.central_flops_per_s
         assert report.decode_budget_s == want
         assert report.rows[0].l_central_s == want
 
@@ -501,7 +500,7 @@ class TestProfiling:
 
     def test_modeled_budget_used_downstream(self, weights):
         infra = tiny_infra(deadline_s=3.0)
-        t_d = decode_time_budget(TINY, infra.compute)
+        t_d = decoder_flops(TINY, TINY.n_devices) / infra.compute.central_flops_per_s
         _, report = run_epic(tiny_waves(1), weights, infra)
         assert report.decode_budget_s == t_d
         assert t_d < infra.deadline_s

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import TINY
 from splitfwi import runtime, transport
-from splitfwi.errors import PartitionError, ProtocolError, ShapeError, WorkerError
+from splitfwi.errors import ConfigError, PartitionError, ProtocolError, ShapeError, WorkerError
 from splitfwi.model import LatentVector, forward_full, init_weights
 from splitfwi.netem import HEADER, HEADER_SIZE, FrameKind, NetworkProfile, frame_encode
 from splitfwi.runtime import HashBuffer, InfraConfig, PipelineMode
@@ -157,6 +157,16 @@ class TestSocketPipeline:
         second = init_weights(TINY, seed=12)
         run_epic_socket(waves, second, infra)
         assert profiled == [id(first), id(second)]
+
+    @pytest.mark.parametrize("n_devices", [2, 4])
+    def test_device_count_mismatch_rejected_before_threads(self, weights, n_devices):
+        # 3-device weights: 2 devices would index past the partition, and 4
+        # would never read the wave's last slice yet report the sample ok
+        before = set(threading.enumerate())
+        infra = InfraConfig(n_devices=n_devices, transport="socket")
+        with pytest.raises(ConfigError, match=f"built for 3 devices, infra has {n_devices}"):
+            run_epic_socket([np.zeros((5, 40, 70), np.float32)], weights, infra)
+        assert not set(threading.enumerate()) - before
 
     def test_empty_input_gives_empty_report(self, weights):
         maps, report = run_epic_socket([], weights, self._infra())
