@@ -12,6 +12,13 @@ With two or more checkouts the runs of one (workload, seed) follow each
 other, in an order that alternates from seed to seed, so that drift in
 the machine's speed falls on every side; a summary of each later
 checkout against the first is printed, with the pairs it wins.
+
+The summary also gives the acceptance verdict for each workload and
+metric: whether the later checkout's median is within the metric's bound
+in BENCHMARK.json of the first one's, and whether it shows a gain, that
+is, wins at least nine pairs in ten and beats the first median by more
+than the first checkout's interquartile range. The share of failed units
+must not grow either.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep-sim", "stream-socket", "gen-physics")
 RUN_SECONDS = 20
 RUN_TIMEOUT_S = 900
+GAIN_WIN_SHARE = 0.9  # pairs a gain must win
 OUT = ROOT / "BENCH_e2e.json"
 
 
@@ -81,23 +89,64 @@ def _metric(results: list[dict], name: str) -> dict:
     return {"unit": results[0]["metrics"][name]["unit"], **_summary(values), "runs": values}
 
 
-def _better(tree: Path) -> dict[str, str]:
+def _end_to_end(tree: Path) -> dict[str, dict]:
+    """BENCHMARK.json's end-to-end metrics by name: better, bound, unit."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
-def _report(entries: list[dict], better: dict[str, str]) -> None:
+def verdict(ref: dict, new: dict, better: str, bound: float) -> dict:
+    """How one metric's runs compare with the reference's, pair by pair.
+
+    `worse` is the relative move of the median in the bad direction
+    (negative when it improved); `within` holds when it is at most
+    `bound`; `gain` when the new runs win at least GAIN_WIN_SHARE of the
+    pairs and the median improved by more than the reference's IQR.
+    """
+    sign = 1 if better == "higher" else -1
+    pairs = list(zip(new["runs"], ref["runs"]))
+    wins = sum(sign * (n - r) > 0 for n, r in pairs)
+    improved = sign * (new["median"] - ref["median"])
+    worse = -improved / abs(ref["median"]) if ref["median"] else 0.0
+    return {
+        "wins": wins,
+        "pairs": len(pairs),
+        "worse": worse,
+        "within": worse <= bound,
+        "gain": wins >= GAIN_WIN_SHARE * len(pairs) and improved > ref["q3"] - ref["q1"],
+    }
+
+
+def _report(entries: list[dict], metrics: dict[str, dict]) -> None:
     base = entries[0]
     for entry in entries[1:]:
         print(f"{entry['commit'][:12]} against {base['commit'][:12]}")
+        all_within = True
         for workload, side in entry["workloads"].items():
+            ref_side = base["workloads"][workload]
             for name, stats in side["metrics"].items():
-                ref = base["workloads"][workload]["metrics"][name]
-                sign = 1 if better.get(name) == "higher" else -1
-                wins = sum(sign * (new - old) > 0 for new, old in zip(stats["runs"], ref["runs"]))
-                print(f"  {workload:14s} {name:15s} {ref['median']:10.4g} "
-                      f"[{ref['q1']:.4g}-{ref['q3']:.4g}] -> {stats['median']:10.4g} "
-                      f"[{stats['q1']:.4g}-{stats['q3']:.4g}]  wins {wins}/{len(ref['runs'])}")
+                ref = ref_side["metrics"][name]
+                spec = metrics.get(name)
+                line = (f"  {workload:14s} {name:15s} {ref['median']:10.4g} "
+                        f"[{ref['q1']:.4g}-{ref['q3']:.4g}] -> {stats['median']:10.4g} "
+                        f"[{stats['q1']:.4g}-{stats['q3']:.4g}]")
+                if spec is None:
+                    print(line)
+                    continue
+                v = verdict(ref, stats, spec["better"], spec["bound"])
+                all_within &= v["within"]
+                print(f"{line}  wins {v['wins']}/{v['pairs']}  worse {100 * v['worse']:+.1f}% "
+                      f"(bound {100 * spec['bound']:.0f}%: "
+                      f"{'within' if v['within'] else 'OUT OF BOUND'})  "
+                      f"gain {'yes' if v['gain'] else 'no'}")
+            ref_share = ref_side["failed"] / max(ref_side["attempted"], 1)
+            share = side["failed"] / max(side["attempted"], 1)
+            all_within &= share <= ref_share
+            print(f"  {workload:14s} {'failed':15s} {ref_side['failed']}/{ref_side['attempted']}"
+                  f" -> {side['failed']}/{side['attempted']}"
+                  f"  ({'no more' if share <= ref_share else 'MORE'} than before)")
+        print(f"  every median within its bound and no more failures: "
+              f"{'yes' if all_within else 'NO'}")
 
 
 def main(argv=None) -> int:
@@ -135,7 +184,7 @@ def main(argv=None) -> int:
 
     existing = json.loads(OUT.read_text()) if OUT.exists() else []
     OUT.write_text(json.dumps(existing + entries, indent=1) + "\n")
-    _report(entries, _better(trees[0]))
+    _report(entries, _end_to_end(trees[0]))
     return 0
 
 

@@ -29,36 +29,88 @@ class SsimParams:
             raise ShapeError(f"dynamic_range must be positive, got {self.dynamic_range}")
 
 
-def ssim(a, b, params: SsimParams | None = None, dynamic_range: float | None = None) -> float:
-    """Mean local structural similarity over sliding windows.
+@dataclass(frozen=True, eq=False)
+class SsimReference:
+    """A map's per-window means and variances, the half of an SSIM score
+    that depends on the reference alone.
 
-    Symmetric in its arguments, 1.0 exactly for identical inputs, and
-    bounded by [-1, 1].
+    Scoring many maps against one ground truth computes these once; the
+    window deviations are recomputed per score, so only two small arrays
+    are kept beside the map.
     """
+
+    values: np.ndarray  # [H, W] float64
+    params: SsimParams
+    mean: np.ndarray  # [H - window + 1, W - window + 1] float64
+    var: np.ndarray  # same shape as mean
+
+
+def _resolve(params: SsimParams | None, dynamic_range: float | None) -> SsimParams:
     if params is None:
         params = SsimParams()
     if dynamic_range is not None:
         params = SsimParams(window=params.window, k1=params.k1, k2=params.k2,
                             dynamic_range=dynamic_range)
+    return params
+
+
+def _as_map(v, params: SsimParams) -> np.ndarray:
+    if v.ndim != 2:
+        raise ShapeError(f"ssim expects 2-D maps, got {v.shape}")
+    if params.window > min(v.shape):
+        raise ShapeError(f"window {params.window} larger than map {v.shape}")
+    return v
+
+
+def _window_stats(v: np.ndarray, win: int):
+    """Per-window mean, deviations from it and variance of a 2-D map."""
+    windows = np.lib.stride_tricks.sliding_window_view(v, (win, win))
+    mean = windows.mean(axis=(-2, -1))
+    dev = windows - mean[..., None, None]
+    return mean, dev, (dev * dev).mean(axis=(-2, -1))
+
+
+def ssim_reference(b, params: SsimParams | None = None,
+                   dynamic_range: float | None = None) -> SsimReference:
+    """Window statistics of b, for `ssim(a, reference)`."""
+    params = _resolve(params, dynamic_range)
+    y = _as_map(as_f32(b).astype(np.float64), params)
+    mean, _, var = _window_stats(y, params.window)
+    return SsimReference(values=y, params=params, mean=mean, var=var)
+
+
+def ssim(a, b, params: SsimParams | None = None, dynamic_range: float | None = None) -> float:
+    """Mean local structural similarity over sliding windows.
+
+    Symmetric in its arguments, 1.0 exactly for identical inputs, and
+    bounded by [-1, 1].
+
+    b may be an `SsimReference` built by `ssim_reference` instead of a
+    map. Its params then apply unless others are given, which must equal
+    them. The score is bit for bit the one of ssim(a, map, params): the
+    reference holds the same window means and variances, and only a's
+    statistics and the covariance are computed per call.
+    """
     x = as_f32(a).astype(np.float64)
-    y = as_f32(b).astype(np.float64)
+    if isinstance(b, SsimReference):
+        params = _resolve(b.params if params is None else params, dynamic_range)
+        if params != b.params:
+            raise ShapeError(f"ssim params {params} differ from the reference's {b.params}")
+        y = b.values
+    else:
+        params = _resolve(params, dynamic_range)
+        y = as_f32(b).astype(np.float64)
     if x.shape != y.shape:
         raise ShapeError(f"ssim inputs differ: {x.shape} vs {y.shape}")
-    if x.ndim != 2:
-        raise ShapeError(f"ssim expects 2-D maps, got {x.shape}")
     win = params.window
-    if win > min(x.shape):
-        raise ShapeError(f"window {win} larger than map {x.shape}")
+    mu_x, dx, var_x = _window_stats(_as_map(x, params), win)
+    if isinstance(b, SsimReference):
+        mu_y, var_y = b.mean, b.var
+        dy = np.lib.stride_tricks.sliding_window_view(y, (win, win)) - mu_y[..., None, None]
+    else:
+        mu_y, dy, var_y = _window_stats(y, win)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
-    wx = np.lib.stride_tricks.sliding_window_view(x, (win, win))
-    wy = np.lib.stride_tricks.sliding_window_view(y, (win, win))
-    mu_x = wx.mean(axis=(-2, -1))
-    mu_y = wy.mean(axis=(-2, -1))
-    dx = wx - mu_x[..., None, None]
-    dy = wy - mu_y[..., None, None]
-    var_x = (dx * dx).mean(axis=(-2, -1))
-    var_y = (dy * dy).mean(axis=(-2, -1))
     cov = (dx * dy).mean(axis=(-2, -1))
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)

@@ -30,6 +30,7 @@ weights.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -90,6 +91,13 @@ class ModelConfig:
     velocity_range: tuple[float, float] = (1500.0, 4500.0)
 
     def __post_init__(self):
+        # sequences given as lists are stored as tuples, so that the config
+        # is hashable (the cost functions cache on it) and equals the one
+        # given tuples
+        for name in ("encoder_channels", "decoder_channels", "output_dims", "velocity_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "decoder_resolutions",
+                           tuple(tuple(r) for r in self.decoder_resolutions))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -497,7 +505,8 @@ def cross_attention(
 ) -> np.ndarray:
     """Let every pixel query the present latents and add the result back.
 
-    Queries come from [features; resized position embeddings], keys and
+    Queries come from [features; position embeddings at the features'
+    resolution, resized unless they already have it], keys and
     values from the latents; attention weights are a joint softmax over
     the present keys, so they always form a distribution over whatever
     latents arrived. If ``attention_out`` is a list, the per-device weight
@@ -510,8 +519,13 @@ def cross_attention(
         raise InputValidationError("cross_attention features contain non-finite values")
     tokens = latents.stacked()  # [k, D]
     c, h, w = f.shape
-    ep = bilinear_resize(pos_embed, (h, w))
-    q_in = np.concatenate([f, ep], axis=0).reshape(c + ep.shape[0], h * w).T
+    grid = as_f32(pos_embed)
+    if grid.ndim != 3 or grid.shape[1:] != (h, w):
+        grid = bilinear_resize(grid, (h, w))
+    # one pixel per row, [features; position], written in place
+    q_in = np.empty((h * w, c + grid.shape[0]), dtype=np.float32)
+    q_in[:, :c] = f.reshape(c, h * w).T
+    q_in[:, c:] = grid.reshape(-1, h * w).T
     q = linear(q_in, attn.query.weight, attn.query.bias)  # [hw, d_k]
     keys = linear(tokens, attn.key.weight, attn.key.bias)  # [k, d_k]
     vals = linear(tokens, attn.value.weight, attn.value.bias)  # [k, d_k]
@@ -624,6 +638,9 @@ def forward_full(waveform, weights: ModelWeights, partition) -> VelocityMap:
 
 # ---------------------------------------------------------------------------
 # declared cost model: multiply-adds (x2) of each layer of the forward pass
+#
+# Each cost is a pure function of a frozen config and integers, cached per
+# argument tuple: the runtime asks for the same few costs on every row.
 
 
 def _layer_flops(inventory, name: str, positions: int) -> int:
@@ -644,6 +661,7 @@ def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> 
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     """Cost of one encoder stack on an [C, n_t, width] slice, pooling
     included; every device's stack has the same shapes."""
@@ -657,6 +675,7 @@ def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     return total + config.latent_dim * h * w  # pooling
 
 
+@functools.lru_cache(maxsize=1024)
 def plain_decoder_flops(config: ModelConfig) -> int:
     """Cost of the attention-free decoder path (SLA central half)."""
     inventory = _weight_inventory(config)
@@ -666,6 +685,7 @@ def plain_decoder_flops(config: ModelConfig) -> int:
     return total + _layer_flops(inventory, "decoder.head.kernel", math.prod(config.output_dims))
 
 
+@functools.lru_cache(maxsize=1024)
 def decoder_flops(config: ModelConfig, k: int) -> int:
     """Cost of fuse + decode over k present latents."""
     if k < 1:

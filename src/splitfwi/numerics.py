@@ -98,7 +98,8 @@ def linear(x, weight, bias) -> np.ndarray:
         raise ShapeError(f"linear input {x.shape} does not match weight {weight.shape}")
     if bias.shape != (d_out,):
         raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
-    y = x.astype(np.float64) @ weight.astype(np.float64).T + bias.astype(np.float64)
+    y = x.astype(np.float64) @ weight.astype(np.float64).T
+    y += bias.astype(np.float64)
     return y.astype(np.float32)
 
 

@@ -34,7 +34,16 @@ for an offline device, which equals `forward_full` on the zero-filled
 wave), and an FLA map span serves every drop set. Within one
 `run_robustness_sweep` or `reporting.run_benchmark` call the reuse spans
 every drop count and mode; it is keyed by sample index and by the weights
-that call owns, and it ends when the call returns.
+that call owns, and it ends when the call returns. Inside such a call the
+central step's results are reused too, keyed by (kind, weights, sample,
+present latents): EPIC's and CENTRALIZED's fuse + decode and SLA's plain
+decode. A full-mask EPIC sample and its CENTRALIZED k = 0 twin fuse the
+same latents, so they decode once, as do the rows of every profile in a
+bench (`splitfwi bench`'s default EPIC + CENTRALIZED spec decodes each
+full-mask latent set once); each row gets its own copy of the map. So is
+each ground truth's SSIM reference, its window means and variances,
+computed once per sample. A single run outside such a call repeats no
+central work, so it keeps neither.
 
 The loop runs on either of two clocks, through a link that brings the
 edge outputs to the central step. The virtual link derives every
@@ -60,7 +69,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, PartitionError
-from .metrics import ssim
+from .metrics import SsimReference, ssim, ssim_reference
 from .model import (
     LatentSet,
     LatentVector,
@@ -351,15 +360,6 @@ def _per_sample_delays(extra_delay_s) -> dict[int, float]:
     return {int(d): float(v) for d, v in dict(extra_delay_s).items()}
 
 
-def _maybe_ssim(vmap: VelocityMap, truth, velocity_range) -> float | None:
-    if truth is None:
-        return None
-    gt = getattr(truth, "grid", None)
-    if gt is None:
-        gt = getattr(truth, "values", truth)
-    return ssim(vmap.values, as_f32(gt), dynamic_range=velocity_range[1] - velocity_range[0])
-
-
 def profile_decoder(weights: ModelWeights, trials: int = 5, seed: int = 1234) -> float:
     """One-time wall-clock profiling of the central decoder.
 
@@ -384,11 +384,12 @@ def profile_decoder(weights: ModelWeights, trials: int = 5, seed: int = 1234) ->
 
 
 def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late: int,
-                ground_truth, velocity_range) -> SampleResult:
+                score: float | None) -> SampleResult:
     """One report row, in either clock domain.
 
     result is (map, central seconds), or None when nothing could be
-    decoded, which makes the row failed.
+    decoded, which makes the row failed; score is the map's SSIM against
+    the ground truth, if there is one.
     """
     vmap, central_s = (None, 0.0) if result is None else result
     l_edge = max(got.edge_s.values(), default=0.0)
@@ -406,27 +407,31 @@ def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late
         deadline_fired=got.released or vmap is None,
         deadline_met=vmap is None or l_total <= report.deadline_s,
         late_frames=late,
-        ssim=None if vmap is None or ground_truth is None
-        else _maybe_ssim(vmap, ground_truth[sample_id], velocity_range),
+        ssim=score,
     )
 
 
 # ---------------------------------------------------------------------------
-# edge outputs, computed once per call
+# results computed once per call, or once per sweep or bench
 
 
-class _EdgeOutputs:
-    """The edge outputs of one call that owns `samples`, each computed once.
+class _Reused:
+    """The edge outputs of one call that owns `samples`, each computed once,
+    and, inside a `_reuse_edge_outputs` block, its central results and
+    SSIM references too.
 
     A key holds the sample index, the slice and the id() of a weights
     object in `weights`, which keeps it alive so that its id cannot be
     reused; never the id() of an input array, which as_f32 may just have
-    allocated.
+    allocated. A central result is keyed by the id() of its latents, and
+    its entry holds them, for the same reason. Outside a block nothing
+    but the edge outputs repeats, so nothing else is kept.
     """
 
-    def __init__(self, samples, weights):
+    def __init__(self, samples, weights, block: bool = False):
         self.samples = samples
         self.weights = tuple(weights)
+        self.block = block
         self._done: dict[tuple, object] = {}
 
     def serves(self, samples, weights: ModelWeights) -> bool:
@@ -454,29 +459,54 @@ class _EdgeOutputs:
         return self._once(("map", id(weights), idx, span), lambda: forward_full(
             wave_slice, weights, ((0, span[1] - span[0]),)).values[:, lo:hi].copy())
 
+    def central(self, kind: str, weights: ModelWeights, idx: int, latents: dict,
+                compute: Callable[[], VelocityMap]) -> VelocityMap:
+        """compute(), the `kind` of central work on sample idx's latents
+        by device; in a block, once per (kind, weights, sample, latents),
+        and each call gets its own copy of the map."""
+        if not self.block:
+            return compute()
+        key = (kind, id(weights), idx, tuple((d, id(latents[d])) for d in sorted(latents)))
+        _, values = self._once(key, lambda: (tuple(latents.values()), compute().values))
+        return VelocityMap(values=values.copy())
 
-_REUSED: contextvars.ContextVar[_EdgeOutputs | None] = contextvars.ContextVar(
+    def truth(self, truth, dynamic_range: float) -> SsimReference:
+        """The SSIM reference of a ground-truth map (or of its `grid` or
+        `values`); in a block, once per truth object."""
+        def compute():
+            gt = getattr(truth, "grid", None)
+            if gt is None:
+                gt = getattr(truth, "values", truth)
+            return truth, ssim_reference(gt, dynamic_range=dynamic_range)
+
+        if not self.block:
+            return compute()[1]
+        return self._once(("truth", id(truth), dynamic_range), compute)[1]
+
+
+_REUSED: contextvars.ContextVar[_Reused | None] = contextvars.ContextVar(
     "splitfwi_reused_edge_outputs", default=None)
 
 
 @contextmanager
 def _reuse_edge_outputs(samples, *weights):
     """Runs over `samples` with any of `weights` inside the block share
-    their edge outputs; the outputs are dropped when the block exits."""
-    token = _REUSED.set(_EdgeOutputs(samples, [w for w in weights if w is not None]))
+    their edge outputs, central results and SSIM references; all are
+    dropped when the block exits."""
+    token = _REUSED.set(_Reused(samples, [w for w in weights if w is not None], block=True))
     try:
         yield
     finally:
         _REUSED.reset(token)
 
 
-def _edge_outputs(samples, weights: ModelWeights) -> _EdgeOutputs:
-    """The enclosing block's outputs if it owns samples and weights, else
-    outputs for this call alone."""
+def _reused(samples, weights: ModelWeights) -> _Reused:
+    """The enclosing block's store if it owns samples and weights, else
+    one for this call alone."""
     reused = _REUSED.get()
     if reused is not None and reused.serves(samples, weights):
         return reused
-    return _EdgeOutputs(samples, (weights,))
+    return _Reused(samples, (weights,))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +596,8 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
                           f"T={infra.deadline_s:.6g}s")
     link = link or _virtual_link(plan, infra)
+    reuse = _reused(samples, weights)
+    v_min, v_max = weights.config.velocity_range
     drops = _per_sample_drops(drop_devices, len(samples))
     maps: list[VelocityMap | None] = []
     report = RunReport(mode=mode, n_devices=n, profile_label=link.label,
@@ -578,14 +610,16 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         result = plan.central(got.outputs, wave, idx, slices)
         late = link.buffer.late_frames(idx)
         link.buffer.complete(idx)
+        score = None
+        if result is not None and ground_truth is not None:
+            score = ssim(result[0].values, reuse.truth(ground_truth[idx], v_max - v_min))
         maps.append(None if result is None else result[0])
-        report.rows.append(_sample_row(report, idx, result, got, late, ground_truth,
-                                       weights.config.velocity_range))
+        report.rows.append(_sample_row(report, idx, result, got, late, score))
     return maps, report
 
 
 def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float],
-                 reuse: _EdgeOutputs):
+                 reuse: _Reused):
     cfg = weights.config
 
     def edge(wave, idx, d, span):
@@ -597,39 +631,49 @@ def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, fl
     return edge
 
 
-def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, reuse: _EdgeOutputs) -> _Plan:
+def _fuse_decode(weights: ModelWeights, latents: dict) -> VelocityMap:
+    """Fuse and decode the latents by device, as forward_full does."""
+    cfg = weights.config
+    lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
+    return decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
+
+
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, reuse: _Reused) -> _Plan:
     cfg = weights.config
 
     def central(latents, wave, idx, slices):
         if not latents:
             return None
-        lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
-        vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
-        return vmap, decoder_flops(cfg, len(lset)) / infra.compute.central_flops_per_s
+        vmap = reuse.central("fuse+decode", weights, idx, latents,
+                             lambda: _fuse_decode(weights, latents))
+        return vmap, decoder_flops(cfg, len(latents)) / infra.compute.central_flops_per_s
 
     t_d = decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
     return _Plan(_encode_step(weights, infra, delays, reuse), central, t_d, timeout=True)
 
 
-def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) -> _Plan:
+def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _Reused) -> _Plan:
     t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
 
-    def central(latents, wave, idx, slices):
-        if not latents:
-            return None
+    def plain_decode(latents):
         merged = (
             np.stack([lat.values for lat in latents.values()])
             .astype(np.float64)
             .mean(axis=0)
             .astype(np.float32)
         )
-        return decode_without_attention(merged, weights), t_d
+        return decode_without_attention(merged, weights)
+
+    def central(latents, wave, idx, slices):
+        if not latents:
+            return None
+        return reuse.central("plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
 
     return _Plan(_encode_step(weights, infra, {}, reuse), central, t_d)
 
 
 def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
-                      reuse: _EdgeOutputs) -> _Plan:
+                      reuse: _Reused) -> _Plan:
     cfg = weights.config
 
     def model_s(n_t, slices):
@@ -643,18 +687,20 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
     def central(raws, wave, idx, slices):
         # the whole model on the wave with offline slices zero-filled, as
         # forward_full computes it: one latent per slice, fused and decoded
-        lset = LatentSet(cfg.n_devices)
-        for d, (a, b) in enumerate(slices):
-            lset.add(reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
-                     else reuse.zero_latent(weights, d, (*wave.shape[:2], b - a)))
-        vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
+        latents = {
+            d: reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
+            else reuse.zero_latent(weights, d, (*wave.shape[:2], b - a))
+            for d, (a, b) in enumerate(slices)
+        }
+        vmap = reuse.central("fuse+decode", weights, idx, latents,
+                             lambda: _fuse_decode(weights, latents))
         return vmap, model_s(wave.shape[1], slices)
 
     t_d = model_s(_as_wave(samples[0]).shape[1], infra.partition) if len(samples) else 0.0
     return _Plan(edge, central, t_d)
 
 
-def _fla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _EdgeOutputs) -> _Plan:
+def _fla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _Reused) -> _Plan:
     cfg = weights.config
     ho, wo = cfg.output_dims
 
@@ -710,7 +756,7 @@ def run_epic(
 
         return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
     plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s),
-                      _edge_outputs(samples, weights))
+                      _reused(samples, weights))
     return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
@@ -731,7 +777,7 @@ def run_baseline(
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
-    reuse = _edge_outputs(samples, weights)
+    reuse = _reused(samples, weights)
     if mode == PipelineMode.FLA:
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")

@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitfwi.model as model_module
 from conftest import make_latents
 from splitfwi.model import (
     LEAKY_SLOPE,
@@ -26,6 +27,7 @@ from splitfwi.model import (
     LatentVector,
     ModelConfig,
     VelocityMap,
+    _attend,
     cross_attention,
     decode,
     forward_full,
@@ -210,3 +212,63 @@ class TestPositionGrids:
                            decode_rows(gl, lset, tiny_weights, ref_alpha).values)
         for got, want in zip(alpha, ref_alpha):
             _assert_same_bytes(got, want)
+
+
+def linear_out_of_place(x, weight, bias):
+    """linear as it was: the bias added into a new array."""
+    x, weight, bias = as_f32(x), as_f32(weight), as_f32(bias)
+    y = x.astype(np.float64) @ weight.astype(np.float64).T + bias.astype(np.float64)
+    return y.astype(np.float32)
+
+
+def cross_attention_concat(features, pos_embed, latents, attn, n_heads=1):
+    """cross_attention as it was: the position grid resized (a copy at the
+    same size), concatenated below the features and transposed, with the
+    transposed view made contiguous inside linear."""
+    f = as_f32(features)
+    tokens = latents.stacked()
+    c, h, w = f.shape
+    ep = bilinear_resize(pos_embed, (h, w))
+    q_in = np.concatenate([f, ep], axis=0).reshape(c + ep.shape[0], h * w).T
+    q = linear_out_of_place(q_in, attn.query.weight, attn.query.bias)
+    keys = linear_out_of_place(tokens, attn.key.weight, attn.key.bias)
+    vals = linear_out_of_place(tokens, attn.value.weight, attn.value.bias)
+    merged, _ = _attend(q, keys, vals, n_heads)
+    proj = linear_out_of_place(merged, attn.out.weight, attn.out.bias)
+    return f + proj.T.reshape(c, h, w)
+
+
+class TestQueryInput:
+    """The decoder's queries are written in place; every value matches
+    the concatenated form."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_concatenated_form(self, tiny_weights, seed, present, block):
+        cfg = tiny_weights.config
+        rng = np.random.default_rng(seed)
+        j = block % cfg.n_decoder_blocks
+        h, w = cfg.decoder_resolutions[j + 1]
+        feats = rng.normal(size=(cfg.decoder_channels[j + 1], h, w)).astype(np.float32)
+        lset = make_latents(cfg, device_ids=list(range(present)), seed=seed % 1000)
+        attn = tiny_weights.blocks[j].attention
+        want = cross_attention_concat(feats, tiny_weights.position_embeddings, lset, attn)
+        for grid in (tiny_weights.position_grids[j], tiny_weights.position_embeddings):
+            _assert_same_bytes(cross_attention(feats, grid, lset, attn), want)
+
+    def test_linear_bias_in_place(self):
+        rng = np.random.default_rng(12)
+        for shape in ((70 * 70, 38), (512,), (3, 16)):
+            x = rng.normal(size=shape).astype(np.float32)
+            weight = rng.normal(size=(24, shape[-1])).astype(np.float32)
+            bias = rng.normal(size=24).astype(np.float32)
+            _assert_same_bytes(linear(x, weight, bias), linear_out_of_place(x, weight, bias))
+
+    def test_decode_resizes_no_grid(self, monkeypatch, tiny_weights, tiny_latents):
+        resized = []
+        original = model_module.bilinear_resize
+        monkeypatch.setattr(model_module, "bilinear_resize",
+                            lambda *args: resized.append(args) or original(*args))
+        gl = fuse(tiny_latents, tiny_weights.fusion)
+        decode(gl, tiny_latents, tiny_weights)
+        assert resized == []

@@ -224,3 +224,130 @@ def test_bench_report_unchanged_by_reuse(monkeypatch, tmp_path):
     run_benchmark(spec, tmp_path / "fresh")
     for name in ("bench_samples.csv", "bench_summary.csv", "bench_report.json"):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# central results and SSIM references
+
+
+CLEAN = NetworkProfile(bandwidth_bps=1e9, base_latency_s=0.001)
+
+
+def _clean_infra():
+    # fast and lossless: no EPIC sample times out, so k = 0 masks are full
+    return InfraConfig(n_devices=TINY.n_devices, network=CLEAN, deadline_s=0.5, seed=5)
+
+
+def _distinct_decodes(drop_counts, n_samples, n_devices, seed):
+    """(sample, what the fused latents are) of every EPIC and CENTRALIZED
+    row with something to decode: EPIC's present latents, CENTRALIZED's
+    latents with the dropped slices zero-filled. With no drop, both are
+    the same latents of the same slices."""
+    keys = set()
+    for k in drop_counts:
+        for idx, drops in enumerate(random_drop_sets(seed, n_devices, k, n_samples)):
+            if len(drops) < n_devices:
+                keys.add((idx, "encoded", frozenset(range(n_devices)) - drops))
+            keys.add((idx, "encoded", frozenset(range(n_devices))) if not drops
+                     else (idx, "zero-filled", drops))
+    return keys
+
+
+def test_sweep_fuses_and_decodes_each_latent_set_once(monkeypatch, weights):
+    waves = _waves()
+    infra = _clean_infra()
+    decodes = _Calls(monkeypatch, "decode")
+    fuses = _Calls(monkeypatch, "fuse")
+    runs = _capture_runs(monkeypatch)
+    run_robustness_sweep(waves, weights, infra, drop_counts=ALL_K,
+                         modes=(PipelineMode.EPIC, PipelineMode.CENTRALIZED))
+    assert all(all(r.mask) for mode, drops, _, rep in runs if mode == PipelineMode.EPIC
+               and not any(drops) for r in rep.rows)
+    expected = _distinct_decodes(ALL_K, len(waves), infra.n_devices, infra.seed)
+    assert len(decodes.args) == len(fuses.args) == len(expected)
+    # the k = 0 rows of both modes decoded once between them
+    rows = sum(len(rep.rows) for _, _, _, rep in runs)
+    failed = sum(r.status == "failed" for _, _, _, rep in runs for r in rep.rows)
+    assert len(decodes.args) == rows - failed - len(waves)
+    assert all(w is weights for _, _, w in decodes.args)
+
+
+@pytest.mark.parametrize("modes", [BenchmarkSpec().modes, (PipelineMode.SLA,)],
+                         ids=["default", "sla"])
+def test_bench_decodes_each_latent_set_once(monkeypatch, modes):
+    spec = BenchmarkSpec(modes=modes, device_counts=(2, 3),
+                         profiles=(CLEAN, dataclasses.replace(CLEAN, bandwidth_bps=1e8)),
+                         n_samples=2, model=TINY)
+    decodes = _Calls(monkeypatch, "decode")
+    plain = _Calls(monkeypatch, "decode_without_attention")
+    reports = run_benchmark(spec)
+    assert all(all(r.mask) and r.status == "ok" for rep in reports for r in rep.rows)
+    # no drops: one latent set per (device count, sample), whatever the
+    # profile or mode
+    once = spec.n_samples * len(spec.device_counts)
+    attended = PipelineMode.EPIC in modes or PipelineMode.CENTRALIZED in modes
+    assert len(decodes.args) == (once if attended else 0)
+    assert len(plain.args) == (once if PipelineMode.SLA in modes else 0)
+
+
+def test_reused_maps_are_distinct_arrays(monkeypatch, weights):
+    waves = _waves()
+    infra = _clean_infra()
+    runs = _capture_runs(monkeypatch)
+    run_robustness_sweep(waves, weights, infra, drop_counts=(0,),
+                         modes=(PipelineMode.EPIC, PipelineMode.CENTRALIZED))
+    (_, _, epic, _), (_, _, central, _) = runs
+    for wave, a, b in zip(waves, epic, central):
+        full = forward_full(wave, weights, infra.partition).values
+        np.testing.assert_array_equal(a.values, full)
+        np.testing.assert_array_equal(b.values, full)
+        assert not np.shares_memory(a.values, b.values)
+        a.values[:] = 0.0
+        np.testing.assert_array_equal(b.values, full)
+
+
+def test_written_map_leaves_later_hits_unchanged(weights):
+    waves = _waves()
+    infra = _clean_infra()
+    with runtime._reuse_edge_outputs(waves, weights):
+        first, _ = runtime.run_baseline(PipelineMode.EPIC, waves, weights, infra)
+        for vmap in first:
+            vmap.values[:] = 0.0
+        again, _ = runtime.run_baseline(PipelineMode.CENTRALIZED, waves, weights, infra)
+    for wave, vmap in zip(waves, again):
+        np.testing.assert_array_equal(vmap.values,
+                                      forward_full(wave, weights, infra.partition).values)
+
+
+def test_ssim_reference_once_per_sample(monkeypatch, weights, fla_weights):
+    waves = _waves()
+    truths = [np.random.default_rng(i).uniform(1500, 4500, (70, 70)).astype(np.float32)
+              for i in range(len(waves))]
+    refs = _Calls(monkeypatch, "ssim_reference")
+    scores = _Calls(monkeypatch, "ssim")
+    sweep = run_robustness_sweep(waves, weights, _infra(), drop_counts=ALL_K,
+                                 modes=tuple(PipelineMode), ground_truth=truths,
+                                 fla_weights=fla_weights)
+    ok = [r for rep in sweep.values() for r in rep.rows if r.status == "ok"]
+    assert len(scores.args) == len(ok)
+    assert [id(t) for t, in refs.args] == [id(t) for t in truths]
+
+
+def test_no_central_state_outside_a_block(monkeypatch, weights):
+    """A single run repeats nothing, so it keeps only its edge outputs."""
+    waves = _waves()
+    truths = [np.full((70, 70), 3000.0, np.float32)] * len(waves)
+    kinds = []
+    original = runtime._Reused._once
+
+    def once(self, key, compute):
+        kinds.append(key[0])
+        return original(self, key, compute)
+
+    monkeypatch.setattr(runtime._Reused, "_once", once)
+    refs = _Calls(monkeypatch, "ssim_reference")
+    for mode in (PipelineMode.EPIC, PipelineMode.SLA, PipelineMode.CENTRALIZED):
+        runtime.run_baseline(mode, waves, weights, _clean_infra(), drop_devices={1},
+                             ground_truth=truths)
+    assert kinds and set(kinds) <= {"latent", "zero"}
+    assert len(refs.args) == 3 * len(waves)
