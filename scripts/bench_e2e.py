@@ -126,16 +126,13 @@ def _report(entries: list[dict], metrics: dict[str, dict]) -> None:
             ref_side = base["workloads"][workload]
             for name, stats in side["metrics"].items():
                 ref = ref_side["metrics"][name]
-                spec = metrics.get(name)
-                line = (f"  {workload:14s} {name:15s} {ref['median']:10.4g} "
-                        f"[{ref['q1']:.4g}-{ref['q3']:.4g}] -> {stats['median']:10.4g} "
-                        f"[{stats['q1']:.4g}-{stats['q3']:.4g}]")
-                if spec is None:
-                    print(line)
-                    continue
+                spec = metrics[name]
                 v = verdict(ref, stats, spec["better"], spec["bound"])
                 all_within &= v["within"]
-                print(f"{line}  wins {v['wins']}/{v['pairs']}  worse {100 * v['worse']:+.1f}% "
+                print(f"  {workload:14s} {name:15s} {ref['median']:10.4g} "
+                      f"[{ref['q1']:.4g}-{ref['q3']:.4g}] -> {stats['median']:10.4g} "
+                      f"[{stats['q1']:.4g}-{stats['q3']:.4g}]  "
+                      f"wins {v['wins']}/{v['pairs']}  worse {100 * v['worse']:+.1f}% "
                       f"(bound {100 * spec['bound']:.0f}%: "
                       f"{'within' if v['within'] else 'OUT OF BOUND'})  "
                       f"gain {'yes' if v['gain'] else 'no'}")
