@@ -15,7 +15,7 @@ from .errors import (
     WorkerError,
     ZeroEnergyError,
 )
-from .metrics import SsimParams, SsimReference, loss_mae_mse, ssim, ssim_reference
+from .metrics import SsimParams, loss_mae_mse, ssim
 from .model import (
     LatentSet,
     LatentVector,

@@ -54,19 +54,15 @@ def _resolve(params: SsimParams | None, dynamic_range: float | None) -> SsimPara
     return params
 
 
-def _as_map(v, params: SsimParams) -> np.ndarray:
-    if v.ndim != 2:
-        raise ShapeError(f"ssim expects 2-D maps, got {v.shape}")
-    if params.window > min(v.shape):
-        raise ShapeError(f"window {params.window} larger than map {v.shape}")
-    return v
+def _deviations(v: np.ndarray, mean: np.ndarray, win: int) -> np.ndarray:
+    """Each window of a 2-D map minus that window's mean."""
+    return np.lib.stride_tricks.sliding_window_view(v, (win, win)) - mean[..., None, None]
 
 
 def _window_stats(v: np.ndarray, win: int):
     """Per-window mean, deviations from it and variance of a 2-D map."""
-    windows = np.lib.stride_tricks.sliding_window_view(v, (win, win))
-    mean = windows.mean(axis=(-2, -1))
-    dev = windows - mean[..., None, None]
+    mean = np.lib.stride_tricks.sliding_window_view(v, (win, win)).mean(axis=(-2, -1))
+    dev = _deviations(v, mean, win)
     return mean, dev, (dev * dev).mean(axis=(-2, -1))
 
 
@@ -74,7 +70,11 @@ def ssim_reference(b, params: SsimParams | None = None,
                    dynamic_range: float | None = None) -> SsimReference:
     """Window statistics of b, for `ssim(a, reference)`."""
     params = _resolve(params, dynamic_range)
-    y = _as_map(as_f32(b).astype(np.float64), params)
+    y = as_f32(b).astype(np.float64)
+    if y.ndim != 2:
+        raise ShapeError(f"ssim expects 2-D maps, got {y.shape}")
+    if params.window > min(y.shape):
+        raise ShapeError(f"window {params.window} larger than map {y.shape}")
     mean, _, var = _window_stats(y, params.window)
     return SsimReference(values=y, params=params, mean=mean, var=var)
 
@@ -85,30 +85,26 @@ def ssim(a, b, params: SsimParams | None = None, dynamic_range: float | None = N
     Symmetric in its arguments, 1.0 exactly for identical inputs, and
     bounded by [-1, 1].
 
-    b may be an `SsimReference` built by `ssim_reference` instead of a
-    map. Its params then apply unless others are given, which must equal
-    them. The score is bit for bit the one of ssim(a, map, params): the
-    reference holds the same window means and variances, and only a's
-    statistics and the covariance are computed per call.
+    b is a map, or an `SsimReference` that `ssim_reference` built from
+    one; a map is turned into its reference first. A reference's params
+    apply unless others are given, which must equal them. Scoring many
+    maps against one reference computes its window means and variances
+    once; only a's statistics and the covariance are computed per call.
     """
     x = as_f32(a).astype(np.float64)
-    if isinstance(b, SsimReference):
+    if not isinstance(b, SsimReference):
+        b = ssim_reference(b, params, dynamic_range)
+    elif params is not None or dynamic_range is not None:
         params = _resolve(b.params if params is None else params, dynamic_range)
         if params != b.params:
             raise ShapeError(f"ssim params {params} differ from the reference's {b.params}")
-        y = b.values
-    else:
-        params = _resolve(params, dynamic_range)
-        y = as_f32(b).astype(np.float64)
-    if x.shape != y.shape:
-        raise ShapeError(f"ssim inputs differ: {x.shape} vs {y.shape}")
+    params = b.params
+    if x.shape != b.values.shape:
+        raise ShapeError(f"ssim inputs differ: {x.shape} vs {b.values.shape}")
     win = params.window
-    mu_x, dx, var_x = _window_stats(_as_map(x, params), win)
-    if isinstance(b, SsimReference):
-        mu_y, var_y = b.mean, b.var
-        dy = np.lib.stride_tricks.sliding_window_view(y, (win, win)) - mu_y[..., None, None]
-    else:
-        mu_y, dy, var_y = _window_stats(y, win)
+    mu_x, dx, var_x = _window_stats(x, win)
+    mu_y, var_y = b.mean, b.var
+    dy = _deviations(b.values, mu_y, win)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     cov = (dx * dy).mean(axis=(-2, -1))

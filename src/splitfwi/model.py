@@ -30,7 +30,6 @@ weights.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import struct
@@ -91,13 +90,6 @@ class ModelConfig:
     velocity_range: tuple[float, float] = (1500.0, 4500.0)
 
     def __post_init__(self):
-        # sequences given as lists are stored as tuples, so that the config
-        # is hashable (the cost functions cache on it) and equals the one
-        # given tuples
-        for name in ("encoder_channels", "decoder_channels", "output_dims", "velocity_range"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "decoder_resolutions",
-                           tuple(tuple(r) for r in self.decoder_resolutions))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -638,9 +630,6 @@ def forward_full(waveform, weights: ModelWeights, partition) -> VelocityMap:
 
 # ---------------------------------------------------------------------------
 # declared cost model: multiply-adds (x2) of each layer of the forward pass
-#
-# Each cost is a pure function of a frozen config and integers, cached per
-# argument tuple: the runtime asks for the same few costs on every row.
 
 
 def _layer_flops(inventory, name: str, positions: int) -> int:
@@ -661,7 +650,6 @@ def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> 
     )
 
 
-@functools.lru_cache(maxsize=1024)
 def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     """Cost of one encoder stack on an [C, n_t, width] slice, pooling
     included; every device's stack has the same shapes."""
@@ -675,7 +663,6 @@ def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     return total + config.latent_dim * h * w  # pooling
 
 
-@functools.lru_cache(maxsize=1024)
 def plain_decoder_flops(config: ModelConfig) -> int:
     """Cost of the attention-free decoder path (SLA central half)."""
     inventory = _weight_inventory(config)
@@ -685,7 +672,6 @@ def plain_decoder_flops(config: ModelConfig) -> int:
     return total + _layer_flops(inventory, "decoder.head.kernel", math.prod(config.output_dims))
 
 
-@functools.lru_cache(maxsize=1024)
 def decoder_flops(config: ModelConfig, k: int) -> int:
     """Cost of fuse + decode over k present latents."""
     if k < 1:

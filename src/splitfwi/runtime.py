@@ -470,18 +470,20 @@ class _Reused:
         _, values = self._once(key, lambda: (tuple(latents.values()), compute().values))
         return VelocityMap(values=values.copy())
 
-    def truth(self, truth, dynamic_range: float) -> SsimReference:
-        """The SSIM reference of a ground-truth map (or of its `grid` or
-        `values`); in a block, once per truth object."""
+    def truth(self, ground_truth, idx: int, dynamic_range: float) -> SsimReference:
+        """The SSIM reference of sample idx's ground-truth map (or of its
+        `grid` or `values`); in a block, once per (ground truth, sample),
+        and the entry holds the ground truth so that its id stays valid."""
         def compute():
+            truth = ground_truth[idx]
             gt = getattr(truth, "grid", None)
             if gt is None:
                 gt = getattr(truth, "values", truth)
-            return truth, ssim_reference(gt, dynamic_range=dynamic_range)
+            return ground_truth, ssim_reference(gt, dynamic_range=dynamic_range)
 
         if not self.block:
             return compute()[1]
-        return self._once(("truth", id(truth), dynamic_range), compute)[1]
+        return self._once(("truth", id(ground_truth), idx, dynamic_range), compute)[1]
 
 
 _REUSED: contextvars.ContextVar[_Reused | None] = contextvars.ContextVar(
@@ -612,7 +614,7 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         link.buffer.complete(idx)
         score = None
         if result is not None and ground_truth is not None:
-            score = ssim(result[0].values, reuse.truth(ground_truth[idx], v_max - v_min))
+            score = ssim(result[0].values, reuse.truth(ground_truth, idx, v_max - v_min))
         maps.append(None if result is None else result[0])
         report.rows.append(_sample_row(report, idx, result, got, late, score))
     return maps, report

@@ -282,6 +282,9 @@ def run_epic_socket(
         if not latents:
             return None
         t0 = time.monotonic()
+        # runtime._fuse_decode computes the same; fuse and decode are called
+        # here, through this module's names, so that perfbench's per-layer
+        # trace can tell the socket twin's central step by its call site
         lset = LatentSet.from_latents(latents.values(), cfg.n_devices)
         vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
         return vmap, time.monotonic() - t0

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import splitfwi.model as model_module
 from conftest import make_latents
 from splitfwi.errors import (
     ConfigError,
@@ -393,33 +392,3 @@ class TestDeclaredCosts:
     def test_decoder_cost_needs_a_latent(self):
         with pytest.raises(ConfigError, match="k >= 1"):
             decoder_flops(ModelConfig(), 0)
-
-    def test_inventory_built_once_per_argument_tuple(self, monkeypatch):
-        calls = []
-        inventory = model_module._weight_inventory
-
-        def counted(config):
-            calls.append(config)
-            return inventory(config)
-
-        monkeypatch.setattr(model_module, "_weight_inventory", counted)
-        for fn in (encoder_flops, decoder_flops, plain_decoder_flops):
-            fn.cache_clear()
-        cfg = ModelConfig()
-        for _ in range(3):
-            enc = [encoder_flops(cfg, 1000, w) for w in (14, 35)]
-            dec = [decoder_flops(cfg, k) for k in (1, 5)]
-            plain = plain_decoder_flops(cfg)
-        # two encoder widths, two k and the plain decoder (first reached
-        # through decoder_flops): five builds, however often they are asked
-        assert len(calls) == 5
-        assert enc == [571363072, 539042304]
-        assert dec == [378995712, 388834304]
-        assert plain == 260550912
-
-    def test_config_given_lists_is_hashable(self):
-        listed = ModelConfig(encoder_channels=[5, 32, 64, 128, 256, 512],
-                             decoder_resolutions=[[5, 5], [9, 9], [18, 18], [35, 35], [70, 70]],
-                             output_dims=[70, 70], velocity_range=[1500.0, 4500.0])
-        assert listed == ModelConfig() and hash(listed) == hash(ModelConfig())
-        assert encoder_flops(listed, 1000, 14) == 571363072

@@ -319,18 +319,24 @@ def test_written_map_leaves_later_hits_unchanged(weights):
                                       forward_full(wave, weights, infra.partition).values)
 
 
-def test_ssim_reference_once_per_sample(monkeypatch, weights, fla_weights):
+@pytest.mark.parametrize("stacked", [False, True], ids=["list", "ndarray"])
+def test_ssim_reference_once_per_sample(monkeypatch, weights, fla_weights, stacked):
+    """One reference per sample, also when the ground truth is one array
+    whose rows are new views on every index."""
     waves = _waves()
     truths = [np.random.default_rng(i).uniform(1500, 4500, (70, 70)).astype(np.float32)
               for i in range(len(waves))]
     refs = _Calls(monkeypatch, "ssim_reference")
     scores = _Calls(monkeypatch, "ssim")
     sweep = run_robustness_sweep(waves, weights, _infra(), drop_counts=ALL_K,
-                                 modes=tuple(PipelineMode), ground_truth=truths,
+                                 modes=tuple(PipelineMode),
+                                 ground_truth=np.stack(truths) if stacked else truths,
                                  fla_weights=fla_weights)
     ok = [r for rep in sweep.values() for r in rep.rows if r.status == "ok"]
     assert len(scores.args) == len(ok)
-    assert [id(t) for t, in refs.args] == [id(t) for t in truths]
+    assert len(refs.args) == len(truths)
+    for (gt,), truth in zip(refs.args, truths):
+        np.testing.assert_array_equal(gt, truth)
 
 
 def test_no_central_state_outside_a_block(monkeypatch, weights):
