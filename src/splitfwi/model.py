@@ -392,13 +392,6 @@ class LatentSet:
             raise EmptySupportError("latent set is empty")
         return np.stack([self.entries[d].values for d in ids])
 
-    def without(self, device_id: int) -> "LatentSet":
-        out = LatentSet(self.n_devices)
-        for d, lat in self.entries.items():
-            if d != device_id:
-                out.add(lat)
-        return out
-
     @classmethod
     def from_latents(cls, latents, n_devices: int) -> "LatentSet":
         out = cls(n_devices)
@@ -721,7 +714,9 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
         raise CorruptFileError("weight file truncated inside config")
     config = ModelConfig.from_json(buf[pos : pos + cfg_len].decode("utf-8"))
     pos += cfg_len
-    (count,) = struct.unpack_from("<I", buf, pos)
+    if pos + 4 > len(body):
+        raise CorruptFileError("weight file truncated inside tensor count")
+    (count,) = struct.unpack_from("<I", body, pos)
     pos += 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -739,6 +734,9 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise CorruptFileError(f"weight file missing tensors: {missing[:3]}...")
+    unknown = sorted(set(tensors) - set(expected))
+    if unknown:
+        raise CorruptFileError(f"weight file has tensors its config does not list: {unknown[:3]}")
     for name, (shape, _) in expected.items():
         if tuple(tensors[name].shape) != shape:
             raise CorruptFileError(

@@ -5,12 +5,17 @@ float64 and round to float32 on store, which keeps comparisons against
 scalar reference loops tight and the arithmetic order stable. Every kernel
 is pure: identical inputs produce bit-identical outputs.
 
-conv2d lowers to one GEMM over a channel-major window matrix (see its
-docstring); tests/test_map_bits.py keeps the row-major form it replaced
-as a byte-for-byte reference. Bit-identity here is a property of the
-float32 outputs: the float64 sums beneath them depend on which BLAS
-kernel runs, and can change in the last bit with the operand layout or
-the BLAS thread count.
+conv2d and linear accumulate block by block, so no call holds a float64
+copy of a whole layer: conv2d multiplies the kernel by fixed-width
+column blocks of a channel-major window matrix, and linear casts its
+weight in row blocks (see `_conv2d_sums` and `_linear_sums`).
+tests/test_map_bits.py keeps the row-major conv that the channel-major
+one replaced as a byte-for-byte reference of the float32 outputs.
+The float64 sums beneath them depend on which BLAS kernel runs, and can
+change in the last bit with the operand layout, the block width or the
+BLAS thread count; tests/test_blocked_sums.py checks that, under one
+BLAS thread, the blocked sums equal one whole-layer product on every
+full-size layer of the model.
 """
 
 from __future__ import annotations
@@ -40,17 +45,11 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     """Convolve [C_in,H,W] with [C_out,C_in,kh,kw] (cross-correlation).
 
     Zero padding, integer strides. Each output element is the dot product
-    of the kernel with the padded input window plus the channel bias.
-    The input is written once into a zeroed float64 buffer, and its
-    windows form a channel-major matrix [C_in*kh*kw, H'*W'], so the GEMM
-    kernel @ windows yields [C_out, H'*W'] with no transpose on either
-    side. Against a row-major window matrix [H'*W', C_in*kh*kw] only the
-    M and N roles of the GEMM swap, and the K axis keeps the kernel's
-    (c, kh, kw) order. The swap does change which BLAS kernel and tiling
-    run (a vector-matrix gemv when C_out == 1), so a float64 sum can
-    differ from the row-major one in its last bit; the float32 output
-    matched the row-major form byte for byte on every tested input, but
-    that is measured, not guaranteed.
+    of the kernel with the padded input window plus the channel bias, in
+    float64, stored as float32. The sums come from `_conv2d_sums`, one
+    block of output positions at a time, so no call holds a float64 copy
+    of the whole layer; see there for the layout and why the blocks keep
+    each sum's arithmetic.
     """
     x = as_f32(x)
     kernel = as_f32(kernel)
@@ -74,20 +73,92 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
         raise ShapeError(
             f"conv2d kernel {kernel.shape} exceeds padded input {x.shape} with padding {padding!r}"
         )
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=np.float64)
-    xp[:, ph : ph + h, pw : pw + w] = x
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, out_h * out_w)
+    out = np.empty((c_out, out_h * out_w), dtype=np.float32)
+    for start, sums in _conv2d_sums(x, kernel, bias, (sh, sw), (ph, pw)):
+        out[:, start : start + sums.shape[1]] = sums
+    return out.reshape(c_out, out_h, out_w)
+
+
+# Output positions per conv2d GEMM block. With one BLAS thread, 2048
+# columns give float64 sums equal to one whole-layer GEMM on every
+# full-size layer of the model, while 512 and 1024 do not (see
+# tests/test_blocked_sums.py); the window block is C_in*kh*kw x 2048
+# float64, 7.1 MB for the widest decoder conv.
+_BLOCK_COLS = 2048
+
+
+def _conv2d_sums(x, kernel, bias, stride, padding):
+    """Yield (start, sums): the float64 kernel sums plus bias, [C_out, n],
+    of flat output positions [start, start + n), block by block.
+
+    Arguments are conv2d's, already checked. The input is padded in
+    float32, which is exact. Each block copies its positions' windows
+    into one reused float64 block of the channel-major window matrix
+    [C_in*kh*kw, positions], so the GEMM kernel @ windows needs no
+    transpose on either side and the K axis keeps the kernel's
+    (c, kh, kw) order. Against a row-major window matrix only the GEMM's
+    M and N roles swap, but that changes which BLAS kernel runs (a gemv
+    when C_out == 1), so a float64 sum can differ from the row-major one
+    in its last bit; the float32 outputs matched on every tested input,
+    which is measured, not guaranteed. The kernel is cast to float64
+    whole: casting it in row blocks changed last bits for some splits.
+    """
+    c_out, c_in, kh, kw = kernel.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    # [C_in, kh, kw, H', W'], a view of the padded input
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[
+        :, ::sh, ::sw
+    ].transpose(0, 3, 4, 1, 2)
+    positions = windows.shape[3] * windows.shape[4]
+    block = np.empty((c_in, kh, kw, min(_BLOCK_COLS, positions)), dtype=np.float64)
+    cols = block.reshape(c_in * kh * kw, block.shape[3])
     km = kernel.reshape(c_out, c_in * kh * kw).astype(np.float64)
-    out = km @ cols
-    out += bias.astype(np.float64)[:, None]
-    return out.reshape(c_out, out_h, out_w).astype(np.float32)
+    b64 = bias.astype(np.float64)[:, None]
+    for start in range(0, positions, block.shape[3]):
+        stop = min(start + block.shape[3], positions)
+        _fill_windows(block, windows, start, stop)
+        sums = km @ cols[:, : stop - start]
+        sums += b64
+        yield start, sums
+
+
+def _fill_windows(block, windows, start, stop) -> None:
+    """Copy flat output positions [start, stop) of windows [..., H', W']
+    into block[..., :stop - start]: the rest of a row, then whole rows,
+    then the head of a row."""
+    out_w = windows.shape[-1]
+    pos = start
+    while pos < stop:
+        row, col = divmod(pos, out_w)
+        at = pos - start
+        if col == 0 and stop - pos >= out_w:
+            rows = (stop - pos) // out_w
+            dst = block[..., at : at + rows * out_w]
+            # splitting the last axis of a slice is always a view
+            dst.reshape(dst.shape[:-1] + (rows, out_w))[...] = windows[..., row : row + rows, :]
+            pos += rows * out_w
+        else:
+            n = min(out_w - col, stop - pos)
+            block[..., at : at + n] = windows[..., row, col : col + n]
+            pos += n
+
+
+# Bytes of float64 weight that linear casts at once. The seed
+# projection's weight is 13.1 MB in float64; 2 MB row blocks gave the
+# same sums as the whole cast (see tests/test_blocked_sums.py).
+_CAST_BYTES = 2 << 20
 
 
 def linear(x, weight, bias) -> np.ndarray:
-    """Affine map along the trailing axis: y = x @ W^T + b."""
+    """Affine map along the trailing axis: y = x @ W^T + b.
+
+    Accumulates in float64 and stores float32. The sums come from
+    `_linear_sums`, which casts the weight to float64 in row blocks of at
+    most 2 MB, so no call holds a float64 copy of a large weight.
+    """
     x = as_f32(x)
     weight = as_f32(weight)
     bias = as_f32(bias)
@@ -98,9 +169,28 @@ def linear(x, weight, bias) -> np.ndarray:
         raise ShapeError(f"linear input {x.shape} does not match weight {weight.shape}")
     if bias.shape != (d_out,):
         raise ShapeError(f"linear bias {bias.shape} does not match weight {weight.shape}")
-    y = x.astype(np.float64) @ weight.astype(np.float64).T
-    y += bias.astype(np.float64)
-    return y.astype(np.float32)
+    out = np.empty(x.shape[:-1] + (d_out,), dtype=np.float32)
+    for start, sums in _linear_sums(x, weight, bias):
+        out[..., start : start + sums.shape[-1]] = sums
+    return out
+
+
+def _linear_sums(x, weight, bias):
+    """Yield (start, sums): the float64 x @ W^T + b of output features
+    [start, start + n), one row block of the weight at a time.
+
+    Arguments are linear's, already checked. Each output feature is one
+    row of the weight, so a row block keeps every sum's operands;
+    tests/test_blocked_sums.py checks that it keeps their float64
+    results too."""
+    d_out, d_in = weight.shape
+    rows = max(1, _CAST_BYTES // (8 * max(1, d_in)))
+    x64 = x.astype(np.float64)
+    b64 = bias.astype(np.float64)
+    for start in range(0, d_out, rows):
+        sums = x64 @ weight[start : start + rows].astype(np.float64).T
+        sums += b64[start : start + rows]
+        yield start, sums
 
 
 def softmax(scores, mask=None) -> np.ndarray:

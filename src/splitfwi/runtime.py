@@ -217,11 +217,6 @@ class HashBuffer:
             self._cond.notify_all()
             return InsertOutcome.INSERTED
 
-    def present_count(self, sample_id: int) -> int:
-        with self._lock:
-            entry = self._entries.get(sample_id)
-            return 0 if entry is None else len(entry.latents)
-
     def finalize(self, sample_id: int, n_devices: int, deadline: float):
         """Close collection under the virtual clock.
 

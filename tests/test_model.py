@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -28,9 +30,11 @@ from splitfwi.model import (
     load_weights,
     plain_decoder_flops,
     save_weights,
+    weights_from_bytes,
     weights_to_bytes,
 )
 from splitfwi.numerics import bilinear_resize, leaky_relu, linear, conv2d, global_avg_pool
+from splitfwi.tensorio import tensor_to_bytes
 
 
 def f32(x):
@@ -266,7 +270,8 @@ class TestDecode:
         )
 
     def test_mask_equals_removal(self, tiny_config, tiny_weights, tiny_latents):
-        reduced = tiny_latents.without(1)
+        reduced = LatentSet.from_latents(tiny_latents.entries.values(), tiny_config.n_devices)
+        del reduced.entries[1]
         rebuilt = LatentSet.from_latents(
             [tiny_latents.entries[d] for d in (0, 2)], tiny_config.n_devices
         )
@@ -335,6 +340,27 @@ class TestWeightFiles:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CorruptFileError):
             load_weights(path)
+
+    @staticmethod
+    def _sealed(body):
+        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+    def test_end_after_config_names_tensor_count(self, tiny_weights):
+        blob = weights_to_bytes(tiny_weights)
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        with pytest.raises(CorruptFileError, match="truncated inside tensor count"):
+            weights_from_bytes(self._sealed(blob[: 12 + cfg_len]))
+
+    def test_unlisted_tensor_rejected(self, tiny_weights):
+        blob = weights_to_bytes(tiny_weights)
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        at = 12 + cfg_len
+        (count,) = struct.unpack_from("<I", blob, at)
+        name = b"decoder.extra.weight"
+        body = (blob[:at] + struct.pack("<I", count + 1) + blob[at + 4 : -4]
+                + struct.pack("<H", len(name)) + name + tensor_to_bytes(np.zeros(2, np.float32)))
+        with pytest.raises(CorruptFileError, match="decoder.extra.weight"):
+            weights_from_bytes(self._sealed(body))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_flips_rejected(self, tiny_weights, tmp_path, seed):
