@@ -84,8 +84,8 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
 # Output positions per conv2d GEMM block. With one BLAS thread, 2048
 # columns give float64 sums equal to one whole-layer GEMM on every
 # full-size layer of the model, while 512 and 1024 do not (see
-# tests/test_blocked_sums.py); the window block is C_in*kh*kw x 2048
-# float64, 7.1 MB for the widest decoder conv.
+# tests/test_blocked_sums.py). The window block is C_in*kh*kw x 2048
+# float64: 7.1 MB on the 70x70 decoder conv, the model's largest.
 _BLOCK_COLS = 2048
 
 

@@ -22,8 +22,10 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import splitfwi
+from splitfwi import numerics
 from splitfwi.model import ModelConfig, _receiver_stride
 from splitfwi.numerics import _conv2d_sums, _linear_sums, conv2d, linear
 
@@ -137,6 +139,30 @@ def test_shape_lists_cover_the_model():
     assert ("encoder w70 b4", (256, 63, 5), (512, 256, 3, 3), (2, 2), (1, 1)) in convs
     assert ("decoder block3", (48, 70, 70), (32, 48, 3, 3), (1, 1), (1, 1)) in convs
     assert ("seed projection", (512,), (3200, 512)) in list(linear_shapes())
+
+
+@pytest.mark.parametrize("block_cols", [1, 5, 9, 20, 64])
+@pytest.mark.parametrize("stride, padding", [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((2, 1), (0, 1))])
+def test_any_block_width_tiles_the_windows(monkeypatch, block_cols, stride, padding):
+    # widths that start and end blocks mid-row, on a row edge and across
+    # several rows; sums may differ in the last bit, positions may not
+    monkeypatch.setattr(numerics, "_BLOCK_COLS", block_cols)
+    x, kernel, bias = _draw(np.random.default_rng(block_cols), (3, 11, 9), (4, 3, 3, 3), 27)
+    want = unblocked_conv(x, kernel, bias, stride, padding)
+    got = _joined(_conv2d_sums(x, kernel, bias, stride, padding), axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    out = conv2d(x, kernel, bias, stride, padding)
+    np.testing.assert_allclose(out.reshape(4, -1), want.astype(np.float32), rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("x_shape", [(6,), (4, 6), (2, 3, 6)])
+def test_any_row_block_tiles_the_features(monkeypatch, x_shape):
+    monkeypatch.setattr(numerics, "_CAST_BYTES", 8 * 6 * 3)  # 3 rows of 6 inputs
+    x, weight, bias = _draw(np.random.default_rng(len(x_shape)), x_shape, (8, 6), 6)
+    want = unblocked_linear(x, weight, bias)
+    got = _joined(_linear_sums(x, weight, bias), axis=-1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(linear(x, weight, bias), want.astype(np.float32), rtol=1e-6, atol=1e-6)
 
 
 def _peak_mb(fn, *args):
