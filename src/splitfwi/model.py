@@ -491,8 +491,8 @@ def cross_attention(
     """Let every pixel query the present latents and add the result back.
 
     Queries come from [features; position embeddings at the features'
-    resolution, resized unless they already have it], keys and
-    values from the latents; attention weights are a joint softmax over
+    resolution (`ModelWeights.position_grids`)], keys and values from
+    the latents; attention weights are a joint softmax over
     the present keys, so they always form a distribution over whatever
     latents arrived. If ``attention_out`` is a list, the per-device weight
     maps [n_devices, H, W] (absent devices exactly 0) are appended.
@@ -506,7 +506,8 @@ def cross_attention(
     c, h, w = f.shape
     grid = as_f32(pos_embed)
     if grid.ndim != 3 or grid.shape[1:] != (h, w):
-        grid = bilinear_resize(grid, (h, w))
+        raise ShapeError(f"cross_attention position grid {grid.shape} does not match "
+                         f"features at {(h, w)}")
     # one pixel per row, [features; position], written in place
     q_in = np.empty((h * w, c + grid.shape[0]), dtype=np.float32)
     q_in[:, :c] = f.reshape(c, h * w).T

@@ -20,8 +20,10 @@ latency (full-mask fuse + decode, plain decode, the whole model on the
 first sample's length, and 0 for FLA). EPIC collects latents in a
 hash-map buffer keyed by (sample_id, device_id), tolerating out-of-order
 and duplicate arrivals, and decodes as soon as all devices reported or
-T - T_d passed, whichever comes first; late frames are counted and
-discarded, never applied retroactively. The other modes wait for every
+T - T_d passed, whichever comes first. Closing a sample completes it in
+the buffer: a late frame, the output of an online device that was not
+present at that moment, is counted in the sample's row and discarded,
+never applied retroactively. The other modes wait for every
 online device and only record whether T held. An offline device is
 missing from the latent set (EPIC, SLA), zero-filled (CENTRALIZED) or
 the velocity floor over its map span (FLA). A sample with nothing to
@@ -179,27 +181,23 @@ class InsertOutcome(Enum):
 class _BufferEntry:
     latents: dict[int, LatentVector] = field(default_factory=dict)
     arrivals: dict[int, float] = field(default_factory=dict)
-    released: bool = False
 
 
 class HashBuffer:
     """Out-of-order collector keyed by (sample_id, device_id).
 
-    Inserts are idempotent per key; inserts after release are counted as
-    late and dropped, and inserts after completion are dropped uncounted.
-    Completed samples leave nothing behind: every id below a low
-    watermark is complete, so memory stays bounded by the samples in
-    flight. Safe for concurrent producers with a single consumer per
-    sample.
+    Inserts are idempotent per key. Closing a sample (finalize or
+    collect_blocking) completes it: its entry is evicted and every later
+    insert for it is stale and dropped. Every id below a low watermark is
+    complete, so memory stays bounded by the samples in flight. Safe for
+    concurrent producers with a single consumer per sample.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition()
         self._entries: dict[int, _BufferEntry] = {}
         self._low = 0  # every sample id below is complete
         self._completed: set[int] = set()  # completed ids at or above _low
-        self._late: dict[int, int] = {}
         self._interrupted = False
 
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
@@ -207,15 +205,23 @@ class HashBuffer:
             if sample_id < self._low or sample_id in self._completed:
                 return InsertOutcome.STALE
             entry = self._entries.setdefault(sample_id, _BufferEntry())
-            if entry.released:
-                self._late[sample_id] = self._late.get(sample_id, 0) + 1
-                return InsertOutcome.STALE
             if device_id in entry.latents:
                 return InsertOutcome.DUPLICATE
             entry.latents[device_id] = latent
             entry.arrivals[device_id] = t
             self._cond.notify_all()
             return InsertOutcome.INSERTED
+
+    def _complete(self, sample_id: int) -> _BufferEntry:
+        """Evict the sample and return what it collected; the caller holds
+        the lock."""
+        entry = self._entries.pop(sample_id, None) or _BufferEntry()
+        if sample_id >= self._low:
+            self._completed.add(sample_id)
+        while self._low in self._completed:
+            self._completed.remove(self._low)
+            self._low += 1
+        return entry
 
     def finalize(self, sample_id: int, n_devices: int, deadline: float):
         """Close collection under the virtual clock.
@@ -225,20 +231,19 @@ class HashBuffer:
         timeout release fired.
         """
         with self._cond:
-            entry = self._entries.setdefault(sample_id, _BufferEntry())
+            entry = self._complete(sample_id)
             released = len(entry.latents) != n_devices
             collect_time = deadline if released else max(entry.arrivals.values())
-            entry.released = True
             return LatentSet.from_latents(entry.latents.values(), n_devices), collect_time, released
 
     def collect_blocking(self, sample_id: int, n_devices: int, deadline_wall: float):
         """Wall-clock collection: wait until complete, the deadline or an
-        interrupt."""
+        interrupt, then close the sample. Returns (LatentSet, released)."""
         with self._cond:
             entry = self._entries.setdefault(sample_id, _BufferEntry())
             self._cond.wait_for(lambda: self._interrupted or len(entry.latents) == n_devices,
                                 timeout=max(0.0, deadline_wall - time.monotonic()))
-            entry.released = True
+            self._complete(sample_id)
             released = len(entry.latents) != n_devices
             return LatentSet.from_latents(entry.latents.values(), n_devices), released
 
@@ -247,22 +252,6 @@ class HashBuffer:
         with self._cond:
             self._interrupted = True
             self._cond.notify_all()
-
-    def complete(self, sample_id: int) -> None:
-        """Evict the sample and its late count; later frames for it are
-        stale and stored nowhere."""
-        with self._cond:
-            self._entries.pop(sample_id, None)
-            self._late.pop(sample_id, None)
-            if sample_id >= self._low:
-                self._completed.add(sample_id)
-            while self._low in self._completed:
-                self._completed.remove(self._low)
-                self._low += 1
-
-    def late_frames(self, sample_id: int) -> int:
-        with self._lock:
-            return self._late.get(sample_id, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +344,21 @@ def _per_sample_delays(extra_delay_s) -> dict[int, float]:
     return {int(d): float(v) for d, v in dict(extra_delay_s).items()}
 
 
-def profile_decoder(weights: ModelWeights, trials: int = 5, seed: int = 1234) -> float:
+# profile_decoder's trials and the seed of its dummy latents
+_PROFILE_TRIALS = 3
+_PROFILE_SEED = 1234
+
+
+def profile_decoder(weights: ModelWeights) -> float:
     """One-time wall-clock profiling of the central decoder.
 
-    Returns the median duration of fuse+decode over seeded dummy latents;
-    socket mode uses this as T_d.
+    Returns the median duration of fuse+decode over _PROFILE_TRIALS sets
+    of seeded dummy latents; socket mode uses this as T_d.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     cfg = weights.config
     durations = []
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | trial))
+    for trial in range(_PROFILE_TRIALS):
+        rng = np.random.Generator(np.random.Philox(key=(_PROFILE_SEED << 64) | trial))
         lset = LatentSet(cfg.n_devices)
         for d in range(cfg.n_devices):
             vals = rng.uniform(-1, 1, size=cfg.latent_dim).astype(np.float32)
@@ -542,7 +534,6 @@ class _Link(NamedTuple):
     collect(sample_id, wave, slices, online device ids) -> _Collected."""
 
     collect: Callable
-    buffer: HashBuffer
     label: str
 
 
@@ -565,15 +556,11 @@ def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
         )
         arrivals = sorted(zip((u.completion_s for u in uplinks), outputs))
         if plan.timeout:
-            # frames after T - T_d reach the buffer only once it released
-            # the sample, so they are counted late and never decoded
+            # a frame after T - T_d misses the release: it is late
             for t, d in arrivals:
                 if t <= deadline:
                     buffer.insert(idx, d, outputs[d], t)
             lset, collect_s, released = buffer.finalize(idx, n, deadline)
-            for t, d in arrivals:
-                if t > deadline:
-                    buffer.insert(idx, d, outputs[d], t)
             present = lset.entries
         else:
             present, released = outputs, False
@@ -581,13 +568,18 @@ def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
         return _Collected(present, {d: edge_t[d] for d in present}, collect_s, released,
                           sum((u.energy_j for u in uplinks), 0.0), sum(sizes))
 
-    return _Link(collect, buffer, infra.network.label())
+    return _Link(collect, infra.network.label())
 
 
 def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
               infra: InfraConfig, drop_devices, ground_truth, link: _Link | None = None):
     """The per-sample loop of every mode and both clocks; link defaults
-    to the virtual one."""
+    to the virtual one.
+
+    A late frame is an online device's output that was not present when
+    its sample's collection closed; it is counted here, the same way on
+    both clocks, and never decoded.
+    """
     n = infra.n_devices
     if plan.timeout and plan.t_d >= infra.deadline_s:
         raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
@@ -603,10 +595,10 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
     for idx, sample in enumerate(samples):
         wave = _as_wave(sample)
         slices = validate_partition(infra.partition, wave.shape[2], n)
-        got = link.collect(idx, wave, slices, [d for d in range(n) if d not in drops[idx]])
+        online = [d for d in range(n) if d not in drops[idx]]
+        got = link.collect(idx, wave, slices, online)
         result = plan.central(got.outputs, wave, idx, slices)
-        late = link.buffer.late_frames(idx)
-        link.buffer.complete(idx)
+        late = len(online) - len(got.outputs)
         score = None
         if result is not None and ground_truth is not None:
             score = ssim(result[0].values, reuse.truth(ground_truth, idx, v_max - v_min))

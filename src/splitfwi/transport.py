@@ -9,16 +9,21 @@ latent into the shared hash-map buffer under wall-clock timestamps.
 
 This module is the wall link of EPIC's per-sample loop, `_run_plan` in
 runtime.py, which also drives the simulated twin: the loop validates each
-sample, collects, decodes and builds the row the same way on both clocks.
-Here collection dispatches the sample to the edge threads and waits on
-the buffer until every device reported or T - T_d of wall time passed;
-the central step fuses and decodes what arrived, timed on the wall
-clock. T_d is measured by profile_decoder once per weights object in a
-process, so a stream of calls with the same weights profiles only once.
+sample, collects, decodes, counts late frames and builds the row the same
+way on both clocks. Here collection puts each online device's slice of
+the sample on that device's job queue, so edge threads never see the
+input sequence, and waits on the buffer until every device reported or
+T - T_d of wall time passed; a frame that lands after that is stale in
+the buffer and counted late by the loop. The central step fuses and
+decodes what arrived, timed on the wall clock. T_d is measured by
+profile_decoder once per weights object in a process, so a stream of
+calls with the same weights profiles only once.
 """
 
 from __future__ import annotations
 
+import contextlib
+import queue
 import socket
 import threading
 import time
@@ -33,12 +38,10 @@ from .runtime import (
     InfraConfig,
     PipelineMode,
     RunReport,
-    _as_wave,
     _check_devices,
     _Collected,
     _Link,
     _per_sample_delays,
-    _per_sample_drops,
     _Plan,
     _run_plan,
     profile_decoder,
@@ -185,32 +188,31 @@ class _Collector:
 
     def close(self) -> None:
         self._closing = True
+        # close() alone does not wake a thread blocked in accept() on Linux
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
+        self._accepting.join(timeout=2.0)
         for t in self._threads:
             t.join(timeout=2.0)
 
 
-def _edge_worker(device_id: int, address: tuple[str, int], weights, span: tuple[int, int],
-                 samples, dispatch: list[threading.Event], delay_s: float,
-                 drops: list[frozenset[int]], edge_done: list[dict[int, float]],
-                 stop: threading.Event) -> None:
-    a, b = span
+def _edge_worker(device_id: int, address: tuple[str, int], weights, jobs: queue.SimpleQueue,
+                 delay_s: float, stop: threading.Event) -> None:
+    """Encode and send each job's slice, (sample_id, wave slice, edge
+    seconds by device), until a None job or a stop."""
     with socket.create_connection(address) as sock:
-        for idx, sample in enumerate(samples):
-            dispatch[idx].wait()
+        for idx, wave_slice, edge_s in iter(jobs.get, None):
             if stop.is_set():
                 return
-            if device_id in drops[idx]:
-                continue
             t0 = time.monotonic()
-            wave = _as_wave(sample)
-            latent = encode(wave[:, :, a:b], weights.encoders[device_id],
+            latent = encode(wave_slice, weights.encoders[device_id],
                             device_id=device_id, sample_id=idx)
             # the extra delay ends early when the run stops, and a stopped
             # worker sends nothing
             if stop.wait(delay_s):
                 return
-            edge_done[idx][device_id] = time.monotonic() - t0
+            edge_s[device_id] = time.monotonic() - t0
             send_frame(sock, latent_to_frame(latent))
 
 
@@ -218,7 +220,7 @@ def _decode_budget(weights) -> float:
     # Socket T_d, kept on the weights object it was measured for, so it
     # lives and dies with that object.
     if "_decode_budget" not in vars(weights):
-        vars(weights)["_decode_budget"] = profile_decoder(weights, trials=3)
+        vars(weights)["_decode_budget"] = profile_decoder(weights)
     return vars(weights)["_decode_budget"]
 
 
@@ -233,20 +235,20 @@ def run_epic_socket(
     """Wall-clock twin of run_epic over TCP at infra.socket_host and
     infra.socket_port (port 0 binds an ephemeral port).
 
-    Edge workers run as threads, one connection each; the decode budget
-    T_d comes from wall profiling of the decoder, done once per weights
-    object in a process and reused by later calls. Rows count the payload
-    bytes of every online device, like the simulated twin, and charge no
-    energy. A device's extra delay ends when the run returns, so a
-    straggler does not hold the return past the deadline. The first
-    exception raised in an edge or reader thread ends the run: it is
-    re-raised after cleanup, a SplitFwiError as is and anything else as
-    a WorkerError.
+    Edge workers run as threads, one connection and one job queue each;
+    collection puts each online device's slice of the sample on its
+    queue. The decode budget T_d comes from wall profiling of the
+    decoder, done once per weights object in a process and reused by
+    later calls. Rows count the payload bytes of every online device and
+    its late frames, like the simulated twin, and charge no energy. A
+    device's extra delay ends when the run returns, so a straggler does
+    not hold the return past the deadline. The first exception raised in
+    an edge or reader thread ends the run: it is re-raised after cleanup,
+    a SplitFwiError as is and anything else as a WorkerError.
     """
     _check_devices(weights, infra)
     cfg = weights.config
     t_d = _decode_budget(weights)
-    drops = _per_sample_drops(drop_devices, len(samples))
     delays = _per_sample_delays(extra_delay_s)
 
     buffer = HashBuffer()
@@ -256,13 +258,11 @@ def run_epic_socket(
                            failure)
     collector.start()
 
-    dispatch = [threading.Event() for _ in samples]
-    edge_done: list[dict[int, float]] = [dict() for _ in samples]
+    jobs = [queue.SimpleQueue() for _ in range(cfg.n_devices)]
     workers = [
         threading.Thread(
             target=failure.guard(_edge_worker),
-            args=(d, collector.address, weights, infra.partition[d], samples, dispatch,
-                  delays.get(d, 0.0), drops, edge_done, stop),
+            args=(d, collector.address, weights, jobs[d], delays.get(d, 0.0), stop),
             daemon=True,
         )
         for d in range(cfg.n_devices)
@@ -272,10 +272,14 @@ def run_epic_socket(
 
     def collect(idx, wave, slices, online):
         t0 = time.monotonic()
-        dispatch[idx].set()
+        edge_s: dict[int, float] = {}
+        for d in online:
+            a, b = slices[d]
+            jobs[d].put((idx, wave[:, :, a:b], edge_s))
         lset, released = buffer.collect_blocking(idx, cfg.n_devices, t0 + infra.deadline_s - t_d)
         failure.reraise()
-        return _Collected(lset.entries, {d: edge_done[idx].get(d, 0.0) for d in lset.entries},
+        # a worker records its edge seconds before it sends the frame
+        return _Collected(lset.entries, {d: edge_s[d] for d in lset.entries},
                           time.monotonic() - t0, released, 0.0, cfg.latent_dim * 4 * len(online))
 
     def central(latents, wave, idx, slices):
@@ -292,12 +296,12 @@ def run_epic_socket(
     host, port = collector.address
     try:
         result = _run_plan(PipelineMode.EPIC, _Plan(None, central, t_d, timeout=True), samples,
-                           weights, infra, drops, ground_truth,
-                           _Link(collect, buffer, f"socket:{host}:{port}"))
+                           weights, infra, drop_devices, ground_truth,
+                           _Link(collect, f"socket:{host}:{port}"))
     finally:
         stop.set()
-        for ev in dispatch:
-            ev.set()
+        for q in jobs:
+            q.put(None)
         for w in workers:
             w.join(timeout=5.0)
         collector.close()

@@ -85,8 +85,9 @@ def decode_rows(global_latent, latents, weights, attention_out=None):
         x = nearest_resize(x, cfg.decoder_resolutions[j + 1])
         x = conv2d_rows(x, block.conv.kernel, block.conv.bias, stride=(1, 1), padding=(1, 1))
         x = leaky_relu(x, LEAKY_SLOPE)
-        x = cross_attention(x, weights.position_embeddings, latents, block.attention,
-                            cfg.n_heads, attention_out=attention_out)
+        grid = bilinear_resize(weights.position_embeddings, cfg.decoder_resolutions[j + 1])
+        x = cross_attention(x, grid, latents, block.attention, cfg.n_heads,
+                            attention_out=attention_out)
     raw = conv2d_rows(x, weights.head.kernel, weights.head.bias)[0]
     return VelocityMap(values=squash_to_range(raw, cfg.velocity_range))
 
@@ -253,7 +254,8 @@ class TestQueryInput:
         lset = make_latents(cfg, device_ids=list(range(present)), seed=seed % 1000)
         attn = tiny_weights.blocks[j].attention
         want = cross_attention_concat(feats, tiny_weights.position_embeddings, lset, attn)
-        for grid in (tiny_weights.position_grids[j], tiny_weights.position_embeddings):
+        for grid in (tiny_weights.position_grids[j],
+                     bilinear_resize(tiny_weights.position_embeddings, (h, w))):
             _assert_same_bytes(cross_attention(feats, grid, lset, attn), want)
 
     def test_linear_bias_in_place(self):

@@ -188,7 +188,8 @@ class TestCrossAttention:
         c = tiny_config.decoder_channels[1]
         feats = rng.normal(size=(c, 9, 9)).astype(np.float32)
         lset = make_latents(tiny_config, device_ids=[2])
-        got = cross_attention(feats, tiny_weights.position_embeddings, lset, block.attention)
+        grid = bilinear_resize(tiny_weights.position_embeddings, (9, 9))
+        got = cross_attention(feats, grid, lset, block.attention)
         vals = lin_f32(lset.stacked(), block.attention.value)
         proj = lin_f32(vals, block.attention.out)[0]
         want = feats + proj[:, None, None]
@@ -205,8 +206,8 @@ class TestCrossAttention:
         lset.add(LatentVector(values=vals.copy(), device_id=2))
         weights_out = []
         cross_attention(
-            feats, tiny_weights.position_embeddings, lset, block.attention,
-            attention_out=weights_out,
+            feats, bilinear_resize(tiny_weights.position_embeddings, (5, 5)), lset,
+            block.attention, attention_out=weights_out,
         )
         alpha = weights_out[0]
         assert (alpha[0] == 0.5).all()
@@ -225,10 +226,8 @@ class TestCrossAttention:
         feats = rng.normal(size=(8, 9, 9)).astype(np.float32)
         lset = make_latents(cfg, seed=31)
         weights_out = []
-        got = cross_attention(
-            feats, w.position_embeddings, lset, block.attention, attention_out=weights_out
-        )
         ep = bilinear_resize(w.position_embeddings, (9, 9))
+        got = cross_attention(feats, ep, lset, block.attention, attention_out=weights_out)
         queries = np.concatenate([feats, ep], axis=0).reshape(8 + cfg.d_pos, 81).T
         proj = attention_oracle(queries, lset.stacked(), block.attention, cfg.d_k)
         want = feats + proj.T.reshape(8, 9, 9)
@@ -240,9 +239,16 @@ class TestCrossAttention:
         feats = np.zeros((tiny_config.decoder_channels[1], 5, 5), np.float32)
         with pytest.raises(EmptySupportError):
             cross_attention(
-                feats, tiny_weights.position_embeddings,
+                feats, bilinear_resize(tiny_weights.position_embeddings, (5, 5)),
                 LatentSet(tiny_config.n_devices), tiny_weights.blocks[0].attention,
             )
+
+    def test_grid_of_another_size_rejected(self, tiny_config, tiny_weights):
+        feats = np.zeros((tiny_config.decoder_channels[1], 5, 5), np.float32)
+        lset = make_latents(tiny_config)
+        for grid in (tiny_weights.position_embeddings, np.zeros((5, 5), np.float32)):
+            with pytest.raises(ShapeError, match="position grid"):
+                cross_attention(feats, grid, lset, tiny_weights.blocks[0].attention)
 
 
 class TestDecode:

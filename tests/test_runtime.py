@@ -107,18 +107,17 @@ class TestHashBuffer:
         lset, _, _ = buf.finalize(0, 3, deadline=1.0)
         assert len(lset) == 1
 
-    def test_late_after_release_counted_and_dropped(self):
+    def test_insert_after_release_dropped(self):
         buf = HashBuffer()
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.finalize(0, 3, deadline=0.4)
         assert buf.insert(0, 2, self._latent(2), 0.6) == InsertOutcome.STALE
-        assert buf.late_frames(0) == 1
+        assert buf._entries == {}
 
     def test_completed_sample_evicted(self):
         buf = HashBuffer()
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.finalize(0, 1, deadline=1.0)
-        buf.complete(0)
         assert buf.insert(0, 0, self._latent(0), 2.0) == InsertOutcome.STALE
         assert 0 not in buf._entries
 
@@ -126,7 +125,6 @@ class TestHashBuffer:
         buf = HashBuffer()
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.finalize(0, 2, deadline=0.1)
-        buf.complete(0)
         assert buf.insert(1, 0, self._latent(0, sample=1), 0.2) == InsertOutcome.INSERTED
 
     def test_collect_blocking_wakes_when_all_producers_inserted(self):
@@ -183,14 +181,12 @@ BUFFER_DEVICES = 3
 
 class HashBufferMachine(RuleBasedStateMachine):
     """HashBuffer against a dict model under any order of inserts,
-    duplicates, closes, completions and an interrupt."""
+    duplicates, closes and an interrupt; a close completes its sample."""
 
     def __init__(self):
         super().__init__()
         self.buf = HashBuffer()
         self.arrivals: dict[int, dict[int, float]] = {}  # open sample -> device -> t
-        self.released: set[int] = set()
-        self.late: dict[int, int] = {}
         self.done: set[int] = set()
         self.interrupted = False
         self.clock = 0.0
@@ -205,9 +201,6 @@ class HashBufferMachine(RuleBasedStateMachine):
         devices = self.arrivals.get(sample, {})
         if sample in self.done:
             assert outcome == InsertOutcome.STALE
-        elif sample in self.released:
-            assert outcome == InsertOutcome.STALE
-            self.late[sample] = self.late.get(sample, 0) + 1
         elif d in devices:
             assert outcome == InsertOutcome.DUPLICATE
         else:
@@ -215,8 +208,7 @@ class HashBufferMachine(RuleBasedStateMachine):
             self.arrivals.setdefault(sample, {})[d] = self.clock
 
     def _open_keys(self):
-        return sorted((s, d) for s, devices in self.arrivals.items() for d in devices
-                      if s not in self.released)
+        return sorted((s, d) for s, devices in self.arrivals.items() for d in devices)
 
     @precondition(lambda self: self._open_keys())
     @rule(data=st.data())
@@ -225,8 +217,8 @@ class HashBufferMachine(RuleBasedStateMachine):
         assert self.buf.insert(sample, d, self._latent(sample, d), 0.0) == InsertOutcome.DUPLICATE
 
     def _close(self, sample):
-        devices = self.arrivals.get(sample, {})
-        self.released.add(sample)
+        devices = self.arrivals.pop(sample, {})
+        self.done.add(sample)
         return sorted(devices), len(devices) != BUFFER_DEVICES
 
     @rule(sample=SAMPLES)
@@ -247,14 +239,6 @@ class HashBufferMachine(RuleBasedStateMachine):
         lset, released = self.buf.collect_blocking(sample, BUFFER_DEVICES, deadline)
         assert (lset.present_ids(), released) == self._close(sample)
 
-    @rule(sample=SAMPLES)
-    def complete(self, sample):
-        self.buf.complete(sample)
-        self.done.add(sample)
-        self.arrivals.pop(sample, None)
-        self.released.discard(sample)
-        self.late.pop(sample, None)
-
     @rule()
     def interrupt(self):
         self.buf.interrupt()
@@ -266,14 +250,13 @@ class HashBufferMachine(RuleBasedStateMachine):
             if sample not in self.done:
                 entry = self.buf._entries.get(sample)
                 assert (entry.arrivals if entry else {}) == self.arrivals.get(sample, {})
-                assert self.buf.late_frames(sample) == self.late.get(sample, 0)
 
     @invariant()
     def holds_nothing_for_completed_samples(self):
         low = min(set(range(7)) - self.done)
         assert self.buf._low == low
         assert self.buf._completed == {s for s in self.done if s > low}
-        assert not (set(self.buf._entries) | set(self.buf._late)) & self.done
+        assert not set(self.buf._entries) & self.done
 
 
 TestHashBufferModel = HashBufferMachine.TestCase
@@ -287,10 +270,8 @@ def test_hash_buffer_bounded_over_in_order_samples():
         buf.insert(sample, 0, latent, 0.0)
         buf.finalize(sample, 2, deadline=1.0)
         assert buf.insert(sample, 1, latent, 2.0) == InsertOutcome.STALE
-        assert buf.late_frames(sample) == 1
-        buf.complete(sample)
     assert buf.insert(3, 0, latent, 3.0) == InsertOutcome.STALE
-    assert (buf._low, buf._entries, buf._completed, buf._late) == (1000, {}, set(), {})
+    assert (buf._low, buf._entries, buf._completed) == (1000, {}, set())
 
 
 class TestRunEpic:
@@ -495,9 +476,7 @@ class TestRobustnessSweep:
 
 class TestProfiling:
     def test_profile_decoder_positive_and_below_deadline(self, weights):
-        t1 = profile_decoder(weights, trials=1)
-        t9 = profile_decoder(weights, trials=9)
-        assert t1 > 0 and t9 > 0
+        assert profile_decoder(weights) > 0
 
     def test_modeled_budget_used_downstream(self, weights):
         infra = tiny_infra(deadline_s=3.0)
@@ -505,10 +484,6 @@ class TestProfiling:
         _, report = run_epic(tiny_waves(1), weights, infra)
         assert report.decode_budget_s == t_d
         assert t_d < infra.deadline_s
-
-    def test_trials_validated(self, weights):
-        with pytest.raises(ConfigError):
-            profile_decoder(weights, trials=0)
 
     def test_flops_monotone_in_latents(self):
         assert decoder_flops(TINY, 3) > decoder_flops(TINY, 2) > decoder_flops(TINY, 1)

@@ -138,14 +138,24 @@ class TestSocketPipeline:
         row = report.rows[0]
         assert row.mask == (True, False, True)
         assert row.deadline_fired
+        assert row.late_frames == 1
         assert maps[0] is not None
+
+    def test_straggler_leaves_no_thread(self, weights):
+        rng = np.random.default_rng(4)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
+        before = set(threading.enumerate())
+        run_epic_socket(waves, weights, self._infra(deadline=1.0), extra_delay_s={1: 3.0})
+        # the collector's accept loop and readers and every edge worker end
+        # with the run, so its listener closes too
+        assert not set(threading.enumerate()) - before
 
     def test_decoder_profiled_once_per_weights(self, monkeypatch):
         profiled = []
 
-        def counting(weights, trials):
+        def counting(weights):
             profiled.append(id(weights))
-            return runtime.profile_decoder(weights, trials=trials)
+            return runtime.profile_decoder(weights)
 
         monkeypatch.setattr(transport, "profile_decoder", counting)
         rng = np.random.default_rng(5)
@@ -190,29 +200,34 @@ class TestSocketPipeline:
 
 
 def test_socket_and_simulated_twins_agree(weights):
-    """One drop schedule through both clocks: the rows that the two twins
-    can share (everything but the timings) and the decoded maps agree."""
+    """Each drop and delay schedule through both clocks: the rows that the
+    two twins can share (everything but the timings) and the decoded maps
+    agree, late frames included."""
     rng = np.random.default_rng(8)
     waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(3)]
-    drops = [(), {1}, {0, 1, 2}]
     link = NetworkProfile(bandwidth_bps=1e9, base_latency_s=1e-3, loss_rate=0.0)
-    twins = [
-        runtime.run_epic(waves, weights, InfraConfig(
-            n_devices=TINY.n_devices, deadline_s=1.0, network=link, transport=clock),
-            drop_devices=drops)
-        for clock in ("simulated", "socket")
+    schedules = [
+        # (T, drop sets, extra delays, statuses, deadline fired, late frames)
+        (1.0, [(), {1}, {0, 1, 2}], None, ["ok", "ok", "failed"], [False, True, True], [0, 0, 0]),
+        (0.5, None, {1: 0.8}, ["ok"] * 3, [True] * 3, [1, 1, 1]),
     ]
-    (sim_maps, sim), (wall_maps, wall) = twins
     fields = ("status", "mask", "comm_bytes", "deadline_fired", "late_frames")
-    for a, b in zip(sim.rows, wall.rows, strict=True):
-        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
-    assert [r.status for r in sim.rows] == ["ok", "ok", "failed"]
-    assert [r.deadline_fired for r in sim.rows] == [False, True, True]
-    for a, b, row in zip(sim_maps, wall_maps, sim.rows):
-        if row.status == "ok":
-            np.testing.assert_array_equal(a.values, b.values)
-        else:
-            assert a is None and b is None
+    for deadline_s, drops, delays, statuses, fired, late in schedules:
+        (sim_maps, sim), (wall_maps, wall) = [
+            runtime.run_epic(waves, weights, InfraConfig(
+                n_devices=TINY.n_devices, deadline_s=deadline_s, network=link, transport=clock),
+                extra_delay_s=delays, drop_devices=drops)
+            for clock in ("simulated", "socket")
+        ]
+        for a, b in zip(sim.rows, wall.rows, strict=True):
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        assert [(r.status, r.deadline_fired, r.late_frames) for r in sim.rows] == list(
+            zip(statuses, fired, late))
+        for a, b, row in zip(sim_maps, wall_maps, sim.rows):
+            if row.status == "ok":
+                np.testing.assert_array_equal(a.values, b.values)
+            else:
+                assert a is None and b is None
 
 
 class TestSocketThreadFailures:
