@@ -17,8 +17,11 @@ The summary also gives the acceptance verdict for each workload and
 metric: whether the later checkout's median is within the metric's bound
 in BENCHMARK.json of the first one's, and whether it shows a gain, that
 is, wins at least nine pairs in ten and beats the first median by more
-than the first checkout's interquartile range. The share of failed units
-must not grow either.
+than the first checkout's interquartile range. A metric whose first
+checkout's interquartile range exceeds the bound (relative to its
+median) is reported as unresolved instead of within, unless every later
+run beats every first run. The share of failed units must not grow
+either.
 """
 
 from __future__ import annotations
@@ -101,19 +104,25 @@ def verdict(ref: dict, new: dict, better: str, bound: float) -> dict:
     `worse` is the relative move of the median in the bad direction
     (negative when it improved); `within` holds when it is at most
     `bound`; `gain` when the new runs win at least GAIN_WIN_SHARE of the
-    pairs and the median improved by more than the reference's IQR.
+    pairs and the median improved by more than the reference's IQR;
+    `unresolved` when the reference's IQR is more than `bound` of its
+    median, so the runs cannot tell a move of `bound` from noise, unless
+    every new run beats every reference run.
     """
     sign = 1 if better == "higher" else -1
     pairs = list(zip(new["runs"], ref["runs"]))
     wins = sum(sign * (n - r) > 0 for n, r in pairs)
     improved = sign * (new["median"] - ref["median"])
     worse = -improved / abs(ref["median"]) if ref["median"] else 0.0
+    spread = (ref["q3"] - ref["q1"]) / abs(ref["median"]) if ref["median"] else 0.0
+    beats_all = all(sign * (n - r) > 0 for n in new["runs"] for r in ref["runs"])
     return {
         "wins": wins,
         "pairs": len(pairs),
         "worse": worse,
         "within": worse <= bound,
         "gain": wins >= GAIN_WIN_SHARE * len(pairs) and improved > ref["q3"] - ref["q1"],
+        "unresolved": spread > bound and not beats_all,
     }
 
 
@@ -122,6 +131,7 @@ def _report(entries: list[dict], metrics: dict[str, dict]) -> None:
     for entry in entries[1:]:
         print(f"{entry['commit'][:12]} against {base['commit'][:12]}")
         all_within = True
+        unresolved = []
         for workload, side in entry["workloads"].items():
             ref_side = base["workloads"][workload]
             for name, stats in side["metrics"].items():
@@ -129,12 +139,15 @@ def _report(entries: list[dict], metrics: dict[str, dict]) -> None:
                 spec = metrics[name]
                 v = verdict(ref, stats, spec["better"], spec["bound"])
                 all_within &= v["within"]
+                if v["within"] and v["unresolved"]:
+                    unresolved.append(f"{workload} {name}")
+                state = ("OUT OF BOUND" if not v["within"]
+                         else "unresolved" if v["unresolved"] else "within")
                 print(f"  {workload:14s} {name:15s} {ref['median']:10.4g} "
                       f"[{ref['q1']:.4g}-{ref['q3']:.4g}] -> {stats['median']:10.4g} "
                       f"[{stats['q1']:.4g}-{stats['q3']:.4g}]  "
                       f"wins {v['wins']}/{v['pairs']}  worse {100 * v['worse']:+.1f}% "
-                      f"(bound {100 * spec['bound']:.0f}%: "
-                      f"{'within' if v['within'] else 'OUT OF BOUND'})  "
+                      f"(bound {100 * spec['bound']:.0f}%: {state})  "
                       f"gain {'yes' if v['gain'] else 'no'}")
             ref_share = ref_side["failed"] / max(ref_side["attempted"], 1)
             share = side["failed"] / max(side["attempted"], 1)
@@ -143,7 +156,8 @@ def _report(entries: list[dict], metrics: dict[str, dict]) -> None:
                   f" -> {side['failed']}/{side['attempted']}"
                   f"  ({'no more' if share <= ref_share else 'MORE'} than before)")
         print(f"  every median within its bound and no more failures: "
-              f"{'yes' if all_within else 'NO'}")
+              f"{'yes' if all_within else 'NO'}; "
+              f"unresolved: {', '.join(unresolved) if unresolved else 'none'}")
 
 
 def main(argv=None) -> int:

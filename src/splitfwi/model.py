@@ -34,6 +34,7 @@ import json
 import math
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from .errors import (
     InputValidationError,
     PartitionError,
     ShapeError,
+    SplitFwiError,
 )
 from .numerics import (
     as_f32,
@@ -697,7 +699,20 @@ def weights_to_bytes(weights: ModelWeights) -> bytes:
     return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
 
 
+@contextmanager
+def _parsing(what: str, at: int):
+    """Raise any failure to parse the weight file's `what` at byte `at`
+    as a CorruptFileError that names both."""
+    try:
+        yield
+    except (ValueError, LookupError, TypeError, ArithmeticError, RecursionError,
+            SplitFwiError) as exc:
+        raise CorruptFileError(f"weight file {what} at byte {at} is invalid: {exc}") from exc
+
+
 def weights_from_bytes(buf: bytes) -> ModelWeights:
+    """Parse a weight file. A malformed field or a non-finite weight
+    raises CorruptFileError with its byte offset."""
     if len(buf) < len(WEIGHTS_MAGIC) + 8:
         raise CorruptFileError("weight file truncated")
     body, stored = buf[:-4], struct.unpack("<I", buf[-4:])[0]
@@ -713,7 +728,8 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     pos += 4
     if pos + cfg_len > len(body):
         raise CorruptFileError("weight file truncated inside config")
-    config = ModelConfig.from_json(buf[pos : pos + cfg_len].decode("utf-8"))
+    with _parsing("config", pos):
+        config = ModelConfig.from_json(buf[pos : pos + cfg_len].decode("utf-8"))
     pos += cfg_len
     if pos + 4 > len(body):
         raise CorruptFileError("weight file truncated inside tensor count")
@@ -722,13 +738,20 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         if pos + 2 > len(body):
-            raise CorruptFileError("weight file truncated inside record name")
+            raise CorruptFileError(f"weight file truncated inside record name at byte {pos}")
         (name_len,) = struct.unpack_from("<H", buf, pos)
         pos += 2
-        name = buf[pos : pos + name_len].decode("utf-8")
+        if pos + name_len > len(body):
+            raise CorruptFileError(
+                f"weight file record name of {name_len} bytes at byte {pos} runs past the body")
+        with _parsing("record name", pos):
+            name = buf[pos : pos + name_len].decode("utf-8")
         pos += name_len
-        arr, pos = tensor_from_bytes(buf, pos)
-        tensors[name] = arr
+        with _parsing(f"tensor {name}", pos):
+            arr, end = tensor_from_bytes(body, pos)
+        if not np.isfinite(arr).all():
+            raise CorruptFileError(f"weight file tensor {name} at byte {pos} is not finite")
+        tensors[name], pos = arr, end
     if pos != len(body):
         raise CorruptFileError("trailing bytes after weight records")
     expected = _weight_inventory(config)
@@ -751,4 +774,7 @@ def save_weights(weights: ModelWeights, path) -> None:
 
 
 def load_weights(path) -> ModelWeights:
-    return weights_from_bytes(Path(path).read_bytes())
+    try:
+        return weights_from_bytes(Path(path).read_bytes())
+    except CorruptFileError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc

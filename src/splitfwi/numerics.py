@@ -6,9 +6,10 @@ scalar reference loops tight and the arithmetic order stable. Every kernel
 is pure: identical inputs produce bit-identical outputs.
 
 conv2d and linear accumulate block by block, so no call holds a float64
-copy of a whole layer: conv2d multiplies the kernel by fixed-width
-column blocks of a channel-major window matrix, and linear casts its
-weight in row blocks (see `_conv2d_sums` and `_linear_sums`).
+copy of a whole layer: conv2d multiplies kernel row blocks of at most
+2 MB, cast to float64 one at a time, by fixed-width column blocks of a
+channel-major window matrix, and linear casts its weight in row blocks
+(see `_conv2d_sums` and `_linear_sums`).
 tests/test_map_bits.py keeps the row-major conv that the channel-major
 one replaced as a byte-for-byte reference of the float32 outputs.
 The float64 sums beneath them depend on which BLAS kernel runs, and can
@@ -88,6 +89,17 @@ def conv2d(x, kernel, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
 # float64: 7.1 MB on the 70x70 decoder conv, the model's largest.
 _BLOCK_COLS = 2048
 
+# Kernel rows per conv2d float64 cast block come in multiples of this.
+# Under the 2 MB budget only encoder blocks 3 and 4 split: [256, 1152]
+# into 216 + 40 rows and [512, 2304] into 5 x 96 + 32 (1.8 MB cast
+# instead of 9.4 MB). With one BLAS thread (OpenBLAS, SkylakeX core)
+# these splits give float64 sums equal to the whole-kernel GEMM on every
+# conv of the model, and so did 96, 144, 192, 288 and 480 rows on every
+# conv; 16, 32, 64, 80, 128, 160 and 224 rows did not, nor did 24 or 48
+# rows on every conv (the short last blocks of encoder blocks 0 and 1).
+# tests/test_blocked_sums.py is the check, not the alignment itself.
+_ROW_ALIGN = 24
+
 
 def _conv2d_sums(x, kernel, bias, stride, padding):
     """Yield (start, sums): the float64 kernel sums plus bias, [C_out, n],
@@ -102,8 +114,14 @@ def _conv2d_sums(x, kernel, bias, stride, padding):
     M and N roles swap, but that changes which BLAS kernel runs (a gemv
     when C_out == 1), so a float64 sum can differ from the row-major one
     in its last bit; the float32 outputs matched on every tested input,
-    which is measured, not guaranteed. The kernel is cast to float64
-    whole: casting it in row blocks changed last bits for some splits.
+    which is measured, not guaranteed. The kernel is cast to float64 in
+    row blocks of `_cast_rows` rows, at most `_CAST_BYTES` each, and each
+    row block's product is written into its rows of the column block's
+    sums; a kernel within the budget is one row block, cast again for
+    each column block (the decoder's at most three). Row blocks start at
+    multiples of `_ROW_ALIGN`; on every conv of the model the resulting
+    float64 sums equal the whole-kernel product, which other splits did
+    not (measured; see `_ROW_ALIGN`).
     """
     c_out, c_in, kh, kw = kernel.shape
     (sh, sw), (ph, pw) = stride, padding
@@ -115,14 +133,26 @@ def _conv2d_sums(x, kernel, bias, stride, padding):
     positions = windows.shape[3] * windows.shape[4]
     block = np.empty((c_in, kh, kw, min(_BLOCK_COLS, positions)), dtype=np.float64)
     cols = block.reshape(c_in * kh * kw, block.shape[3])
-    km = kernel.reshape(c_out, c_in * kh * kw).astype(np.float64)
+    km = kernel.reshape(c_out, c_in * kh * kw)
+    rows = _cast_rows(km.shape[1])
     b64 = bias.astype(np.float64)[:, None]
     for start in range(0, positions, block.shape[3]):
         stop = min(start + block.shape[3], positions)
         _fill_windows(block, windows, start, stop)
-        sums = km @ cols[:, : stop - start]
+        sums = np.empty((c_out, stop - start), dtype=np.float64)
+        for r in range(0, c_out, rows):
+            # a temporary, so no cast outlives its own product
+            np.matmul(km[r : r + rows].astype(np.float64), cols[:, : stop - start],
+                      out=sums[r : r + rows])
         sums += b64
         yield start, sums
+
+
+def _cast_rows(k: int) -> int:
+    """Kernel rows of K columns that conv2d casts to float64 at once: a
+    multiple of _ROW_ALIGN, at most _CAST_BYTES unless that is below one
+    aligned block."""
+    return max(_ROW_ALIGN, _CAST_BYTES // (8 * k) // _ROW_ALIGN * _ROW_ALIGN)
 
 
 def _fill_windows(block, windows, start, stop) -> None:
@@ -146,7 +176,7 @@ def _fill_windows(block, windows, start, stop) -> None:
             pos += n
 
 
-# Bytes of float64 weight that linear casts at once. The seed
+# Bytes of float64 weight that linear and conv2d cast at once. The seed
 # projection's weight is 13.1 MB in float64; 2 MB row blocks gave the
 # same sums as the whole cast (see tests/test_blocked_sums.py).
 _CAST_BYTES = 2 << 20

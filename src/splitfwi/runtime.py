@@ -31,9 +31,12 @@ decode (EPIC, SLA) becomes a failed row and the run continues.
 
 Edge outputs are pure functions of (weights, slice), so each is computed
 once per call: a slice's latent serves EPIC, SLA and CENTRALIZED (whose
-central step fuses and decodes per-device latents, encoding a zero slice
-for an offline device, which equals `forward_full` on the zero-filled
-wave), and an FLA map span serves every drop set. Within one
+central step fuses and decodes per-device latents, using the latent of a
+zero slice for an offline device, which equals `forward_full` on the
+zero-filled wave), and an FLA map span serves every drop set. A zero
+slice's latent is the same for every sample and call, so it is encoded
+once per (device, slice shape) and kept on the weights object, like the
+socket twin's T_d. Within one
 `run_robustness_sweep` or `reporting.run_benchmark` call the reuse spans
 every drop count and mode; it is keyed by sample index and by the weights
 that call owns, and it ends when the call returns. Inside such a call the
@@ -200,9 +203,14 @@ class HashBuffer:
         self._completed: set[int] = set()  # completed ids at or above _low
         self._interrupted = False
 
+    def closed(self, sample_id: int) -> bool:
+        """Whether the sample is complete, so any insert for it is stale."""
+        with self._cond:  # an RLock, so insert can ask too
+            return sample_id < self._low or sample_id in self._completed
+
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
         with self._cond:
-            if sample_id < self._low or sample_id in self._completed:
+            if self.closed(sample_id):
                 return InsertOutcome.STALE
             entry = self._entries.setdefault(sample_id, _BufferEntry())
             if device_id in entry.latents:
@@ -434,11 +442,6 @@ class _Reused:
         return self._once(("latent", id(weights), d, idx, span), lambda: encode(
             wave_slice, weights.encoders[d], device_id=d, sample_id=idx))
 
-    def zero_latent(self, weights: ModelWeights, d: int, shape) -> LatentVector:
-        """Device d's latent of an all-zero slice, the same for every sample."""
-        return self._once(("zero", id(weights), d, shape), lambda: encode(
-            np.zeros(shape, dtype=np.float32), weights.encoders[d], device_id=d))
-
     def map_columns(self, weights: ModelWeights, idx: int, span, wave_slice, cols) -> np.ndarray:
         """Columns [lo, hi) of the single-device model's map of sample
         idx's slice span; a copy, so the rest of the map is not kept."""
@@ -471,6 +474,17 @@ class _Reused:
         if not self.block:
             return compute()[1]
         return self._once(("truth", id(ground_truth), idx, dynamic_range), compute)[1]
+
+
+def _zero_latent(weights: ModelWeights, d: int, shape) -> LatentVector:
+    """Device d's latent of an all-zero slice of `shape`, the same for
+    every sample and every call: encoded once, and kept on the weights
+    object, keyed by (device, shape), so it lives and dies with it."""
+    kept = vars(weights).setdefault("_zero_latents", {})
+    if (d, shape) not in kept:
+        kept[d, shape] = encode(np.zeros(shape, dtype=np.float32), weights.encoders[d],
+                                device_id=d)
+    return kept[d, shape]
 
 
 _REUSED: contextvars.ContextVar[_Reused | None] = contextvars.ContextVar(
@@ -678,7 +692,7 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
         # forward_full computes it: one latent per slice, fused and decoded
         latents = {
             d: reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
-            else reuse.zero_latent(weights, d, (*wave.shape[:2], b - a))
+            else _zero_latent(weights, d, (*wave.shape[:2], b - a))
             for d, (a, b) in enumerate(slices)
         }
         vmap = reuse.central("fuse+decode", weights, idx, latents,

@@ -14,7 +14,8 @@ way on both clocks. Here collection puts each online device's slice of
 the sample on that device's job queue, so edge threads never see the
 input sequence, and waits on the buffer until every device reported or
 T - T_d of wall time passed; a frame that lands after that is stale in
-the buffer and counted late by the loop. The central step fuses and
+the buffer and counted late by the loop, and an edge thread skips the
+job of a sample that has already closed. The central step fuses and
 decodes what arrived, timed on the wall clock. T_d is measured by
 profile_decoder once per weights object in a process, so a stream of
 calls with the same weights profiles only once.
@@ -198,13 +199,17 @@ class _Collector:
 
 
 def _edge_worker(device_id: int, address: tuple[str, int], weights, jobs: queue.SimpleQueue,
-                 delay_s: float, stop: threading.Event) -> None:
+                 delay_s: float, stop: threading.Event, buffer: HashBuffer) -> None:
     """Encode and send each job's slice, (sample_id, wave slice, edge
-    seconds by device), until a None job or a stop."""
+    seconds by device), until a None job or a stop. A job whose sample
+    already closed in the buffer is skipped: its frame could only be
+    stale, so a straggler catches up instead of falling further behind."""
     with socket.create_connection(address) as sock:
         for idx, wave_slice, edge_s in iter(jobs.get, None):
             if stop.is_set():
                 return
+            if buffer.closed(idx):
+                continue
             t0 = time.monotonic()
             latent = encode(wave_slice, weights.encoders[device_id],
                             device_id=device_id, sample_id=idx)
@@ -262,7 +267,7 @@ def run_epic_socket(
     workers = [
         threading.Thread(
             target=failure.guard(_edge_worker),
-            args=(d, collector.address, weights, jobs[d], delays.get(d, 0.0), stop),
+            args=(d, collector.address, weights, jobs[d], delays.get(d, 0.0), stop, buffer),
             daemon=True,
         )
         for d in range(cfg.n_devices)

@@ -73,3 +73,12 @@ def test_verdict_applies_bound_and_gain_rule():
     eight = [v + 6.0 for v in base[:8]] + [base[8] - 1.0, base[9] - 1.0]
     assert verdict(ref, _summary(nine), "higher", 0.25)["gain"]
     assert not verdict(ref, _summary(eight), "higher", 0.25)["gain"]
+    # an IQR of 4.5 / 14.5 = 31% of the median cannot resolve a 25% bound,
+    # even for a gain, but resolves a 35% one
+    assert up["unresolved"] and small["unresolved"]
+    same = verdict(ref, _summary(list(base)), "higher", 0.25)
+    assert (same["within"], same["unresolved"]) == (True, True)
+    assert not verdict(ref, _summary(list(base)), "higher", 0.35)["unresolved"]
+    # unless every new run beats every reference run
+    assert not verdict(ref, _summary([v + 10.0 for v in base]), "higher", 0.25)["unresolved"]
+    assert verdict(ref, _summary([v + 9.0 for v in base]), "higher", 0.25)["unresolved"]

@@ -2,7 +2,8 @@
 
 `conv2d` and `linear` accumulate one block at a time
 (`numerics._conv2d_sums`, `numerics._linear_sums`) so that no call holds
-a float64 copy of a whole layer. The float32 outputs cannot show a
+a float64 copy of a whole layer: conv2d casts its kernel in row blocks
+and multiplies each by column blocks of the window matrix. The float32 outputs cannot show a
 last-bit change in a float64 sum (tests/test_map_bits.py stores float32
 on both sides), so the first test compares the float64 sums themselves
 with one unblocked product, on every full-size layer shape the model
@@ -165,6 +166,38 @@ def test_any_row_block_tiles_the_features(monkeypatch, x_shape):
     np.testing.assert_allclose(linear(x, weight, bias), want.astype(np.float32), rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("c_out", [25, 48, 50])
+@pytest.mark.parametrize("stride, padding", [((1, 1), (1, 1)), ((2, 1), (0, 1))])
+def test_any_row_block_tiles_the_kernel(monkeypatch, c_out, stride, padding):
+    # a budget of one 24-row block splits the kernel into 24-row casts,
+    # the last one partial unless c_out is a multiple of 24; several
+    # column blocks each take every row block
+    monkeypatch.setattr(numerics, "_CAST_BYTES", 8 * 27 * 30)
+    monkeypatch.setattr(numerics, "_BLOCK_COLS", 20)
+    assert numerics._cast_rows(27) == 24 < c_out
+    x, kernel, bias = _draw(np.random.default_rng(c_out), (3, 11, 9), (c_out, 3, 3, 3), 27)
+    want = unblocked_conv(x, kernel, bias, stride, padding)
+    got = _joined(_conv2d_sums(x, kernel, bias, stride, padding), axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    out = conv2d(x, kernel, bias, stride, padding)
+    np.testing.assert_allclose(out.reshape(c_out, -1), want.astype(np.float32),
+                               rtol=1e-6, atol=1e-6)
+
+
+def test_kernel_cast_rows_rule():
+    # rows aligned to 24 within 2 MB: encoder blocks 4 and 3 split, every
+    # decoder conv and the head are cast whole
+    assert numerics._cast_rows(2304) == 96
+    assert numerics._cast_rows(1152) == 216
+    for _, _, k_shape, _, _ in conv_shapes():
+        rows = numerics._cast_rows(int(np.prod(k_shape[1:])))
+        assert rows % 24 == 0 and (rows * np.prod(k_shape[1:]) * 8 <= numerics._CAST_BYTES)
+    decoder_and_head = [k for name, _, k, _, _ in conv_shapes() if not name.startswith("encoder")]
+    assert all(numerics._cast_rows(int(np.prod(k[1:]))) >= k[0] for k in decoder_and_head)
+    # a row wider than the budget still casts one aligned block
+    assert numerics._cast_rows(numerics._CAST_BYTES) == 24
+
+
 def _peak_mb(fn, *args):
     """Peak traced memory above the entry level during fn(*args)."""
     tracemalloc.start()
@@ -182,6 +215,15 @@ def test_conv2d_scratch_bounded():
     rng = np.random.default_rng(0)
     x, kernel, bias = _draw(rng, (48, 70, 70), (32, 48, 3, 3), 432)
     assert _peak_mb(conv2d, x, kernel, bias, (1, 1), (1, 1)) < 12.0
+
+
+@pytest.mark.parametrize("x_shape, stride", [((256, 63, 5), (2, 2)), ((256, 63, 4), (2, 1))])
+def test_encoder_conv_scratch_bounded(x_shape, stride):
+    # encoder block 4 at widths 70 and 14: its [512, 2304] kernel alone
+    # is 9.4 MB in float64
+    rng = np.random.default_rng(0)
+    x, kernel, bias = _draw(rng, x_shape, (512, 256, 3, 3), 2304)
+    assert _peak_mb(conv2d, x, kernel, bias, stride, (1, 1)) < 6.0
 
 
 def test_linear_scratch_bounded():

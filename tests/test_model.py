@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import struct
 import zlib
 
@@ -17,6 +19,7 @@ from splitfwi.errors import (
 from splitfwi.model import (
     LatentSet,
     LatentVector,
+    WEIGHTS_MAGIC,
     ModelConfig,
     cross_attention,
     decode,
@@ -34,7 +37,7 @@ from splitfwi.model import (
     weights_to_bytes,
 )
 from splitfwi.numerics import bilinear_resize, leaky_relu, linear, conv2d, global_avg_pool
-from splitfwi.tensorio import tensor_to_bytes
+from splitfwi.tensorio import tensor_from_bytes, tensor_to_bytes
 
 
 def f32(x):
@@ -367,6 +370,101 @@ class TestWeightFiles:
                 + struct.pack("<H", len(name)) + name + tensor_to_bytes(np.zeros(2, np.float32)))
         with pytest.raises(CorruptFileError, match="decoder.extra.weight"):
             weights_from_bytes(self._sealed(body))
+
+    @staticmethod
+    def _records(blob):
+        """The config JSON and the (name, tensor record) pairs of a file."""
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        pos = 12 + cfg_len
+        (count,) = struct.unpack_from("<I", blob, pos)
+        pos += 4
+        records = []
+        for _ in range(count):
+            (n,) = struct.unpack_from("<H", blob, pos)
+            _, end = tensor_from_bytes(blob, pos + 2 + n)
+            records.append((blob[pos + 2 : pos + 2 + n], blob[pos + 2 + n : end]))
+            pos = end
+        return blob[12 : 12 + cfg_len], records
+
+    @classmethod
+    def _rebuilt(cls, cfg, records, name_len=None):
+        """A CRC-valid file of these parts; name_len overrides the last
+        record's declared name length."""
+        lens = [len(n) for n, _ in records[:-1]] + [name_len or len(records[-1][0])]
+        body = (WEIGHTS_MAGIC + struct.pack("<I", len(cfg)) + cfg
+                + struct.pack("<I", len(records))
+                + b"".join(struct.pack("<H", k) + n + r for k, (n, r) in zip(lens, records)))
+        return cls._sealed(body)
+
+    @staticmethod
+    def _config_edit(cfg, **fields):
+        raw = json.loads(cfg)
+        for key, value in fields.items():
+            if value is None:
+                del raw[key]
+            else:
+                raw[key] = value
+        return json.dumps(raw).encode()
+
+    GARBAGE = [
+        ("not json", "config at byte 12 is invalid"),
+        ("missing key", "config at byte 12 is invalid.*n_heads"),
+        ("channels abc", "config at byte 12 is invalid"),
+        ("config not utf-8", "config at byte 12 is invalid"),
+        ("config not a mapping", "config at byte 12 is invalid"),
+        ("bad config values", "config at byte 12 is invalid"),
+        ("name not utf-8", "record name at byte .* is invalid"),
+        ("name past the body", "record name of 65535 bytes at byte .* runs past the body"),
+        ("non-finite encoder", "encoder0.conv0.kernel at byte .* is not finite"),
+        ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
+    ]
+
+    @pytest.mark.parametrize("case, match", GARBAGE, ids=[case for case, _ in GARBAGE])
+    def test_crc_valid_garbage_raises_corrupt_file(self, tiny_weights, tmp_path, case, match):
+        cfg, records = self._records(weights_to_bytes(tiny_weights))
+        name_len = None
+        if case == "not json":
+            cfg = b"{not json"
+        elif case == "missing key":
+            cfg = self._config_edit(cfg, n_heads=None)
+        elif case == "channels abc":
+            cfg = self._config_edit(cfg, encoder_channels="abc")
+        elif case == "config not utf-8":
+            cfg = b"\xff\xfe" + cfg
+        elif case == "config not a mapping":
+            cfg = b"[1, 2]"
+        elif case == "bad config values":
+            cfg = self._config_edit(cfg, decoder_resolutions=[5, 9], n_devices=0)
+        elif case == "name not utf-8":
+            records[0] = (b"\xff" * len(records[0][0]), records[0][1])
+        elif case == "name past the body":
+            name_len = 0xFFFF
+        else:
+            wanted = "encoder0.conv0.kernel" if "encoder" in case else "decoder.head.kernel"
+            i = [n.decode() for n, _ in records].index(wanted)
+            record = bytearray(records[i][1][:-4])
+            record[-4:] = struct.pack("<f", float("nan"))
+            records[i] = (records[i][0], self._sealed(bytes(record)))
+        blob = self._rebuilt(cfg, records, name_len)
+        with pytest.raises(CorruptFileError, match=match):
+            weights_from_bytes(blob)
+        path = tmp_path / "w.bin"
+        path.write_bytes(blob)
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: .*{match}"):
+            load_weights(path)
+
+    def test_rebuilt_file_loads(self, tiny_weights):
+        # the test's own rebuild of an unedited file is the writer's bytes
+        blob = weights_to_bytes(tiny_weights)
+        assert self._rebuilt(*self._records(blob)) == blob
+
+    def test_tensor_error_names_its_offset(self, tiny_weights):
+        cfg, records = self._records(weights_to_bytes(tiny_weights))
+        records[1] = (records[1][0], records[1][1][:8] + b"\x09" + records[1][1][9:])
+        at = 12 + len(cfg) + 4 + 2 + len(records[0][0]) + len(records[0][1]) + 2 + len(records[1][0])
+        with pytest.raises(CorruptFileError, match=f"tensor {records[1][0].decode()} at byte "
+                                                   f"{at} is invalid: unsupported tensor format"):
+            weights_from_bytes(self._rebuilt(cfg, records))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_flips_rejected(self, tiny_weights, tmp_path, seed):

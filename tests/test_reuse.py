@@ -117,13 +117,20 @@ def test_sweep_equals_separate_runs(monkeypatch, tmp_path, weights, fla_weights,
         _report_bytes(separate, tmp_path, "separate")
 
 
-def test_sweep_encodes_each_input_once(monkeypatch, weights, fla_weights):
+def test_sweep_encodes_each_input_once(monkeypatch, fla_weights):
+    weights = init_weights(TINY, seed=11)  # fresh: no zero-slice latent kept yet
     waves = _waves()
     infra = _infra()
     encodes = _Calls(monkeypatch, "encode")
     maps = _Calls(monkeypatch, "forward_full")
-    run_robustness_sweep(waves, weights, infra, drop_counts=ALL_K, modes=tuple(PipelineMode),
-                         fla_weights=fla_weights)
+
+    def sweep():
+        encodes.args.clear()
+        maps.args.clear()
+        run_robustness_sweep(waves, weights, infra, drop_counts=ALL_K,
+                             modes=tuple(PipelineMode), fla_weights=fla_weights)
+
+    sweep()
 
     present, dropped = set(), set()
     for k in ALL_K:
@@ -140,6 +147,12 @@ def test_sweep_encodes_each_input_once(monkeypatch, weights, fla_weights):
     # FLA runs the single-device model once per (sample, slice)
     assert len(maps.args) == len(present)
     assert all(w is fla_weights for _, w, _ in maps.args)
+    # the weights keep the zero-slice latents: a second sweep encodes only
+    # the slices of its samples
+    sweep()
+    assert len(encodes.args) == len(present)
+    assert all(x.any() for x, _ in encodes.args)
+    assert len(maps.args) == len(present)
 
 
 def test_bench_encodes_each_input_once(monkeypatch):
@@ -187,21 +200,30 @@ def test_reuse_needs_the_owning_samples(weights):
     _assert_same_maps(maps, ref_maps)
 
 
-def test_sweeps_share_no_state(monkeypatch, weights, fla_weights):
+def test_sweeps_share_no_state(monkeypatch, fla_weights):
+    """Sweeps share nothing but the zero-slice latents that the weights keep."""
+    weights = init_weights(TINY, seed=11)  # fresh: no zero-slice latent kept yet
+    attributes = set(vars(weights))
     waves = _waves(2)
     infra = _infra()
     encodes = _Calls(monkeypatch, "encode")
 
-    def sweep(**kw):
+    def sweep(w=weights, **kw):
         encodes.args.clear()
-        run_robustness_sweep(waves, weights, infra, drop_counts=(0, 1),
+        run_robustness_sweep(waves, w, infra, drop_counts=(0, 1),
                              modes=(PipelineMode.EPIC, PipelineMode.CENTRALIZED), **kw)
         return len(encodes.args)
 
     first = sweep()
-    assert first > 0
-    assert sweep() == first
+    zero = sum(not x.any() for x, _ in encodes.args)
+    assert first > zero > 0
+    # one zero-slice encode per (weights, device, shape); every other
+    # latent is encoded again by each sweep
+    assert sweep() == first - zero
+    assert all(x.any() for x, _ in encodes.args)
     assert runtime._REUSED.get() is None
+    assert set(vars(weights)) - attributes == {"_zero_latents"}
+    assert len(vars(weights)["_zero_latents"]) == zero
     # FLA without its weights fails after the k = 0 EPIC run has encoded
     encodes.args.clear()
     with pytest.raises(ConfigError, match="fla_weights"):
@@ -209,8 +231,10 @@ def test_sweeps_share_no_state(monkeypatch, weights, fla_weights):
                              modes=(PipelineMode.EPIC, PipelineMode.FLA))
     assert encodes.args
     assert runtime._REUSED.get() is None
-    assert sweep() == first
-    assert sweep(fla_weights=fla_weights) == first
+    assert sweep() == first - zero
+    assert sweep(fla_weights=fla_weights) == first - zero
+    # other weights keep their own
+    assert sweep(init_weights(TINY, seed=11)) == first
 
 
 def test_bench_report_unchanged_by_reuse(monkeypatch, tmp_path):

@@ -150,6 +150,45 @@ class TestSocketPipeline:
         # with the run, so its listener closes too
         assert not set(threading.enumerate()) - before
 
+    def test_straggler_skips_closed_samples(self, weights, monkeypatch):
+        # device 1's encode of sample 0 returns only once sample 1 has
+        # closed, so its job for sample 1 is always for a closed sample and
+        # must be skipped; every encode that does start must follow the
+        # worker's own closed() read of that sample returning False
+        sample1_closed = threading.Event()
+        reads, starts = {}, []
+        real_complete, real_closed = HashBuffer._complete, HashBuffer.closed
+        real_encode = transport.encode
+
+        def recording_complete(buffer, sample_id):
+            entry = real_complete(buffer, sample_id)
+            if sample_id == 1:
+                sample1_closed.set()
+            return entry
+
+        def recording_closed(buffer, sample_id):
+            result = real_closed(buffer, sample_id)
+            reads[threading.get_ident(), sample_id] = result
+            return result
+
+        def gated_encode(wave, enc, device_id, sample_id):
+            starts.append((device_id, sample_id, reads.get((threading.get_ident(), sample_id))))
+            if (device_id, sample_id) == (1, 0):
+                sample1_closed.wait(timeout=10.0)
+            return real_encode(wave, enc, device_id=device_id, sample_id=sample_id)
+
+        monkeypatch.setattr(HashBuffer, "_complete", recording_complete)
+        monkeypatch.setattr(HashBuffer, "closed", recording_closed)
+        monkeypatch.setattr(transport, "encode", gated_encode)
+        rng = np.random.default_rng(9)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(3)]
+        _, report = run_epic_socket(waves, weights, self._infra(deadline=0.5))
+        assert sample1_closed.is_set()
+        assert [r.late_frames for r in report.rows[:2]] == [1, 1]
+        assert [read for _, _, read in starts] == [False] * len(starts)
+        device1 = [s for d, s, _ in starts if d == 1]
+        assert 0 in device1 and 1 not in device1
+
     def test_decoder_profiled_once_per_weights(self, monkeypatch):
         profiled = []
 
