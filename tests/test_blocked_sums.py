@@ -186,7 +186,7 @@ def test_any_row_block_tiles_the_kernel(monkeypatch, c_out, stride, padding):
 
 def test_kernel_cast_rows_rule():
     # rows aligned to 24 within 2 MB: encoder blocks 4 and 3 split, every
-    # decoder conv and the head are cast whole
+    # decoder conv and the head fit in one row block
     assert numerics._cast_rows(2304) == 96
     assert numerics._cast_rows(1152) == 216
     for _, _, k_shape, _, _ in conv_shapes():
