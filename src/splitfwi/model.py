@@ -240,14 +240,14 @@ class ModelWeights:
 
 
 def _weight_inventory(config: ModelConfig):
-    """name -> (shape, fan_in) for every tensor, in serialization order."""
-    inv: dict[str, tuple[tuple[int, ...], int]] = {}
+    """Yield (name, (shape, fan_in)) for every tensor, in serialization
+    order, so that a reader can stop at the first one a file lacks."""
     ch = config.encoder_channels
     for d in range(config.n_devices):
         for b in range(config.n_encoder_blocks):
             fan = ch[b] * 9
-            inv[f"encoder{d}.conv{b}.kernel"] = ((ch[b + 1], ch[b], 3, 3), fan)
-            inv[f"encoder{d}.conv{b}.bias"] = ((ch[b + 1],), fan)
+            yield f"encoder{d}.conv{b}.kernel", ((ch[b + 1], ch[b], 3, 3), fan)
+            yield f"encoder{d}.conv{b}.bias", ((ch[b + 1],), fan)
     dim, dk = config.latent_dim, config.d_k
     for part, (dout, din) in (
         ("query", (dk, dim)),
@@ -255,18 +255,18 @@ def _weight_inventory(config: ModelConfig):
         ("value", (dk, dim)),
         ("out", (dim, dk)),
     ):
-        inv[f"fusion.{part}.weight"] = ((dout, din), din)
-        inv[f"fusion.{part}.bias"] = ((dout,), din)
+        yield f"fusion.{part}.weight", ((dout, din), din)
+        yield f"fusion.{part}.bias", ((dout,), din)
     c0 = config.decoder_channels[0]
     h0, w0 = config.decoder_resolutions[0]
-    inv["decoder.seed.weight"] = ((c0 * h0 * w0, dim), dim)
-    inv["decoder.seed.bias"] = ((c0 * h0 * w0,), dim)
+    yield "decoder.seed.weight", ((c0 * h0 * w0, dim), dim)
+    yield "decoder.seed.bias", ((c0 * h0 * w0,), dim)
     for j in range(config.n_decoder_blocks):
         cin = config.decoder_channels[j]
         cout = config.decoder_channels[j + 1]
         fan = cin * 9
-        inv[f"decoder.block{j}.conv.kernel"] = ((cout, cin, 3, 3), fan)
-        inv[f"decoder.block{j}.conv.bias"] = ((cout,), fan)
+        yield f"decoder.block{j}.conv.kernel", ((cout, cin, 3, 3), fan)
+        yield f"decoder.block{j}.conv.bias", ((cout,), fan)
         q_in = cout + config.d_pos
         for part, (dout, din) in (
             ("query", (dk, q_in)),
@@ -274,14 +274,13 @@ def _weight_inventory(config: ModelConfig):
             ("value", (dk, dim)),
             ("out", (cout, dk)),
         ):
-            inv[f"decoder.block{j}.attn.{part}.weight"] = ((dout, din), din)
-            inv[f"decoder.block{j}.attn.{part}.bias"] = ((dout,), din)
+            yield f"decoder.block{j}.attn.{part}.weight", ((dout, din), din)
+            yield f"decoder.block{j}.attn.{part}.bias", ((dout,), din)
     ho, wo = config.output_dims
-    inv["decoder.pos_embed"] = ((config.d_pos, ho, wo), config.d_pos)
+    yield "decoder.pos_embed", ((config.d_pos, ho, wo), config.d_pos)
     c_last = config.decoder_channels[-1]
-    inv["decoder.head.kernel"] = ((1, c_last, 1, 1), c_last)
-    inv["decoder.head.bias"] = ((1,), c_last)
-    return inv
+    yield "decoder.head.kernel", ((1, c_last, 1, 1), c_last)
+    yield "decoder.head.bias", ((1,), c_last)
 
 
 def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
@@ -328,7 +327,7 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     if seed < 0 or seed >= 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     tensors: dict[str, np.ndarray] = {}
-    for idx, (name, (shape, fan_in)) in enumerate(_weight_inventory(config).items()):
+    for idx, (name, (shape, fan_in)) in enumerate(_weight_inventory(config)):
         rng = np.random.Generator(np.random.Philox(key=(seed << 64) | idx))
         bound = math.sqrt(1.0 / fan_in)
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
@@ -649,7 +648,7 @@ def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> 
 def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     """Cost of one encoder stack on an [C, n_t, width] slice, pooling
     included; every device's stack has the same shapes."""
-    inventory = _weight_inventory(config)
+    inventory = dict(_weight_inventory(config))
     h, w = n_t, width
     total = 0
     for b in range(config.n_encoder_blocks):
@@ -661,7 +660,7 @@ def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
 
 def plain_decoder_flops(config: ModelConfig) -> int:
     """Cost of the attention-free decoder path (SLA central half)."""
-    inventory = _weight_inventory(config)
+    inventory = dict(_weight_inventory(config))
     total = _layer_flops(inventory, "decoder.seed.weight", 1)
     for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
         total += _layer_flops(inventory, f"decoder.block{j}.conv.kernel", h * w)
@@ -672,7 +671,7 @@ def decoder_flops(config: ModelConfig, k: int) -> int:
     """Cost of fuse + decode over k present latents."""
     if k < 1:
         raise ConfigError(f"decoder cost needs k >= 1, got {k}")
-    inventory = _weight_inventory(config)
+    inventory = dict(_weight_inventory(config))
     total = plain_decoder_flops(config) + _attention_flops(inventory, "fusion", k, k, config.d_k)
     for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
         total += _attention_flops(inventory, f"decoder.block{j}.attn", h * w, k, config.d_k)
@@ -712,7 +711,14 @@ def _parsing(what: str, at: int):
 
 def weights_from_bytes(buf: bytes) -> ModelWeights:
     """Parse a weight file. A malformed field or a non-finite weight
-    raises CorruptFileError with its byte offset."""
+    raises CorruptFileError with its byte offset.
+
+    The file must be exactly what weights_to_bytes writes: the config in
+    its canonical JSON, and the records in serialization order. So a file
+    that loads re-serializes to the same bytes, and checking the records
+    against the config's tensors takes time bounded by the file, however
+    many tensors the config declares.
+    """
     if len(buf) < len(WEIGHTS_MAGIC) + 8:
         raise CorruptFileError("weight file truncated")
     body, stored = buf[:-4], struct.unpack("<I", buf[-4:])[0]
@@ -730,12 +736,14 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
         raise CorruptFileError("weight file truncated inside config")
     with _parsing("config", pos):
         config = ModelConfig.from_json(buf[pos : pos + cfg_len].decode("utf-8"))
+    if config.to_json().encode("utf-8") != buf[pos : pos + cfg_len]:
+        raise CorruptFileError(f"weight file config at byte {pos} is not in canonical form")
     pos += cfg_len
     if pos + 4 > len(body):
         raise CorruptFileError("weight file truncated inside tensor count")
     (count,) = struct.unpack_from("<I", body, pos)
     pos += 4
-    tensors: dict[str, np.ndarray] = {}
+    records: list[tuple[str, np.ndarray, int]] = []  # (name, tensor, byte offset)
     for _ in range(count):
         if pos + 2 > len(body):
             raise CorruptFileError(f"weight file truncated inside record name at byte {pos}")
@@ -751,21 +759,25 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
             arr, end = tensor_from_bytes(body, pos)
         if not np.isfinite(arr).all():
             raise CorruptFileError(f"weight file tensor {name} at byte {pos} is not finite")
-        tensors[name], pos = arr, end
+        records.append((name, arr, pos))
+        pos = end
     if pos != len(body):
         raise CorruptFileError("trailing bytes after weight records")
-    expected = _weight_inventory(config)
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise CorruptFileError(f"weight file missing tensors: {missing[:3]}...")
-    unknown = sorted(set(tensors) - set(expected))
-    if unknown:
+    tensors: dict[str, np.ndarray] = {}
+    for want, (shape, _) in _weight_inventory(config):
+        if len(tensors) == len(records):
+            raise CorruptFileError(f"weight file missing tensor {want}")
+        name, arr, at = records[len(tensors)]
+        if name != want:
+            raise CorruptFileError(f"weight file record at byte {at} is {name!r}, "
+                                   f"expected tensor {want}")
+        if arr.shape != shape:
+            raise CorruptFileError(f"tensor {name} at byte {at} has shape {arr.shape}, "
+                                   f"expected {shape}")
+        tensors[name] = arr
+    if len(records) > len(tensors):
+        unknown = [name for name, _, _ in records[len(tensors):]]
         raise CorruptFileError(f"weight file has tensors its config does not list: {unknown[:3]}")
-    for name, (shape, _) in expected.items():
-        if tuple(tensors[name].shape) != shape:
-            raise CorruptFileError(
-                f"tensor {name} has shape {tensors[name].shape}, expected {shape}"
-            )
     return _assemble(config, tensors)
 
 

@@ -23,7 +23,7 @@ from .runtime import (
     PipelineMode,
     RunReport,
     SampleResult,
-    _reuse_edge_outputs,
+    _Shared,
     partition_receivers,
     run_baseline,
 )
@@ -274,7 +274,7 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
                                rows=spec.model.output_dims[0], cols=n_receivers,
                                geometry=geometry)
     truths = [vm for vm, _ in dataset]
-    waves = [rec for _, rec in dataset]
+    waves = _Shared(rec for _, rec in dataset)
 
     weights_by_n = {
         n: init_weights(replace(spec.model, n_devices=n), spec.weights_seed)
@@ -285,21 +285,20 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
         single = init_weights(replace(spec.model, n_devices=1), spec.weights_seed)
 
     reports = []
-    with _reuse_edge_outputs(waves, single, *weights_by_n.values()):
-        for profile in spec.profiles:
-            for n in spec.device_counts:
-                infra = InfraConfig(
-                    n_devices=n,
-                    partition=partition_receivers(n_receivers, n),
-                    network=profile,
-                    deadline_s=spec.deadline_s,
-                    compute=spec.compute,
-                    seed=spec.run_seed,
-                )
-                for mode in spec.modes:
-                    w = single if mode == PipelineMode.FLA else weights_by_n[n]
-                    _, report = run_baseline(mode, waves, w, infra, ground_truth=truths)
-                    reports.append(report)
+    for profile in spec.profiles:
+        for n in spec.device_counts:
+            infra = InfraConfig(
+                n_devices=n,
+                partition=partition_receivers(n_receivers, n),
+                network=profile,
+                deadline_s=spec.deadline_s,
+                compute=spec.compute,
+                seed=spec.run_seed,
+            )
+            for mode in spec.modes:
+                w = single if mode == PipelineMode.FLA else weights_by_n[n]
+                _, report = run_baseline(mode, waves, w, infra, ground_truth=truths)
+                reports.append(report)
 
     if out_dir is not None:
         out = Path(out_dir)

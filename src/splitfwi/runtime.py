@@ -29,26 +29,21 @@ missing from the latent set (EPIC, SLA), zero-filled (CENTRALIZED) or
 the velocity floor over its map span (FLA). A sample with nothing to
 decode (EPIC, SLA) becomes a failed row and the run continues.
 
-Edge outputs are pure functions of (weights, slice), so each is computed
-once per call: a slice's latent serves EPIC, SLA and CENTRALIZED (whose
-central step fuses and decodes per-device latents, using the latent of a
-zero slice for an offline device, which equals `forward_full` on the
-zero-filled wave), and an FLA map span serves every drop set. A zero
-slice's latent is the same for every sample and call, so it is encoded
-once per (device, slice shape) and kept on the weights object, like the
-socket twin's T_d. Within one
-`run_robustness_sweep` or `reporting.run_benchmark` call the reuse spans
-every drop count and mode; it is keyed by sample index and by the weights
-that call owns, and it ends when the call returns. Inside such a call the
-central step's results are reused too, keyed by (kind, weights, sample,
-present latents): EPIC's and CENTRALIZED's fuse + decode and SLA's plain
-decode. A full-mask EPIC sample and its CENTRALIZED k = 0 twin fuse the
-same latents, so they decode once, as do the rows of every profile in a
-bench (`splitfwi bench`'s default EPIC + CENTRALIZED spec decodes each
-full-mask latent set once); each row gets its own copy of the map. So is
-each ground truth's SSIM reference, its window means and variances,
-computed once per sample. A single run outside such a call repeats no
-central work, so it keeps neither.
+Edge outputs are pure functions of (weights, slice): a slice's latent
+serves EPIC, SLA and CENTRALIZED (whose central step fuses and decodes
+per-device latents, using the latent of a zero slice for an offline
+device, which equals `forward_full` on the zero-filled wave), and an FLA
+map span serves every drop set. A zero slice's latent is the same for
+every sample and call, so it is encoded once per (device, slice shape)
+and kept on the weights object, like the socket twin's T_d.
+`run_robustness_sweep` and `reporting.run_benchmark` hand every run the
+same `_Shared` sample list, whose `done` dict keeps what those runs
+share, each computed once: latents, FLA map spans, central results keyed
+by (kind, weights, sample, present latents), and each ground truth's
+SSIM reference. A full-mask EPIC sample and its CENTRALIZED k = 0 twin
+fuse the same latents, so they decode once, as do the rows of every
+profile in a bench; each row gets its own copy of the map. The dict dies
+with the call. A single run repeats no work, so it keeps none of it.
 
 The loop runs on either of two clocks, through a link that brings the
 edge outputs to the central step. The virtual link derives every
@@ -62,11 +57,9 @@ step, late-frame counting and the report rows are the same code for both.
 
 from __future__ import annotations
 
-import contextvars
 import statistics
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -407,73 +400,56 @@ def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late
 
 
 # ---------------------------------------------------------------------------
-# results computed once per call, or once per sweep or bench
+# results shared by the runs of one sweep or bench
 
 
-class _Reused:
-    """The edge outputs of one call that owns `samples`, each computed once,
-    and, inside a `_reuse_edge_outputs` block, its central results and
-    SSIM references too.
+class _Shared(list):
+    """The samples of one sweep or bench, and in `done` the results its
+    runs share, each computed once.
 
-    A key holds the sample index, the slice and the id() of a weights
-    object in `weights`, which keeps it alive so that its id cannot be
-    reused; never the id() of an input array, which as_f32 may just have
-    allocated. A central result is keyed by the id() of its latents, and
-    its entry holds them, for the same reason. Outside a block nothing
-    but the edge outputs repeats, so nothing else is kept.
+    A key holds the id() only of an object that the sweep keeps alive
+    (its weights and ground truth) or that an entry of `done` holds (the
+    latents of a central result), so that no id can be reused while
+    `done` lives; never the id() of an input array, which as_f32 may just
+    have allocated.
     """
 
-    def __init__(self, samples, weights, block: bool = False):
-        self.samples = samples
-        self.weights = tuple(weights)
-        self.block = block
-        self._done: dict[tuple, object] = {}
+    def __init__(self, samples):
+        super().__init__(samples)
+        self.done: dict[tuple, object] = {}
 
-    def serves(self, samples, weights: ModelWeights) -> bool:
-        return samples is self.samples and any(weights is w for w in self.weights)
 
-    def _once(self, key, compute):
-        if key not in self._done:
-            self._done[key] = compute()
-        return self._done[key]
+def _once(samples, key, compute):
+    """compute(), once per key over a sweep's or bench's samples; runs
+    over any other samples repeat nothing, so they keep nothing."""
+    if not isinstance(samples, _Shared):
+        return compute()
+    if key not in samples.done:
+        samples.done[key] = compute()
+    return samples.done[key]
 
-    def latent(self, weights: ModelWeights, d: int, idx: int, span, wave_slice) -> LatentVector:
-        """Device d's latent of sample idx's slice span."""
-        return self._once(("latent", id(weights), d, idx, span), lambda: encode(
-            wave_slice, weights.encoders[d], device_id=d, sample_id=idx))
 
-    def map_columns(self, weights: ModelWeights, idx: int, span, wave_slice, cols) -> np.ndarray:
-        """Columns [lo, hi) of the single-device model's map of sample
-        idx's slice span; a copy, so the rest of the map is not kept."""
-        lo, hi = cols
-        return self._once(("map", id(weights), idx, span), lambda: forward_full(
-            wave_slice, weights, ((0, span[1] - span[0]),)).values[:, lo:hi].copy())
+def _latent(samples, weights: ModelWeights, d: int, idx: int, span, wave_slice) -> LatentVector:
+    """Device d's latent of sample idx's slice span."""
+    return _once(samples, ("latent", id(weights), d, idx, span), lambda: encode(
+        wave_slice, weights.encoders[d], device_id=d, sample_id=idx))
 
-    def central(self, kind: str, weights: ModelWeights, idx: int, latents: dict,
-                compute: Callable[[], VelocityMap]) -> VelocityMap:
-        """compute(), the `kind` of central work on sample idx's latents
-        by device; in a block, once per (kind, weights, sample, latents),
-        and each call gets its own copy of the map."""
-        if not self.block:
-            return compute()
-        key = (kind, id(weights), idx, tuple((d, id(latents[d])) for d in sorted(latents)))
-        _, values = self._once(key, lambda: (tuple(latents.values()), compute().values))
-        return VelocityMap(values=values.copy())
 
-    def truth(self, ground_truth, idx: int, dynamic_range: float) -> SsimReference:
-        """The SSIM reference of sample idx's ground-truth map (or of its
-        `grid` or `values`); in a block, once per (ground truth, sample),
-        and the entry holds the ground truth so that its id stays valid."""
-        def compute():
-            truth = ground_truth[idx]
-            gt = getattr(truth, "grid", None)
-            if gt is None:
-                gt = getattr(truth, "values", truth)
-            return ground_truth, ssim_reference(gt, dynamic_range=dynamic_range)
+def _central(samples, kind: str, weights: ModelWeights, idx: int, latents: dict,
+             compute: Callable[[], VelocityMap]) -> VelocityMap:
+    """compute(), the `kind` of central work on sample idx's latents by
+    device; each call gets its own copy of the map."""
+    key = (kind, id(weights), idx, tuple((d, id(latents[d])) for d in sorted(latents)))
+    _, values = _once(samples, key, lambda: (tuple(latents.values()), compute().values))
+    return VelocityMap(values=values.copy())
 
-        if not self.block:
-            return compute()[1]
-        return self._once(("truth", id(ground_truth), idx, dynamic_range), compute)[1]
+
+def _reference(truth, dynamic_range: float) -> SsimReference:
+    """The SSIM reference of a ground-truth map, or of its `grid` or `values`."""
+    gt = getattr(truth, "grid", None)
+    if gt is None:
+        gt = getattr(truth, "values", truth)
+    return ssim_reference(gt, dynamic_range=dynamic_range)
 
 
 def _zero_latent(weights: ModelWeights, d: int, shape) -> LatentVector:
@@ -485,31 +461,6 @@ def _zero_latent(weights: ModelWeights, d: int, shape) -> LatentVector:
         kept[d, shape] = encode(np.zeros(shape, dtype=np.float32), weights.encoders[d],
                                 device_id=d)
     return kept[d, shape]
-
-
-_REUSED: contextvars.ContextVar[_Reused | None] = contextvars.ContextVar(
-    "splitfwi_reused_edge_outputs", default=None)
-
-
-@contextmanager
-def _reuse_edge_outputs(samples, *weights):
-    """Runs over `samples` with any of `weights` inside the block share
-    their edge outputs, central results and SSIM references; all are
-    dropped when the block exits."""
-    token = _REUSED.set(_Reused(samples, [w for w in weights if w is not None], block=True))
-    try:
-        yield
-    finally:
-        _REUSED.reset(token)
-
-
-def _reused(samples, weights: ModelWeights) -> _Reused:
-    """The enclosing block's store if it owns samples and weights, else
-    one for this call alone."""
-    reused = _REUSED.get()
-    if reused is not None and reused.serves(samples, weights):
-        return reused
-    return _Reused(samples, (weights,))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +550,6 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
                           f"T={infra.deadline_s:.6g}s")
     link = link or _virtual_link(plan, infra)
-    reuse = _reused(samples, weights)
     v_min, v_max = weights.config.velocity_range
     drops = _per_sample_drops(drop_devices, len(samples))
     maps: list[VelocityMap | None] = []
@@ -615,19 +565,20 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         late = len(online) - len(got.outputs)
         score = None
         if result is not None and ground_truth is not None:
-            score = ssim(result[0].values, reuse.truth(ground_truth, idx, v_max - v_min))
+            score = ssim(result[0].values, _once(
+                samples, ("truth", id(ground_truth), idx, v_max - v_min),
+                lambda: _reference(ground_truth[idx], v_max - v_min)))
         maps.append(None if result is None else result[0])
         report.rows.append(_sample_row(report, idx, result, got, late, score))
     return maps, report
 
 
-def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float],
-                 reuse: _Reused):
+def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float], samples):
     cfg = weights.config
 
     def edge(wave, idx, d, span):
         a, b = span
-        latent = reuse.latent(weights, d, idx, span, wave[:, :, a:b])
+        latent = _latent(samples, weights, d, idx, span, wave[:, :, a:b])
         seconds = encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s
         return latent, cfg.latent_dim * 4, seconds + delays.get(d, 0.0)
 
@@ -641,21 +592,21 @@ def _fuse_decode(weights: ModelWeights, latents: dict) -> VelocityMap:
     return decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
 
 
-def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, reuse: _Reused) -> _Plan:
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, samples) -> _Plan:
     cfg = weights.config
 
     def central(latents, wave, idx, slices):
         if not latents:
             return None
-        vmap = reuse.central("fuse+decode", weights, idx, latents,
-                             lambda: _fuse_decode(weights, latents))
+        vmap = _central(samples, "fuse+decode", weights, idx, latents,
+                        lambda: _fuse_decode(weights, latents))
         return vmap, decoder_flops(cfg, len(latents)) / infra.compute.central_flops_per_s
 
     t_d = decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
-    return _Plan(_encode_step(weights, infra, delays, reuse), central, t_d, timeout=True)
+    return _Plan(_encode_step(weights, infra, delays, samples), central, t_d, timeout=True)
 
 
-def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _Reused) -> _Plan:
+def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
 
     def plain_decode(latents):
@@ -670,13 +621,12 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _Reused) -> _Pla
     def central(latents, wave, idx, slices):
         if not latents:
             return None
-        return reuse.central("plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
+        return _central(samples, "plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
 
-    return _Plan(_encode_step(weights, infra, {}, reuse), central, t_d)
+    return _Plan(_encode_step(weights, infra, {}, samples), central, t_d)
 
 
-def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
-                      reuse: _Reused) -> _Plan:
+def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     cfg = weights.config
 
     def model_s(n_t, slices):
@@ -691,26 +641,28 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples,
         # the whole model on the wave with offline slices zero-filled, as
         # forward_full computes it: one latent per slice, fused and decoded
         latents = {
-            d: reuse.latent(weights, d, idx, (a, b), raws[d]) if d in raws
+            d: _latent(samples, weights, d, idx, (a, b), raws[d]) if d in raws
             else _zero_latent(weights, d, (*wave.shape[:2], b - a))
             for d, (a, b) in enumerate(slices)
         }
-        vmap = reuse.central("fuse+decode", weights, idx, latents,
-                             lambda: _fuse_decode(weights, latents))
+        vmap = _central(samples, "fuse+decode", weights, idx, latents,
+                        lambda: _fuse_decode(weights, latents))
         return vmap, model_s(wave.shape[1], slices)
 
     t_d = model_s(_as_wave(samples[0]).shape[1], infra.partition) if len(samples) else 0.0
     return _Plan(edge, central, t_d)
 
 
-def _fla_plan(weights: ModelWeights, infra: InfraConfig, reuse: _Reused) -> _Plan:
+def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     cfg = weights.config
     ho, wo = cfg.output_dims
 
     def edge(wave, idx, d, span):
         a, b = span
-        cols = reuse.map_columns(weights, idx, span, wave[:, :, a:b],
-                                 _span_columns(wo, wave.shape[2], a, b))
+        lo, hi = _span_columns(wo, wave.shape[2], a, b)
+        # a copy, so the rest of the map is not kept
+        cols = _once(samples, ("map", id(weights), idx, span), lambda: forward_full(
+            wave[:, :, a:b], weights, ((0, b - a),)).values[:, lo:hi].copy())
         flops = encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1)
         return cols, cols.size * 4, flops / infra.compute.edge_flops_per_s
 
@@ -758,8 +710,7 @@ def run_epic(
         from .transport import run_epic_socket
 
         return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
-    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s),
-                      _reused(samples, weights))
+    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), samples)
     return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
@@ -780,15 +731,14 @@ def run_baseline(
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
-    reuse = _reused(samples, weights)
     if mode == PipelineMode.FLA:
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")
-        plan = _fla_plan(weights, infra, reuse)
+        plan = _fla_plan(weights, infra, samples)
     else:
         _check_devices(weights, infra)
-        plan = (_sla_plan(weights, infra, reuse) if mode == PipelineMode.SLA
-                else _centralized_plan(weights, infra, samples, reuse))
+        plan = (_sla_plan(weights, infra, samples) if mode == PipelineMode.SLA
+                else _centralized_plan(weights, infra, samples))
     return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
@@ -824,18 +774,18 @@ def run_robustness_sweep(
     (see the module docstring).
     """
     results: dict[tuple[str, int], RunReport] = {}
-    with _reuse_edge_outputs(samples, weights, fla_weights):
-        for k in drop_counts:
-            k = int(k)
-            drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
-            for mode in modes:
-                w = weights
-                if mode == PipelineMode.FLA:
-                    if fla_weights is None:
-                        raise ConfigError("robustness sweep over FLA needs fla_weights")
-                    w = fla_weights
-                _, report = run_baseline(
-                    mode, samples, w, infra, drop_devices=drop_sets, ground_truth=ground_truth
-                )
-                results[(mode.value, k)] = report
+    samples = _Shared(samples)
+    for k in drop_counts:
+        k = int(k)
+        drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
+        for mode in modes:
+            w = weights
+            if mode == PipelineMode.FLA:
+                if fla_weights is None:
+                    raise ConfigError("robustness sweep over FLA needs fla_weights")
+                w = fla_weights
+            _, report = run_baseline(
+                mode, samples, w, infra, drop_devices=drop_sets, ground_truth=ground_truth
+            )
+            results[(mode.value, k)] = report
     return results

@@ -81,8 +81,17 @@ def save_tensor(x: np.ndarray, path) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a file of one tensor record; every CorruptFileError names the path.
+
+    The format checks structure, not values: a NaN or infinite payload
+    round-trips as written. Readers that need finite values check them;
+    weights_from_bytes and load_dataset reject non-finite ones.
+    """
     buf = Path(path).read_bytes()
-    arr, end = tensor_from_bytes(buf)
-    if end != len(buf):
-        raise CorruptFileError(f"trailing bytes after tensor record in {path}")
+    try:
+        arr, end = tensor_from_bytes(buf)
+        if end != len(buf):
+            raise CorruptFileError("trailing bytes after tensor record")
+    except CorruptFileError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from exc
     return arr

@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 import re
 import struct
+import time
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_latents
+from conftest import TINY, make_latents
 from splitfwi.errors import (
     ConfigError,
     CorruptFileError,
@@ -15,6 +19,7 @@ from splitfwi.errors import (
     InputValidationError,
     PartitionError,
     ShapeError,
+    SplitFwiError,
 )
 from splitfwi.model import (
     LatentSet,
@@ -417,6 +422,9 @@ class TestWeightFiles:
         ("name past the body", "record name of 65535 bytes at byte .* runs past the body"),
         ("non-finite encoder", "encoder0.conv0.kernel at byte .* is not finite"),
         ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
+        ("config not canonical", "config at byte 12 is not in canonical form"),
+        ("records swapped", "record at byte .* is 'encoder1.conv0.kernel', "
+                            "expected tensor encoder0.conv0.kernel"),
     ]
 
     @pytest.mark.parametrize("case, match", GARBAGE, ids=[case for case, _ in GARBAGE])
@@ -439,6 +447,12 @@ class TestWeightFiles:
             records[0] = (b"\xff" * len(records[0][0]), records[0][1])
         elif case == "name past the body":
             name_len = 0xFFFF
+        elif case == "config not canonical":
+            cfg = self._config_edit(cfg, n_devices=3.0)
+        elif case == "records swapped":
+            # two kernels of one shape: every record parses, in the wrong order
+            i = [n.decode() for n, _ in records].index("encoder1.conv0.kernel")
+            records[0], records[i] = records[i], records[0]
         else:
             wanted = "encoder0.conv0.kernel" if "encoder" in case else "decoder.head.kernel"
             i = [n.decode() for n, _ in records].index(wanted)
@@ -465,6 +479,62 @@ class TestWeightFiles:
         with pytest.raises(CorruptFileError, match=f"tensor {records[1][0].decode()} at byte "
                                                    f"{at} is invalid: unsupported tensor format"):
             weights_from_bytes(self._rebuilt(cfg, records))
+
+    def test_declared_tensors_beyond_the_file_rejected_fast(self):
+        # a few hundred bytes that declare a million encoders and hold no record
+        cfg = dataclasses.replace(TINY, n_devices=10**6).to_json().encode()
+        blob = self._sealed(WEIGHTS_MAGIC + struct.pack("<I", len(cfg)) + cfg
+                            + struct.pack("<I", 0))
+        t0 = time.perf_counter()
+        with pytest.raises(CorruptFileError, match="missing tensor encoder0.conv0.kernel"):
+            weights_from_bytes(blob)
+        assert time.perf_counter() - t0 < 0.1
+
+    @classmethod
+    def _mutated(cls, data, blob):
+        """blob with one drawn edit, CRC re-sealed: byte flips, a
+        truncation, a config field, the record count or a name length."""
+        cfg, records = cls._records(blob)
+        body = bytearray(blob[:-4])
+        count_at = 12 + len(cfg)
+        kind = data.draw(st.sampled_from(["flip", "truncate", "config", "count", "name length"]))
+        if kind == "flip":
+            for _ in range(data.draw(st.integers(1, 3))):
+                body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del body[data.draw(st.integers(0, len(body) - 1)):]
+        elif kind == "config":
+            values = {
+                "n_devices": st.one_of(st.integers(-1, 10**6), st.just(3.0), st.booleans(),
+                                       st.just("3")),
+                "encoder_channels": st.lists(st.integers(0, 10**6), max_size=5),
+            }
+            key = data.draw(st.sampled_from(sorted(values)))
+            raw = json.loads(cfg)
+            raw[key] = data.draw(values[key])
+            edited = json.dumps(raw, sort_keys=True).encode()
+            body[8:count_at] = struct.pack("<I", len(edited)) + edited
+        elif kind == "count":
+            struct.pack_into("<I", body, count_at, data.draw(st.integers(0, 2**32 - 1)))
+        else:
+            at = count_at + 4
+            for name, record in records[: data.draw(st.integers(0, len(records) - 1))]:
+                at += 2 + len(name) + len(record)
+            struct.pack_into("<H", body, at, data.draw(st.integers(0, 2**16 - 1)))
+        return cls._sealed(bytes(body))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_resealed_mutations_load_exactly_or_fail_typed(self, tiny_weights, data):
+        blob = self._mutated(data, weights_to_bytes(tiny_weights))
+        t0 = time.perf_counter()
+        try:
+            loaded = weights_from_bytes(blob)
+        except SplitFwiError:
+            pass
+        else:
+            assert weights_to_bytes(loaded) == blob
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_flips_rejected(self, tiny_weights, tmp_path, seed):

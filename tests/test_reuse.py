@@ -1,8 +1,8 @@
 """Edge outputs are computed once per sweep and per bench, and reusing
 them changes no map and no report byte."""
 
-import contextlib
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -189,15 +189,17 @@ def test_centralized_with_drops_equals_zero_filled_forward(weights):
 
 
 def test_reuse_needs_the_owning_samples(weights):
-    """A run over other samples inside a sweep's scope computes its own."""
+    """A run over other samples than a sweep's computes its own."""
     waves, others = _waves(), [w + 1.0 for w in _waves()]
     infra = _infra()
     ref_maps, _ = runtime.run_baseline(PipelineMode.EPIC, others, weights, infra)
-    with runtime._reuse_edge_outputs(waves, weights):
-        runtime.run_baseline(PipelineMode.EPIC, waves, weights, infra)
-        maps, _ = runtime.run_baseline(PipelineMode.EPIC, others, weights, infra)
-    assert any(m is not None for m in maps)
-    _assert_same_maps(maps, ref_maps)
+    shared = runtime._Shared(waves)
+    runtime.run_baseline(PipelineMode.EPIC, shared, weights, infra)
+    assert shared.done
+    for samples in (others, runtime._Shared(others)):
+        maps, _ = runtime.run_baseline(PipelineMode.EPIC, samples, weights, infra)
+        assert any(m is not None for m in maps)
+        _assert_same_maps(maps, ref_maps)
 
 
 def test_sweeps_share_no_state(monkeypatch, fla_weights):
@@ -221,7 +223,6 @@ def test_sweeps_share_no_state(monkeypatch, fla_weights):
     # latent is encoded again by each sweep
     assert sweep() == first - zero
     assert all(x.any() for x, _ in encodes.args)
-    assert runtime._REUSED.get() is None
     assert set(vars(weights)) - attributes == {"_zero_latents"}
     assert len(vars(weights)["_zero_latents"]) == zero
     # FLA without its weights fails after the k = 0 EPIC run has encoded
@@ -230,7 +231,6 @@ def test_sweeps_share_no_state(monkeypatch, fla_weights):
         run_robustness_sweep(waves, weights, infra, drop_counts=(0,),
                              modes=(PipelineMode.EPIC, PipelineMode.FLA))
     assert encodes.args
-    assert runtime._REUSED.get() is None
     assert sweep() == first - zero
     assert sweep(fla_weights=fla_weights) == first - zero
     # other weights keep their own
@@ -244,7 +244,7 @@ def test_bench_report_unchanged_by_reuse(monkeypatch, tmp_path):
                          model=dataclasses.replace(TINY, n_devices=1), deadline_s=0.3)
     run_benchmark(spec, tmp_path / "reused")
 
-    monkeypatch.setattr(reporting, "_reuse_edge_outputs", lambda *args: contextlib.nullcontext())
+    monkeypatch.setattr(reporting, "_Shared", list)
     run_benchmark(spec, tmp_path / "fresh")
     for name in ("bench_samples.csv", "bench_summary.csv", "bench_report.json"):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
@@ -330,14 +330,15 @@ def test_reused_maps_are_distinct_arrays(monkeypatch, weights):
         np.testing.assert_array_equal(b.values, full)
 
 
-def test_written_map_leaves_later_hits_unchanged(weights):
-    waves = _waves()
+def test_written_map_leaves_later_hits_unchanged(monkeypatch, weights):
+    waves = runtime._Shared(_waves())
     infra = _clean_infra()
-    with runtime._reuse_edge_outputs(waves, weights):
-        first, _ = runtime.run_baseline(PipelineMode.EPIC, waves, weights, infra)
-        for vmap in first:
-            vmap.values[:] = 0.0
-        again, _ = runtime.run_baseline(PipelineMode.CENTRALIZED, waves, weights, infra)
+    first, _ = runtime.run_baseline(PipelineMode.EPIC, waves, weights, infra)
+    for vmap in first:
+        vmap.values[:] = 0.0
+    decodes = _Calls(monkeypatch, "decode")
+    again, _ = runtime.run_baseline(PipelineMode.CENTRALIZED, waves, weights, infra)
+    assert not decodes.args
     for wave, vmap in zip(waves, again):
         np.testing.assert_array_equal(vmap.values,
                                       forward_full(wave, weights, infra.partition).values)
@@ -364,20 +365,47 @@ def test_ssim_reference_once_per_sample(monkeypatch, weights, fla_weights, stack
 
 
 def test_no_central_state_outside_a_block(monkeypatch, weights):
-    """A single run repeats nothing, so it keeps only its edge outputs."""
+    """A single run repeats nothing, so it keeps nothing: every lookup
+    gets the caller's plain list and computes."""
     waves = _waves()
     truths = [np.full((70, 70), 3000.0, np.float32)] * len(waves)
     kinds = []
-    original = runtime._Reused._once
+    original = runtime._once
 
-    def once(self, key, compute):
+    def once(samples, key, compute):
+        assert samples is waves
         kinds.append(key[0])
-        return original(self, key, compute)
+        return original(samples, key, compute)
 
-    monkeypatch.setattr(runtime._Reused, "_once", once)
+    monkeypatch.setattr(runtime, "_once", once)
     refs = _Calls(monkeypatch, "ssim_reference")
     for mode in (PipelineMode.EPIC, PipelineMode.SLA, PipelineMode.CENTRALIZED):
         runtime.run_baseline(mode, waves, weights, _clean_infra(), drop_devices={1},
                              ground_truth=truths)
-    assert kinds and set(kinds) <= {"latent", "zero"}
+    assert set(kinds) == {"latent", "fuse+decode", "plain", "truth"}
     assert len(refs.args) == 3 * len(waves)
+
+
+@pytest.mark.parametrize("n_samples", [8, 16])
+def test_single_run_frees_earlier_latents(monkeypatch, weights, n_samples):
+    """Outside a sweep a run keeps no sample's latents once it is done:
+    at each encode, the live latents of earlier samples never exceed one
+    sample's devices."""
+    waves = [np.random.default_rng(i).normal(size=(5, 40, 70)).astype(np.float32)
+             for i in range(n_samples)]
+    live, earlier = [], []  # (sample, weak reference) of each latent; count per encode
+    original = runtime.encode
+
+    def encode(wave_slice, encoder, device_id=0, sample_id=0):
+        earlier.append(sum(s < sample_id and ref() is not None for s, ref in live))
+        latent = original(wave_slice, encoder, device_id=device_id, sample_id=sample_id)
+        live.append((sample_id, weakref.ref(latent)))
+        return latent
+
+    monkeypatch.setattr(runtime, "encode", encode)
+    for mode in (PipelineMode.EPIC, PipelineMode.SLA, PipelineMode.CENTRALIZED):
+        live.clear()
+        earlier.clear()
+        runtime.run_baseline(mode, waves, weights, _clean_infra())
+        assert len(earlier) == n_samples * TINY.n_devices
+        assert max(earlier) <= TINY.n_devices, (mode, earlier)

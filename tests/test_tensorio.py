@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,3 +62,19 @@ def test_trailing_bytes_rejected(tmp_path, rng):
     path.write_bytes(tensor_to_bytes(x) + b"\x00")
     with pytest.raises(CorruptFileError, match="trailing"):
         load_tensor(path)
+
+
+def test_load_tensor_errors_name_the_path(tmp_path, rng):
+    blob = tensor_to_bytes(rng.normal(size=(3, 4)).astype(np.float32))
+    path = tmp_path / "t.tnsr"
+    for bad in (blob[:-5], blob[:10], blob + b"\x00"):
+        path.write_bytes(bad)
+        with pytest.raises(CorruptFileError, match=f"^{re.escape(str(path))}: "):
+            load_tensor(path)
+
+
+def test_non_finite_payload_round_trips(tmp_path):
+    x = np.array([np.nan, np.inf, -np.inf, -0.0], dtype=np.float32)
+    path = tmp_path / "t.tnsr"
+    save_tensor(x, path)
+    np.testing.assert_array_equal(load_tensor(path), x)
