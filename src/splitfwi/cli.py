@@ -49,6 +49,8 @@ def _cmd_gen_weights(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     cfg = load_run_config(args.config)
     weights = load_weights(cfg.paths["weights"])
     samples, _ = load_dataset(cfg.paths["data"])

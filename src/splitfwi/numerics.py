@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptySupportError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
     "as_f32",
@@ -223,31 +223,13 @@ def _linear_sums(x, weight, bias):
         yield start, sums
 
 
-def softmax(scores, mask=None) -> np.ndarray:
-    """Exp-normalize along the trailing axis with max-subtraction.
-
-    ``mask`` marks the trailing entries that participate (True = keep); it
-    applies to every row. Masked entries come out exactly 0 and each row of
-    kept entries sums to 1.
-    """
-    scores = as_f32(scores)
-    k = scores.shape[-1]
-    s = scores.astype(np.float64)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (k,):
-            raise ShapeError(f"softmax mask {mask.shape} does not match trailing extent {k}")
-        if not mask.any():
-            raise EmptySupportError("softmax: all entries masked, empty support")
-        s = s[..., mask]
+def softmax(scores) -> np.ndarray:
+    """Exp-normalize along the trailing axis with max-subtraction."""
+    s = as_f32(scores).astype(np.float64)
     m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
     p = e / e.sum(axis=-1, keepdims=True)
-    if mask is None:
-        return p.astype(np.float32)
-    out = np.zeros(scores.shape, dtype=np.float32)
-    out[..., mask] = p.astype(np.float32)
-    return out
+    return p.astype(np.float32)
 
 
 def _axis_coords(n_src: int, n_dst: int):

@@ -23,13 +23,15 @@ The module also hosts the root-cause analysis tools built on wave
 superposition: differential records that isolate a region of interest by
 subtracting a background simulation, and receiver energy distributions
 over arbitrary receiver groups. A small seeded generator produces layered
-and faulted velocity models paired with their simulated records.
+and faulted velocity models paired with their simulated records, which
+`save_dataset` stores as tensor files listed in a JSON manifest. The
+manifest is read by `jsondoc`, the reader of every JSON document, so a
+malformed one raises DatasetError naming its JSON pointer.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -44,6 +46,7 @@ from .errors import (
     StabilityError,
     ZeroEnergyError,
 )
+from .jsondoc import fail, fields, get, load, positive, reading, typed
 from .model import validate_partition
 from .numerics import as_f32
 from .tensorio import load_tensor, save_tensor
@@ -369,40 +372,24 @@ def load_dataset(in_dir) -> tuple[list[tuple[VelocityModel, WaveformRecord]], di
     root = Path(in_dir)
     path = root / "manifest.json"
 
-    def bad(pointer: str, why: str) -> DatasetError:
-        return DatasetError(f"manifest {path}: {pointer}: {why}")
-
     def tensor(pointer: str, name: str, build):
         try:
             return build(load_tensor(root / name))
-        except SplitFwiError as exc:
-            raise bad(pointer, f"{name}: {exc}") from exc
+        # a name holding a NUL byte raises ValueError, not OSError
+        except (SplitFwiError, ValueError) as exc:
+            fail(pointer, f"{name}: {exc}")
 
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DatasetError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise bad("/", f"expected an object, got {type(manifest).__name__}")
-    dx = manifest.get("dx", 10.0)
-    if type(dx) not in (int, float) or not 0 < dx <= sys.float_info.max:
-        raise bad("/dx", f"expected a positive finite number, got {dx!r}")
-    if "files" not in manifest:
-        raise bad("/files", "missing")
-    files = manifest["files"]
-    if not isinstance(files, list):
-        raise bad("/files", f"expected a list, got {type(files).__name__}")
-    for i, entry in enumerate(files):
-        if not isinstance(entry, dict):
-            raise bad(f"/files/{i}", f"expected an object, got {type(entry).__name__}")
-        for key in ("velocity", "waveform"):
-            if key not in entry:
-                raise bad(f"/files/{i}/{key}", "missing")
-            if not isinstance(entry[key], str):
-                raise bad(f"/files/{i}/{key}", f"expected str, got {type(entry[key]).__name__}")
-    samples = []
-    for i, entry in enumerate(files):
-        vm = tensor(f"/files/{i}/velocity", entry["velocity"], partial(VelocityModel, dx=float(dx)))
-        rec = tensor(f"/files/{i}/waveform", entry["waveform"], WaveformRecord)
-        samples.append((vm, rec))
+    with reading(DatasetError):
+        manifest = load(path, "manifest")
+    with reading(DatasetError, f"manifest {path}: "):
+        typed("", manifest, dict)
+        dx = positive("/dx", get(manifest, "", "dx", float, 10.0))
+        files = [fields(typed(f"/files/{i}", entry, dict), f"/files/{i}",
+                        {"velocity": str, "waveform": str}, {})
+                 for i, entry in enumerate(get(manifest, "", "files", list))]
+        samples = []
+        for i, entry in enumerate(files):
+            vm = tensor(f"/files/{i}/velocity", entry["velocity"], partial(VelocityModel, dx=dx))
+            rec = tensor(f"/files/{i}/waveform", entry["waveform"], WaveformRecord)
+            samples.append((vm, rec))
     return samples, manifest

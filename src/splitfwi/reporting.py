@@ -3,6 +3,10 @@
 Reports come out as RFC-4180 CSV (one per-sample table, one per-run
 summary table) and as JSON. Field order and float formatting are fixed so
 that two runs with the same configuration produce byte-identical files.
+A stored JSON report is read back by `jsondoc`, the reader of every JSON
+document, so a malformed one raises ReportError naming the JSON pointer
+of the offending field; this module keeps only the rules particular to
+reports: mode and status choices, nullable SSIM and mask digits.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ReportError
+from .jsondoc import choice, fail, get, load, reading, typed
+from .jsondoc import fields as read_fields
 from .model import ModelConfig, init_weights
 from .netem import NetworkProfile
 from .physics import default_geometry, generate_dataset
@@ -151,40 +157,18 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-# key of a stored report or row -> (type, nullable)
-_REPORT_KEYS = {key: (kind, False) for key, kind in (
-    ("mode", str), ("n_devices", int), ("profile", str), ("deadline_s", float),
-    ("decode_budget_s", float), ("rows", list))}
+# key of a stored report -> type
+_REPORT_KEYS = {"mode": str, "n_devices": int, "profile": str, "deadline_s": float,
+                "decode_budget_s": float, "rows": list}
+# key of a stored row -> (type, nullable); a mask is stored as its digit string
 _ROW_KEYS = {f.name: _ROW_COLUMNS[f.name] for f in fields(SampleResult)}
-
-
-def _stored(doc, pointer: str, kinds: dict) -> dict:
-    """The keys of kinds, read from the object doc at pointer. A float may
-    be stored as an int and a tuple of flags as a digit string; null is
-    allowed only for a nullable key."""
-    if not isinstance(doc, dict):
-        raise ReportError(f"{pointer or '/'}: expected an object, got {type(doc).__name__}")
-    vals = {}
-    for key, (kind, nullable) in kinds.items():
-        if key not in doc:
-            raise ReportError(f"{pointer}/{key}: missing")
-        val = doc[key]
-        kind = str if kind is tuple else kind
-        ok = isinstance(val, (int, float) if kind is float else kind) and (
-            kind is bool or not isinstance(val, bool))
-        if not ok and not (nullable and val is None):
-            raise ReportError(f"{pointer}/{key}: expected {kind.__name__}, got {type(val).__name__}")
-        vals[key] = float(val) if kind is float and val is not None else val
-    return vals
+_ROW_KEYS["mask"] = (str, False)
 
 
 def _report_from(entry, pointer: str) -> RunReport:
-    doc = _stored(entry, pointer, _REPORT_KEYS)
-    modes = [m.value for m in PipelineMode]
-    if doc["mode"] not in modes:
-        raise ReportError(f"{pointer}/mode: must be one of {', '.join(modes)}, got {doc['mode']!r}")
+    doc = read_fields(typed(pointer, entry, dict), pointer, _REPORT_KEYS, {})
     report = RunReport(
-        mode=PipelineMode(doc["mode"]),
+        mode=PipelineMode(choice(f"{pointer}/mode", doc["mode"], [m.value for m in PipelineMode])),
         n_devices=doc["n_devices"],
         profile_label=doc["profile"],
         deadline_s=doc["deadline_s"],
@@ -192,17 +176,18 @@ def _report_from(entry, pointer: str) -> RunReport:
     )
     for i, row in enumerate(doc["rows"]):
         here = f"{pointer}/rows/{i}"
-        vals = _stored(row, here, _ROW_KEYS)
-        if vals["status"] not in ("ok", "failed"):
-            raise ReportError(f"{here}/status: must be 'ok' or 'failed', got {vals['status']!r}")
+        row = typed(here, row, dict)
+        vals = {key: None if nullable and key in row and row[key] is None
+                else get(row, here, key, kind) for key, (kind, nullable) in _ROW_KEYS.items()}
+        choice(f"{here}/status", vals["status"], ("ok", "failed"))
         if len(vals["mask"]) != report.n_devices or set(vals["mask"]) - {"0", "1"}:
-            raise ReportError(f"{here}/mask: expected {report.n_devices} digits 0 or 1, "
-                              f"got {vals['mask']!r}")
+            fail(f"{here}/mask", f"expected {report.n_devices} digits 0 or 1, got {vals['mask']!r}")
         vals["mask"] = tuple(c == "1" for c in vals["mask"])
         report.rows.append(SampleResult(**vals))
     return report
 
 
+@reading(ReportError)
 def report_from_dict(entry: dict) -> RunReport:
     """Inverse of report_to_dict; a malformed entry raises ReportError
     naming the JSON pointer of the offending field."""
@@ -213,16 +198,10 @@ def read_report_json(path) -> list[RunReport]:
     """Inverse of write_report_json; errors name the file and the JSON
     pointer of the offending field."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ReportError(f"report {path} is not valid JSON: {exc}") from exc
-    try:
-        if not isinstance(doc, list):
-            raise ReportError(f"/: expected a list of reports, got {type(doc).__name__}")
-        return [_report_from(entry, f"/{i}") for i, entry in enumerate(doc)]
-    except ReportError as exc:
-        raise ReportError(f"report {path}: {exc}") from exc
+    with reading(ReportError):
+        doc = load(path, "report")
+    with reading(ReportError, f"report {path}: "):
+        return [_report_from(entry, f"/{i}") for i, entry in enumerate(typed("", doc, list))]
 
 
 def write_report_json(reports, path) -> Path:

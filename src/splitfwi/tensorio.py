@@ -53,6 +53,8 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
         raise CorruptFileError(f"unsupported tensor format version {version}")
     if dtype != DTYPE_F32:
         raise CorruptFileError(f"unsupported tensor dtype code {dtype}")
+    if ndim == 0:
+        raise CorruptFileError("tensor record has rank 0; records need at least one dimension")
     pos = offset + 8 + _HEAD.size
     if n - pos < 4 * ndim:
         raise CorruptFileError("tensor record truncated: extents do not fit")

@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from splitfwi.errors import SplitFwiError
 from splitfwi.model import LatentSet, LatentVector, ModelConfig, init_weights
 
 # Small architecture for unit tests; full defaults are exercised in
@@ -46,3 +50,32 @@ def make_latents(config, seed=5, device_ids=None, sample_id=0):
 @pytest.fixture
 def tiny_latents(tiny_config):
     return make_latents(tiny_config)
+
+
+# Any JSON value, for fuzzing the documents splitfwi reads: each is
+# placed at one site of a valid document with put().
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def put(doc, site, value):
+    """A copy of doc with value at site, a path of keys and list indices."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in site[:-1]:
+        target = target[step]
+    target[site[-1]] = value
+    return doc
+
+
+def reads_or_points(read, error, doc, prefix=""):
+    """read(doc) either returns, or raises exactly error with a message
+    that names a JSON pointer after prefix."""
+    try:
+        read(doc)
+    except SplitFwiError as exc:
+        assert type(exc) is error, repr(exc)
+        assert str(exc).startswith(prefix + "/"), str(exc)

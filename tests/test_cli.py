@@ -130,6 +130,9 @@ def test_report_merges_runs(workspace, tmp_path):
      "/0/rows/0/ssim: expected float"),
     (lambda doc: [dict(doc[0], rows=[dict(doc[0]["rows"][0], status="fine")])],
      "/0/rows/0/status"),
+    (lambda doc: json.dumps([dict(doc[0], deadline_s=10**400)]), "/0/deadline_s: must be finite"),
+    (lambda doc: json.dumps([dict(doc[0], deadline_s=float("nan"))]),
+     "/0/deadline_s: must be finite"),
 ])
 def test_bad_report_exits_2(workspace, tmp_path, capsys, edit, expected):
     assert run_cli("run", "--config", str(workspace / "run.json")) == 0
@@ -168,9 +171,10 @@ def test_malformed_config_points_at_field(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("text, expected", [
     (None, "bench.json"),
     ("{not json", "bench.json"),
-    ("[1, 2]", "/: expected dict"),
+    ("[1, 2]", "/: expected an object"),
     ('{"profiles": [{"b": "fast"}]}', "/profiles/0/b"),
     ('{"n_samples": 2.9}', "/n_samples"),
+    pytest.param("[" * 100000, "is not valid JSON", id="nested-too-deeply"),
 ])
 def test_bad_bench_spec_exits_2(tmp_path, capsys, text, expected):
     cfg = tmp_path / "bench.json"
@@ -180,6 +184,15 @@ def test_bad_bench_spec_exits_2(tmp_path, capsys, text, expected):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_exits_2(workspace, tmp_path, capsys, samples):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(workspace / "run.json"), "--samples", samples,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: --samples must be >= 1")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["weights", "data"])
@@ -225,7 +238,7 @@ def test_console_entry_point(workspace):
     ("{not json", "is not valid JSON"),
     ("[]", "/: expected an object"),
     ('{"dx": 10.0}', "/files: missing"),
-    ('{"dx": "ten", "files": []}', "/dx: expected a positive finite number"),
+    ('{"dx": "ten", "files": []}', "/dx: expected float, got str"),
     ('{"files": [{"velocity": "v.tnsr"}]}', "/files/0/waveform: missing"),
 ])
 def test_malformed_manifest_exits_2(workspace, tmp_path, capsys, text, expected):

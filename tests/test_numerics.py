@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitfwi.errors import EmptySupportError, ShapeError
+from splitfwi.errors import ShapeError
 from splitfwi.numerics import (
     bilinear_resize,
     conv2d,
@@ -124,21 +124,12 @@ class TestSoftmax:
         out = softmax(np.zeros(4, np.float32))
         np.testing.assert_array_equal(out, np.full(4, 0.25, np.float32))
 
-    def test_single_unmasked(self):
-        mask = np.array([False, True, False])
-        out = softmax(np.array([5.0, -2.0, 7.0], np.float32), mask)
-        np.testing.assert_array_equal(out, np.array([0.0, 1.0, 0.0], np.float32))
-
     def test_matches_scalar_oracle(self):
         row = np.array([1.0, 2.0, 3.0], np.float64)
         e = np.exp(row - row.max())
         want = e / e.sum()
         got = softmax(row.astype(np.float32))
         np.testing.assert_allclose(got, want, atol=1e-7)
-
-    def test_all_masked_rejected(self):
-        with pytest.raises(EmptySupportError):
-            softmax(np.zeros(3, np.float32), np.zeros(3, dtype=bool))
 
     @given(
         scores=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
@@ -151,13 +142,6 @@ class TestSoftmax:
         assert abs(float(p.sum()) - 1.0) <= 1e-6
         q = softmax(row + np.float32(shift))
         np.testing.assert_allclose(p, q, atol=1e-6)
-
-    def test_masked_rows_sum_to_one(self, rng):
-        scores = rng.normal(size=(5, 6)).astype(np.float32)
-        mask = np.array([True, False, True, True, False, True])
-        p = softmax(scores, mask)
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
-        assert (p[:, ~mask] == 0.0).all()
 
 
 class TestBilinearResize:

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON, put, reads_or_points
 from splitfwi.errors import (
     DatasetError,
     InputValidationError,
@@ -368,11 +369,11 @@ class TestManifestErrors:
         (lambda doc: [doc], "/: expected an object, got list"),
         (lambda doc: {k: v for k, v in doc.items() if k != "files"}, "/files: missing"),
         (lambda doc: dict(doc, files={"0": doc["files"][0]}), "/files: expected a list, got dict"),
-        (lambda doc: dict(doc, dx="ten"), "/dx: expected a positive finite number, got 'ten'"),
-        (lambda doc: dict(doc, dx=0), "/dx: expected a positive finite number"),
-        (lambda doc: dict(doc, dx=True), "/dx: expected a positive finite number"),
-        (lambda doc: json.dumps(dict(doc, dx=10 ** 400)), "/dx: expected a positive finite number"),
-        (lambda doc: json.dumps(dict(doc, dx=float("nan"))), "/dx: expected a positive finite number"),
+        (lambda doc: dict(doc, dx="ten"), "/dx: expected float, got str"),
+        (lambda doc: dict(doc, dx=0), "/dx: must be positive, got 0.0"),
+        (lambda doc: dict(doc, dx=True), "/dx: expected float, got bool"),
+        (lambda doc: json.dumps(dict(doc, dx=10 ** 400)), "/dx: must be finite, got inf"),
+        (lambda doc: json.dumps(dict(doc, dx=float("nan"))), "/dx: must be finite, got nan"),
         (lambda doc: dict(doc, files=[doc["files"][0], 3]), "/files/1: expected an object, got int"),
         (lambda doc: dict(doc, files=[{"velocity": doc["files"][0]["velocity"]}]),
          "/files/0/waveform: missing"),
@@ -390,6 +391,34 @@ class TestManifestErrors:
         message = str(info.value)
         assert message.startswith(f"manifest {root / 'manifest.json'}")
         assert pointer in message
+
+    # every manifest key, and each file entry and its keys
+    SITES = ([(k,) for k in ("dx", "family", "files", "geometry", "n_samples", "seed")]
+             + [("files", i) for i in range(2)]
+             + [("files", i, k) for i in range(2) for k in ("velocity", "waveform")])
+
+    @pytest.fixture(scope="class")
+    def fuzzed(self, dataset, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzzed")
+        for f in dataset.iterdir():
+            (root / f.name).write_bytes(f.read_bytes())
+        return root
+
+    @given(site=st.sampled_from(SITES), value=JSON)
+    @example(site=("files", 0, "velocity"), value="v\x00.tnsr")
+    @settings(max_examples=200, deadline=None)
+    def test_any_value_loads_or_names_pointer(self, dataset, fuzzed, site, value):
+        def read(doc):
+            (fuzzed / "manifest.json").write_text(json.dumps(doc))
+            try:
+                load_dataset(fuzzed)
+            except OSError:
+                # a file name that names no file, as in test_missing_files_raise_os_error
+                assert site[-1] in ("velocity", "waveform") and isinstance(value, str)
+
+        doc = json.loads((dataset / "manifest.json").read_text())
+        reads_or_points(read, DatasetError, put(doc, site, value),
+                        f"manifest {fuzzed / 'manifest.json'}: ")
 
     def test_missing_files_raise_os_error(self, dataset, tmp_path):
         with pytest.raises(OSError):

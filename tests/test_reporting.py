@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import TINY
+from conftest import JSON, TINY, put, reads_or_points
 from splitfwi.errors import ReportError
 from splitfwi.model import ModelConfig, init_weights
 from splitfwi.netem import FOUR_G, NetworkProfile
@@ -20,7 +22,14 @@ from splitfwi.reporting import (
     write_report_json,
     write_summary_csv,
 )
-from splitfwi.runtime import InfraConfig, PipelineMode, run_baseline, run_epic
+from splitfwi.runtime import (
+    InfraConfig,
+    PipelineMode,
+    RunReport,
+    SampleResult,
+    run_baseline,
+    run_epic,
+)
 
 PERFECT = NetworkProfile(bandwidth_bps=1e12, base_latency_s=0.0, loss_rate=0.0)
 
@@ -33,6 +42,32 @@ def _reports():
     _, epic = run_epic(waves, weights, infra)
     _, central = run_baseline(PipelineMode.CENTRALIZED, waves, weights, infra)
     return [epic, central]
+
+
+def _row(sample_id, status, mask, ssim):
+    return SampleResult(sample_id=sample_id, status=status, mask=mask, l_edge_s=0.01,
+                        l_comm_s=0.02, l_central_s=0.03, l_total_s=0.06, energy_j=0.5,
+                        comm_bytes=2048, deadline_fired=False, deadline_met=True,
+                        late_frames=0, ssim=ssim)
+
+
+# a stored 2-row report: one ok row, and one failed row with a null SSIM
+REPORT = report_to_dict(RunReport(
+    mode=PipelineMode.EPIC, n_devices=2, profile_label="4g", deadline_s=0.5,
+    decode_budget_s=0.1,
+    rows=[_row(0, "ok", (True, False), 0.75), _row(1, "failed", (False, False), None)],
+))
+# every report key and every row key of both rows
+REPORT_SITES = [(k,) for k in REPORT] + [
+    ("rows", i, k) for i, row in enumerate(REPORT["rows"]) for k in row]
+
+
+@given(site=st.sampled_from(REPORT_SITES), value=JSON)
+@example(site=("deadline_s",), value=10**400)
+@example(site=("rows", 0, "l_total_s"), value=float("nan"))
+@settings(max_examples=300, deadline=None)
+def test_any_value_in_report_parses_or_names_pointer(site, value):
+    reads_or_points(report_from_dict, ReportError, put(REPORT, site, value))
 
 
 class TestCsv:

@@ -1,10 +1,10 @@
-import copy
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import JSON, put, reads_or_points
 from splitfwi.errors import ConfigError
 from splitfwi.netem import NetworkProfile
 from splitfwi.reporting import BenchmarkSpec
@@ -49,39 +49,16 @@ BENCH_SITES = (
     + [("profiles", 0), ("modes", 0), ("device_counts", 1)]
 )
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-def _put(doc, site, value):
-    doc = copy.deepcopy(doc)
-    target = doc
-    for step in site[:-1]:
-        target = target[step]
-    target[site[-1]] = value
-    return doc
-
-
-def _parses_or_points(parse, doc):
-    try:
-        parse(doc)
-    except ConfigError as exc:
-        assert str(exc).startswith("/"), str(exc)
-
-
 @given(site=st.sampled_from(RUN_SITES), value=JSON)
 @settings(max_examples=300, deadline=None)
 def test_any_value_in_run_config_parses_or_names_pointer(site, value):
-    _parses_or_points(parse_run_config, _put(RUN, site, value))
+    reads_or_points(parse_run_config, ConfigError, put(RUN, site, value))
 
 
 @given(site=st.sampled_from(BENCH_SITES), value=JSON)
 @settings(max_examples=300, deadline=None)
 def test_any_value_in_bench_spec_parses_or_names_pointer(site, value):
-    _parses_or_points(parse_bench_spec, _put(BENCH, site, value))
+    reads_or_points(parse_bench_spec, ConfigError, put(BENCH, site, value))
 
 
 def test_socket_addresses_reach_infra():
@@ -111,7 +88,7 @@ def test_socket_addresses_reach_infra():
 ])
 def test_run_config_errors_name_pointer(site, value, pointer):
     with pytest.raises(ConfigError) as info:
-        parse_run_config(_put(RUN, site, value))
+        parse_run_config(put(RUN, site, value))
     assert str(info.value).startswith(pointer + ":")
 
 
