@@ -1,9 +1,9 @@
 """Binary tensor serialization.
 
 File layout (little-endian throughout): 8-byte magic ``EPICTNSR``, version
-u8 (=1), dtype code u8 (0 = float32), ndim u8, one u32 extent per
-dimension, the raw float32 payload in row-major order, and a trailing u32
-CRC32 over all preceding bytes.
+u8 (=1), dtype code u8 (0 = float32), ndim u8 (at least 1), one u32
+extent per dimension, the raw float32 payload in row-major order, and a
+trailing u32 CRC32 over all preceding bytes.
 """
 
 from __future__ import annotations
