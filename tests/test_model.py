@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -347,6 +348,18 @@ class TestWeightFiles:
         for (na, ta), (nb, tb) in zip(tiny_weights.named_tensors(), loaded.named_tensors()):
             assert na == nb
             np.testing.assert_array_equal(ta, tb)
+
+    # sha256 and length of weights_to_bytes(init_weights(ModelConfig(n_devices=n), 1)):
+    # pins every full-size tensor's name, shape, order and seeded values
+    FULL_SIZE = {
+        1: ("8fa0e23d13a296a7538ddd4eecb226f35556a082b2854d94dd4bf3efa863e72e", 16699504),
+        5: ("bd1da4205e277425a5213558d918148b7f8faafc46cf67922af77c79c69f8a40", 41807816),
+    }
+
+    @pytest.mark.parametrize("n_devices", sorted(FULL_SIZE))
+    def test_full_size_bytes_pinned(self, n_devices):
+        blob = weights_to_bytes(init_weights(ModelConfig(n_devices=n_devices), 1))
+        assert (hashlib.sha256(blob).hexdigest(), len(blob)) == self.FULL_SIZE[n_devices]
 
     def test_truncated_rejected(self, tiny_weights, tmp_path):
         blob = weights_to_bytes(tiny_weights)
