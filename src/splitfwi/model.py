@@ -23,19 +23,21 @@ block, the embeddings resized to that block's resolution, so decoding
 does not resize them again; the grids are derived state, not fields, and
 a weight file does not store them.
 
-The declared cost of each layer, which the runtime's simulated clock
-charges, is derived here from the same weight inventory that shapes the
-weights.
+The weight layout (each tensor's name, shape, fan-in and order) is
+written once, in `_build`. Seeding, the weight-file reader and writer,
+and the declared cost of each layer, which the runtime's simulated clock
+charges, all read it off that one builder.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,21 +127,7 @@ class ModelConfig:
         return len(self.decoder_resolutions) - 1
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_devices": self.n_devices,
-                "latent_dim": self.latent_dim,
-                "d_k": self.d_k,
-                "d_pos": self.d_pos,
-                "n_heads": self.n_heads,
-                "encoder_channels": list(self.encoder_channels),
-                "decoder_channels": list(self.decoder_channels),
-                "decoder_resolutions": [list(r) for r in self.decoder_resolutions],
-                "output_dims": list(self.output_dims),
-                "velocity_range": list(self.velocity_range),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
@@ -208,112 +196,67 @@ class ModelWeights:
         )
 
     def named_tensors(self):
-        """Yield (name, array) in the canonical serialization order."""
-        for d, stack in enumerate(self.encoders):
-            for b, conv in enumerate(stack):
-                yield f"encoder{d}.conv{b}.kernel", conv.kernel
-                yield f"encoder{d}.conv{b}.bias", conv.bias
-        for part, lp in (
-            ("query", self.fusion.query),
-            ("key", self.fusion.key),
-            ("value", self.fusion.value),
-            ("out", self.fusion.out),
-        ):
-            yield f"fusion.{part}.weight", lp.weight
-            yield f"fusion.{part}.bias", lp.bias
-        yield "decoder.seed.weight", self.seed_proj.weight
-        yield "decoder.seed.bias", self.seed_proj.bias
-        for j, block in enumerate(self.blocks):
-            yield f"decoder.block{j}.conv.kernel", block.conv.kernel
-            yield f"decoder.block{j}.conv.bias", block.conv.bias
-            for part, lp in (
-                ("query", block.attention.query),
-                ("key", block.attention.key),
-                ("value", block.attention.value),
-                ("out", block.attention.out),
-            ):
-                yield f"decoder.block{j}.attn.{part}.weight", lp.weight
-                yield f"decoder.block{j}.attn.{part}.bias", lp.bias
-        yield "decoder.pos_embed", self.position_embeddings
-        yield "decoder.head.kernel", self.head.kernel
-        yield "decoder.head.bias", self.head.bias
+        """Yield (name, array) in the canonical serialization order: the
+        builder's names beside the arrays in dataclass field order, which
+        is that order."""
+        names: list[str] = []
+        _build(self.config, lambda name, shape, fan_in: names.append(name))
+        return zip(names, _arrays(self), strict=True)
 
 
-def _weight_inventory(config: ModelConfig):
-    """Yield (name, (shape, fan_in)) for every tensor, in serialization
-    order, so that a reader can stop at the first one a file lacks."""
-    ch = config.encoder_channels
-    for d in range(config.n_devices):
-        for b in range(config.n_encoder_blocks):
-            fan = ch[b] * 9
-            yield f"encoder{d}.conv{b}.kernel", ((ch[b + 1], ch[b], 3, 3), fan)
-            yield f"encoder{d}.conv{b}.bias", ((ch[b + 1],), fan)
+def _arrays(node):
+    """The arrays under a weight container, depth first in field order."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _arrays(item)
+    elif not isinstance(node, ModelConfig):
+        for f in fields(node):
+            yield from _arrays(getattr(node, f.name))
+
+
+def _build(config: ModelConfig, tensor) -> dict:
+    """The weight layout, written once: the fields of a ModelWeights
+    after its config, each tensor being tensor(name, shape, fan_in).
+
+    The calls come in serialization order, so a reader can stop at the
+    first tensor that a file lacks, and the call index keys each seeded
+    stream. Every user of the layout passes its own tensor: init draws,
+    the reader checks the next record, the cost model keeps the shape.
+    """
     dim, dk = config.latent_dim, config.d_k
-    for part, (dout, din) in (
-        ("query", (dk, dim)),
-        ("key", (dk, dim)),
-        ("value", (dk, dim)),
-        ("out", (dim, dk)),
-    ):
-        yield f"fusion.{part}.weight", ((dout, din), din)
-        yield f"fusion.{part}.bias", ((dout,), din)
-    c0 = config.decoder_channels[0]
+
+    def conv(prefix, cout, cin, k):
+        fan = cin * k * k
+        return ConvParams(tensor(f"{prefix}.kernel", (cout, cin, k, k), fan),
+                          tensor(f"{prefix}.bias", (cout,), fan))
+
+    def lin(prefix, dout, din):
+        return LinearParams(tensor(f"{prefix}.weight", (dout, din), din),
+                            tensor(f"{prefix}.bias", (dout,), din))
+
+    def attn(prefix, q_in, out):
+        return AttentionParams(query=lin(f"{prefix}.query", dk, q_in),
+                               key=lin(f"{prefix}.key", dk, dim),
+                               value=lin(f"{prefix}.value", dk, dim),
+                               out=lin(f"{prefix}.out", out, dk))
+
+    ch, dch = config.encoder_channels, config.decoder_channels
     h0, w0 = config.decoder_resolutions[0]
-    yield "decoder.seed.weight", ((c0 * h0 * w0, dim), dim)
-    yield "decoder.seed.bias", ((c0 * h0 * w0,), dim)
-    for j in range(config.n_decoder_blocks):
-        cin = config.decoder_channels[j]
-        cout = config.decoder_channels[j + 1]
-        fan = cin * 9
-        yield f"decoder.block{j}.conv.kernel", ((cout, cin, 3, 3), fan)
-        yield f"decoder.block{j}.conv.bias", ((cout,), fan)
-        q_in = cout + config.d_pos
-        for part, (dout, din) in (
-            ("query", (dk, q_in)),
-            ("key", (dk, dim)),
-            ("value", (dk, dim)),
-            ("out", (cout, dk)),
-        ):
-            yield f"decoder.block{j}.attn.{part}.weight", ((dout, din), din)
-            yield f"decoder.block{j}.attn.{part}.bias", ((dout,), din)
-    ho, wo = config.output_dims
-    yield "decoder.pos_embed", ((config.d_pos, ho, wo), config.d_pos)
-    c_last = config.decoder_channels[-1]
-    yield "decoder.head.kernel", ((1, c_last, 1, 1), c_last)
-    yield "decoder.head.bias", ((1,), c_last)
-
-
-def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
-    def conv(prefix):
-        return ConvParams(tensors[f"{prefix}.kernel"], tensors[f"{prefix}.bias"])
-
-    def lin(prefix):
-        return LinearParams(tensors[f"{prefix}.weight"], tensors[f"{prefix}.bias"])
-
-    def attn(prefix):
-        return AttentionParams(
-            query=lin(f"{prefix}.query"),
-            key=lin(f"{prefix}.key"),
-            value=lin(f"{prefix}.value"),
-            out=lin(f"{prefix}.out"),
-        )
-
-    encoders = [
-        [conv(f"encoder{d}.conv{b}") for b in range(config.n_encoder_blocks)]
-        for d in range(config.n_devices)
-    ]
-    blocks = [
-        DecoderBlockParams(conv=conv(f"decoder.block{j}.conv"), attention=attn(f"decoder.block{j}.attn"))
-        for j in range(config.n_decoder_blocks)
-    ]
-    return ModelWeights(
-        config=config,
-        encoders=encoders,
-        fusion=attn("fusion"),
-        seed_proj=lin("decoder.seed"),
-        blocks=blocks,
-        position_embeddings=tensors["decoder.pos_embed"],
-        head=conv("decoder.head"),
+    return dict(
+        encoders=[[conv(f"encoder{d}.conv{b}", ch[b + 1], ch[b], 3)
+                   for b in range(config.n_encoder_blocks)]
+                  for d in range(config.n_devices)],
+        fusion=attn("fusion", dim, dim),
+        seed_proj=lin("decoder.seed", dch[0] * h0 * w0, dim),
+        blocks=[DecoderBlockParams(conv=conv(f"decoder.block{j}.conv", dch[j + 1], dch[j], 3),
+                                   attention=attn(f"decoder.block{j}.attn",
+                                                  dch[j + 1] + config.d_pos, dch[j + 1]))
+                for j in range(config.n_decoder_blocks)],
+        position_embeddings=tensor("decoder.pos_embed", (config.d_pos, *config.output_dims),
+                                   config.d_pos),
+        head=conv("decoder.head", 1, dch[-1], 1),
     )
 
 
@@ -326,12 +269,14 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """
     if seed < 0 or seed >= 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    tensors: dict[str, np.ndarray] = {}
-    for idx, (name, (shape, fan_in)) in enumerate(_weight_inventory(config)):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | idx))
+    index = itertools.count()
+
+    def draw(name, shape, fan_in):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | next(index)))
         bound = math.sqrt(1.0 / fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return _assemble(config, tensors)
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+    return ModelWeights(config, **_build(config, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -627,20 +572,20 @@ def forward_full(waveform, weights: ModelWeights, partition) -> VelocityMap:
 # declared cost model: multiply-adds (x2) of each layer of the forward pass
 
 
-def _layer_flops(inventory, name: str, positions: int) -> int:
+def _flops(weight_shape, positions: int) -> int:
     """A weighted layer's cost: 2 x its weight tensor's size x the number
     of positions it is applied at."""
-    return 2 * math.prod(inventory[name][0]) * positions
+    return 2 * math.prod(weight_shape) * positions
 
 
-def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> int:
+def _attention_flops(attn: AttentionParams, queries: int, k: int, d_k: int) -> int:
     """Projections of `queries` query and k key/value tokens, plus the
     score and mixing products."""
     return (
-        _layer_flops(inventory, f"{prefix}.query.weight", queries)
-        + _layer_flops(inventory, f"{prefix}.key.weight", k)
-        + _layer_flops(inventory, f"{prefix}.value.weight", k)
-        + _layer_flops(inventory, f"{prefix}.out.weight", queries)
+        _flops(attn.query.weight, queries)
+        + _flops(attn.key.weight, k)
+        + _flops(attn.value.weight, k)
+        + _flops(attn.out.weight, queries)
         + 2 * 2 * queries * k * d_k
     )
 
@@ -648,34 +593,40 @@ def _attention_flops(inventory, prefix: str, queries: int, k: int, d_k: int) -> 
 def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     """Cost of one encoder stack on an [C, n_t, width] slice, pooling
     included; every device's stack has the same shapes."""
-    inventory = dict(_weight_inventory(config))
     h, w = n_t, width
     total = 0
-    for b in range(config.n_encoder_blocks):
+    for conv in _build(config, lambda name, shape, fan_in: shape)["encoders"][0]:
         # a 3x3 kernel with padding 1 gives (n - 1) // stride + 1 outputs
         h, w = (h - 1) // 2 + 1, (w - 1) // _receiver_stride(w) + 1
-        total += _layer_flops(inventory, f"encoder0.conv{b}.kernel", h * w)
+        total += _flops(conv.kernel, h * w)
     return total + config.latent_dim * h * w  # pooling
+
+
+def _central_flops(config: ModelConfig, k: int) -> int:
+    """Cost of fuse + decode over k present latents; k = 0 is the
+    attention-free decoder path, which fuses nothing."""
+    shapes = _build(config, lambda name, shape, fan_in: shape)
+    total = (_flops(shapes["seed_proj"].weight, 1)
+             + _flops(shapes["head"].kernel, math.prod(config.output_dims)))
+    if k:
+        total += _attention_flops(shapes["fusion"], k, k, config.d_k)
+    for block, (h, w) in zip(shapes["blocks"], config.decoder_resolutions[1:]):
+        total += _flops(block.conv.kernel, h * w)
+        if k:
+            total += _attention_flops(block.attention, h * w, k, config.d_k)
+    return total
 
 
 def plain_decoder_flops(config: ModelConfig) -> int:
     """Cost of the attention-free decoder path (SLA central half)."""
-    inventory = dict(_weight_inventory(config))
-    total = _layer_flops(inventory, "decoder.seed.weight", 1)
-    for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
-        total += _layer_flops(inventory, f"decoder.block{j}.conv.kernel", h * w)
-    return total + _layer_flops(inventory, "decoder.head.kernel", math.prod(config.output_dims))
+    return _central_flops(config, 0)
 
 
 def decoder_flops(config: ModelConfig, k: int) -> int:
     """Cost of fuse + decode over k present latents."""
     if k < 1:
         raise ConfigError(f"decoder cost needs k >= 1, got {k}")
-    inventory = dict(_weight_inventory(config))
-    total = plain_decoder_flops(config) + _attention_flops(inventory, "fusion", k, k, config.d_k)
-    for j, (h, w) in enumerate(config.decoder_resolutions[1:]):
-        total += _attention_flops(inventory, f"decoder.block{j}.attn", h * w, k, config.d_k)
-    return total
+    return _central_flops(config, k)
 
 
 # ---------------------------------------------------------------------------
@@ -763,22 +714,25 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
         pos = end
     if pos != len(body):
         raise CorruptFileError("trailing bytes after weight records")
-    tensors: dict[str, np.ndarray] = {}
-    for want, (shape, _) in _weight_inventory(config):
-        if len(tensors) == len(records):
+    rest = iter(records)
+
+    def take(want, shape, fan_in):
+        name, arr, at = next(rest, (None, None, None))
+        if name is None:
             raise CorruptFileError(f"weight file missing tensor {want}")
-        name, arr, at = records[len(tensors)]
         if name != want:
             raise CorruptFileError(f"weight file record at byte {at} is {name!r}, "
                                    f"expected tensor {want}")
         if arr.shape != shape:
             raise CorruptFileError(f"tensor {name} at byte {at} has shape {arr.shape}, "
                                    f"expected {shape}")
-        tensors[name] = arr
-    if len(records) > len(tensors):
-        unknown = [name for name, _, _ in records[len(tensors):]]
+        return arr
+
+    parts = _build(config, take)
+    unknown = [name for name, _, _ in rest]
+    if unknown:
         raise CorruptFileError(f"weight file has tensors its config does not list: {unknown[:3]}")
-    return _assemble(config, tensors)
+    return ModelWeights(config, **parts)
 
 
 def save_weights(weights: ModelWeights, path) -> None:

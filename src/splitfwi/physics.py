@@ -331,8 +331,12 @@ def generate_dataset(
 # dataset files
 
 
-def save_dataset(samples, out_dir, *, seed: int, family: str, geometry: AcquisitionGeometry, dx: float = 10.0) -> Path:
-    """Write one tensor file per velocity map and per record, plus a manifest."""
+def save_dataset(samples, out_dir, *, seed: int, family: str, geometry: AcquisitionGeometry) -> Path:
+    """Write one tensor file per velocity map and per record, plus a
+    manifest that records the grid spacing the velocity maps share."""
+    spacings = sorted({vm.dx for vm, _ in samples})
+    if len(spacings) != 1:
+        raise InputValidationError(f"samples must share one grid spacing dx, got {spacings}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -346,7 +350,7 @@ def save_dataset(samples, out_dir, *, seed: int, family: str, geometry: Acquisit
         "seed": seed,
         "family": family,
         "n_samples": len(samples),
-        "dx": dx,
+        "dx": spacings[0],
         "geometry": {
             "source_cols": list(geometry.source_cols),
             "receiver_cols": list(geometry.receiver_cols),

@@ -56,17 +56,22 @@ MAX_PAYLOAD = 1 << 20
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes | None:
+    """n bytes from sock; None if it closes before the first of them."""
     buf = bytearray()
     while len(buf) < n:
         chunk = sock.recv(n - len(buf))
         if not chunk:
+            if buf:
+                raise ProtocolError(f"stream closed mid-frame after {len(buf)} of {n} bytes")
             return None
         buf.extend(chunk)
     return bytes(buf)
 
 
 def read_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> Frame | None:
-    """Read one length-delimited frame; None on a clean EOF.
+    """Read one length-delimited frame; None on a clean EOF, before the
+    first byte of a frame. A stream that closes inside a frame, header
+    included, is a ProtocolError.
 
     A header declaring more than max_payload bytes is rejected before
     any of its payload is read, so a corrupted length cannot stall the
@@ -142,12 +147,18 @@ class _FirstFailure:
 
 
 class _Collector:
-    """Accepts device connections and feeds frames into the buffer."""
+    """Accepts device connections and feeds frames into the buffer.
 
-    def __init__(self, host: str, port: int, buffer: HashBuffer, max_payload: int,
-                 failure: _FirstFailure):
+    A latent frame must come from one of the run's n_devices and carry
+    exactly latent_bytes of payload; any other frame is a ProtocolError
+    that ends the run, like a corrupt one.
+    """
+
+    def __init__(self, host: str, port: int, buffer: HashBuffer, n_devices: int,
+                 latent_bytes: int, failure: _FirstFailure):
         self.buffer = buffer
-        self.max_payload = max_payload
+        self.n_devices = n_devices
+        self.latent_bytes = latent_bytes
         self._failure = failure
         self._listener = socket.create_server((host, port))
         self._threads: list[threading.Thread] = []
@@ -175,7 +186,7 @@ class _Collector:
         with conn:
             while True:
                 try:
-                    frame = read_frame(conn, self.max_payload)
+                    frame = read_frame(conn, self.latent_bytes)
                 except ProtocolError:
                     if self._closing:
                         return
@@ -184,6 +195,12 @@ class _Collector:
                     return
                 if frame.kind == FrameKind.CONTROL:
                     continue
+                if not 0 <= frame.device_id < self.n_devices:
+                    raise ProtocolError(
+                        f"frame device_id {frame.device_id} outside [0, {self.n_devices})")
+                if len(frame.payload) != self.latent_bytes:
+                    raise ProtocolError(f"frame payload_len {len(frame.payload)} is not the "
+                                        f"run's {self.latent_bytes}-byte latent")
                 latent = latent_from_frame(frame)
                 self.buffer.insert(latent.sample_id, latent.device_id, latent, time.monotonic())
 
@@ -259,8 +276,8 @@ def run_epic_socket(
     buffer = HashBuffer()
     failure = _FirstFailure(buffer)
     stop = threading.Event()
-    collector = _Collector(infra.socket_host, infra.socket_port, buffer, cfg.latent_dim * 4,
-                           failure)
+    collector = _Collector(infra.socket_host, infra.socket_port, buffer, cfg.n_devices,
+                           cfg.latent_dim * 4, failure)
     collector.start()
 
     jobs = [queue.SimpleQueue() for _ in range(cfg.n_devices)]

@@ -1,4 +1,6 @@
 import copy
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from splitfwi.errors import SplitFwiError
 from splitfwi.model import LatentSet, LatentVector, ModelConfig, init_weights
+from splitfwi.tensorio import MAGIC
 
 # Small architecture for unit tests; full defaults are exercised in
 # test_acceptance.py.
@@ -79,3 +82,27 @@ def reads_or_points(read, error, doc, prefix=""):
     except SplitFwiError as exc:
         assert type(exc) is error, repr(exc)
         assert str(exc).startswith(prefix + "/"), str(exc)
+
+
+def sealed(body):
+    """body followed by its CRC32, as every binary record ends."""
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def resealed_tensor_edit(draw, record):
+    """A tensor record with one drawn edit, CRC re-sealed: byte flips, a
+    truncation, or the version, dtype, ndim or one extent field."""
+    body = bytearray(record[:-4])
+    head = len(MAGIC)  # version, dtype and ndim bytes follow the magic
+    kind = draw(st.sampled_from(["flip", "truncate", "version", "dtype", "ndim", "extent"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            body[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    elif kind == "extent":
+        at = head + 3 + 4 * draw(st.integers(0, body[head + 2] - 1))
+        struct.pack_into("<I", body, at, draw(st.integers(0, 2**32 - 1)))
+    else:
+        body[head + ("version", "dtype", "ndim").index(kind)] = draw(st.integers(0, 255))
+    return sealed(bytes(body))

@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON, put, reads_or_points
+from conftest import JSON, put, reads_or_points, resealed_tensor_edit
 from splitfwi.errors import (
     DatasetError,
     InputValidationError,
@@ -31,6 +32,7 @@ from splitfwi.physics import (
     save_dataset,
     simulate,
 )
+from splitfwi.tensorio import tensor_to_bytes
 
 DT_FAST = 0.4 * 10.0 / 4500.0
 
@@ -243,6 +245,22 @@ class TestGenerateDataset:
             np.testing.assert_array_equal(vma.grid, vmb.grid)
             np.testing.assert_array_equal(reca.data, recb.data)
 
+    def test_dataset_keeps_the_samples_dx(self, tmp_path):
+        geom = default_geometry(n_receivers=20, n_t=20, dx=5.0)
+        samples = generate_dataset(9, 1, "layered", rows=20, cols=20, geometry=geom, dx=5.0)
+        save_dataset(samples, tmp_path / "ds", seed=9, family="layered", geometry=geom)
+        loaded, manifest = load_dataset(tmp_path / "ds")
+        assert manifest["dx"] == 5.0
+        assert [vm.dx for vm, _ in loaded] == [5.0]
+
+    def test_mixed_dx_rejected(self, tmp_path):
+        geom = default_geometry(n_receivers=20, n_t=20)
+        (vm, rec), = generate_dataset(9, 1, "layered", rows=20, cols=20, geometry=geom)
+        samples = [(vm, rec), (dataclasses.replace(vm, dx=5.0), rec)]
+        with pytest.raises(InputValidationError, match=r"one grid spacing dx, got \[5.0, 10.0\]"):
+            save_dataset(samples, tmp_path / "ds", seed=9, family="layered", geometry=geom)
+        assert not (tmp_path / "ds").exists()
+
 
 def _per_shot_reference(vm, geom):
     """The leapfrog loop stepping one shot at a time on 2-D slices."""
@@ -341,7 +359,8 @@ class TestSimulateBits:
 
 
 class TestManifestErrors:
-    """A malformed dataset manifest raises DatasetError naming the file and pointer."""
+    """A malformed dataset manifest, or a tensor file that does not load
+    as its sample, raises DatasetError naming the manifest and pointer."""
 
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):
@@ -432,3 +451,24 @@ class TestManifestErrors:
         root = self._broken(dataset, tmp_path, lambda doc: dict(doc, dx=10))
         samples, _ = load_dataset(root)
         assert len(samples) == 2 and samples[0][0].dx == 10.0
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_resealed_tensor_edits_load_exactly_or_name_pointer(self, dataset, fuzzed, data):
+        i = data.draw(st.integers(0, 1))
+        key = data.draw(st.sampled_from(["velocity", "waveform"]))
+        name = f"sample_{i:04d}_{key}.tnsr"
+        blob = resealed_tensor_edit(data.draw, (dataset / name).read_bytes())
+        for f in dataset.iterdir():
+            (fuzzed / f.name).write_bytes(blob if f.name == name else f.read_bytes())
+        t0 = time.perf_counter()
+        try:
+            samples, _ = load_dataset(fuzzed)
+        except DatasetError as exc:
+            assert f"/files/{i}/{key}: " in str(exc)
+        else:
+            vm, rec = samples[i]
+            assert tensor_to_bytes(vm.grid if key == "velocity" else rec.data) == blob
+        finally:  # leave the shared copy whole for the manifest fuzz
+            (fuzzed / name).write_bytes((dataset / name).read_bytes())
+        assert time.perf_counter() - t0 < 1.0

@@ -1,13 +1,13 @@
 import re
 import struct
 import time
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import resealed_tensor_edit, sealed
 from splitfwi.errors import CorruptFileError, ShapeError
 from splitfwi.tensorio import (
     MAGIC,
@@ -89,33 +89,16 @@ def test_non_finite_payload_round_trips(tmp_path):
     np.testing.assert_array_equal(load_tensor(path), x)
 
 
-def _sealed(body):
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
-
 @st.composite
 def _resealed_records(draw):
-    """A record with one drawn edit, CRC re-sealed: byte flips, a
-    truncation, or the version, dtype, ndim or one extent field."""
+    """A record of a drawn shape with one drawn edit, CRC re-sealed."""
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-    body = bytearray(tensor_to_bytes(np.arange(np.prod(shape), dtype=np.float32).reshape(shape))[:-4])
-    head = len(MAGIC)  # version, dtype and ndim bytes follow the magic
-    kind = draw(st.sampled_from(["flip", "truncate", "version", "dtype", "ndim", "extent"]))
-    if kind == "flip":
-        for _ in range(draw(st.integers(1, 3))):
-            body[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
-    elif kind == "truncate":
-        del body[draw(st.integers(0, len(body) - 1)):]
-    elif kind == "extent":
-        at = head + 3 + 4 * draw(st.integers(0, len(shape) - 1))
-        struct.pack_into("<I", body, at, draw(st.integers(0, 2**32 - 1)))
-    else:
-        body[head + ("version", "dtype", "ndim").index(kind)] = draw(st.integers(0, 255))
-    return _sealed(bytes(body))
+    x = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+    return resealed_tensor_edit(draw, tensor_to_bytes(x))
 
 
 # a CRC-valid rank-0 record: one float32 and no extents
-RANK_0 = _sealed(MAGIC + bytes([1, 0, 0]) + struct.pack("<f", 1.0))
+RANK_0 = sealed(MAGIC + bytes([1, 0, 0]) + struct.pack("<f", 1.0))
 
 
 @given(blob=_resealed_records())

@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import TINY
+from conftest import TINY, sealed
 from splitfwi import runtime, transport
 from splitfwi.errors import ConfigError, PartitionError, ProtocolError, ShapeError, WorkerError
 from splitfwi.model import LatentVector, forward_full, init_weights
@@ -100,6 +102,45 @@ def test_read_frame_rejects_every_bit_flip():
         flipped[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(ProtocolError):
             _read_sent(bytes(flipped), max_payload=16 * 4)
+
+
+# header fields after the magic, in HEADER order, with their bit widths
+HEADER_FIELDS = {"version": 8, "kind": 8, "sample_id": 64, "device_id": 16, "payload_len": 32}
+FRAME = latent_to_frame(LatentVector(values=np.arange(16, dtype=np.float32), device_id=1,
+                                     sample_id=3))
+
+
+@st.composite
+def _resealed_frames(draw):
+    """A latent frame with one drawn edit, CRC re-sealed: byte flips, a
+    truncation, or one header field."""
+    body = bytearray(FRAME[:-4])
+    kind = draw(st.sampled_from(["flip", "truncate", *HEADER_FIELDS]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            body[draw(st.integers(0, len(body) - 1))] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    else:
+        head = list(HEADER.unpack_from(body))
+        bits = HEADER_FIELDS[kind]
+        head[1 + list(HEADER_FIELDS).index(kind)] = draw(st.integers(0, 2**bits - 1))
+        HEADER.pack_into(body, 0, *head)
+    return sealed(bytes(body))
+
+
+@given(blob=_resealed_frames())
+@example(blob=sealed(FRAME[:10]))  # the stream closes inside the header
+@settings(max_examples=200, deadline=None)
+def test_resealed_frame_edits_decode_exactly_or_fail_typed(blob):
+    t0 = time.perf_counter()
+    try:
+        latent = latent_from_frame(_read_sent(blob))
+    except ProtocolError:
+        pass
+    else:
+        assert latent_to_frame(latent) == blob
+    assert time.perf_counter() - t0 < 1.0
 
 
 def read_frame_closed(sock):
@@ -319,6 +360,25 @@ class TestSocketThreadFailures:
 
         monkeypatch.setattr(transport, "latent_to_frame", poisoned)
         self._failure(weights, monkeypatch, ProtocolError, "non-finite")
+
+    @pytest.mark.parametrize("device_id, payload, match", [
+        # a device outside the run's 3 would complete the sample without device 1
+        (5, None, r"device_id 5 outside \[0, 3\)"),
+        # a CRC-valid, float32-aligned latent shorter than the run's 16 floats
+        (1, b"\x00" * 4, "payload_len 4 is not the run's 64-byte latent"),
+    ])
+    def test_frame_that_does_not_fit_the_run_fails_the_reader(self, weights, monkeypatch,
+                                                              device_id, payload, match):
+        real_to_frame = transport.latent_to_frame
+
+        def misfit(latent):
+            if latent.device_id != 1:
+                return real_to_frame(latent)
+            body = latent.values.astype("<f4").tobytes() if payload is None else payload
+            return frame_encode(FrameKind.LATENT, latent.sample_id, device_id, body)
+
+        monkeypatch.setattr(transport, "latent_to_frame", misfit)
+        self._failure(weights, monkeypatch, ProtocolError, match)
 
 
 def test_first_failure_keeps_one_of_concurrent_errors():
