@@ -39,11 +39,9 @@ from .netem import (
     Frame,
     FrameKind,
     NetworkProfile,
-    TransmitResult,
     comm_reduction_report,
     frame_decode,
     frame_encode,
-    transmit,
     transmit_group,
 )
 from .physics import (

@@ -26,7 +26,9 @@ a weight file does not store them.
 The weight layout (each tensor's name, shape, fan-in and order) is
 written once, in `_build`. Seeding, the weight-file reader and writer,
 and the declared cost of each layer, which the runtime's simulated clock
-charges, all read it off that one builder.
+charges, all read it off that one builder. The forward pass and the
+cost share the rest of the geometry: one walk of the encoder blocks
+(`_encoder_layers`) and one attention block (`_attention`).
 """
 
 from __future__ import annotations
@@ -360,27 +362,31 @@ class VelocityMap:
 # forward pass
 
 
-def _receiver_stride(width: int) -> int:
-    """An encoder block halves the receiver axis only while it is wider
-    than 4 columns."""
-    return 2 if width > 4 else 1
+def _encoder_layers(encoder, n_t: int, width: int):
+    """Yield each block's conv, stride and output (h, w) on an
+    [C, n_t, width] input. Every block halves the time axis; the
+    receiver axis is halved only while it is wider than 4 columns. A 3x3
+    kernel with padding 1 gives (n - 1) // stride + 1 outputs."""
+    h, w = n_t, width
+    for conv in encoder:
+        stride = (2, 2 if w > 4 else 1)
+        h, w = (h - 1) // stride[0] + 1, (w - 1) // stride[1] + 1
+        yield conv, stride, (h, w)
 
 
 def encode(wave_slice, encoder: list[ConvParams], device_id: int = 0, sample_id: int = 0) -> LatentVector:
     """Run one device's conv stack over its receiver slice.
 
-    Input is [n_src, n_t, w_i]. Every block halves the time axis; the
-    receiver axis is halved only while it is wider than 4 columns, so
-    arbitrarily narrow slices still work. Global average pooling collapses
-    whatever remains into the latent vector.
+    Input is [n_src, n_t, w_i]; `_encoder_layers` gives each block's
+    stride, so arbitrarily narrow slices still work. Global average
+    pooling collapses whatever remains into the latent vector.
     """
     x = as_f32(wave_slice)
     if x.ndim != 3:
         raise ShapeError(f"encoder input must be [C, n_t, w], got {x.shape}")
     if not np.isfinite(x).all():
         raise InputValidationError("encoder input contains non-finite values")
-    for conv in encoder:
-        stride = (2, _receiver_stride(x.shape[2]))
+    for conv, stride, _ in _encoder_layers(encoder, x.shape[1], x.shape[2]):
         x = conv2d(x, conv.kernel, conv.bias, stride=stride, padding=(1, 1))
         x = leaky_relu(x, LEAKY_SLOPE)
     pooled = global_avg_pool(x).reshape(-1)
@@ -411,6 +417,29 @@ def _attend(q, k, v, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
     return merged, alpha
 
 
+def _attention(attn: AttentionParams, queries, tokens, n_heads: int):
+    """Project [T, q_in] queries and [S, D] tokens, attend, and project
+    the mix back: returns [T, out] (float32) and the weights
+    [n_heads, T, S]."""
+    q = linear(queries, attn.query.weight, attn.query.bias)
+    k = linear(tokens, attn.key.weight, attn.key.bias)
+    v = linear(tokens, attn.value.weight, attn.value.bias)
+    merged, alpha = _attend(q, k, v, n_heads)
+    return linear(merged, attn.out.weight, attn.out.bias), alpha
+
+
+def _attention_flops(attn: AttentionParams, queries: int, k: int, d_k: int) -> int:
+    """`_attention`'s cost: projections of `queries` query and k
+    key/value tokens, plus the score and mixing products."""
+    return (
+        _flops(attn.query.weight, queries)
+        + _flops(attn.key.weight, k)
+        + _flops(attn.value.weight, k)
+        + _flops(attn.out.weight, queries)
+        + 2 * 2 * queries * k * d_k
+    )
+
+
 def fuse(latents: LatentSet, fusion: AttentionParams, n_heads: int = 1) -> np.ndarray:
     """Self-attention over the present latents, mean-pooled to one vector.
 
@@ -418,11 +447,7 @@ def fuse(latents: LatentSet, fusion: AttentionParams, n_heads: int = 1) -> np.nd
     present latent the pool of one token is returned unchanged.
     """
     tokens = latents.stacked()  # [k, D]
-    q = linear(tokens, fusion.query.weight, fusion.query.bias)
-    k = linear(tokens, fusion.key.weight, fusion.key.bias)
-    v = linear(tokens, fusion.value.weight, fusion.value.bias)
-    merged, _ = _attend(q, k, v, n_heads)
-    token_out = linear(merged, fusion.out.weight, fusion.out.bias)  # [k, D]
+    token_out, _ = _attention(fusion, tokens, tokens, n_heads)  # [k, D]
     return token_out.astype(np.float64).mean(axis=0).astype(np.float32)
 
 
@@ -458,11 +483,7 @@ def cross_attention(
     q_in = np.empty((h * w, c + grid.shape[0]), dtype=np.float32)
     q_in[:, :c] = f.reshape(c, h * w).T
     q_in[:, c:] = grid.reshape(-1, h * w).T
-    q = linear(q_in, attn.query.weight, attn.query.bias)  # [hw, d_k]
-    keys = linear(tokens, attn.key.weight, attn.key.bias)  # [k, d_k]
-    vals = linear(tokens, attn.value.weight, attn.value.bias)  # [k, d_k]
-    merged, alpha = _attend(q, keys, vals, n_heads)  # alpha: [nh, hw, k]
-    proj = linear(merged, attn.out.weight, attn.out.bias)  # [hw, c]
+    proj, alpha = _attention(attn, q_in, tokens, n_heads)  # [hw, c], [nh, hw, k]
     if attention_out is not None:
         per_latent = alpha.astype(np.float64).mean(axis=0)  # [hw, k]
         full = np.zeros((latents.n_devices, h, w), dtype=np.float32)
@@ -578,26 +599,12 @@ def _flops(weight_shape, positions: int) -> int:
     return 2 * math.prod(weight_shape) * positions
 
 
-def _attention_flops(attn: AttentionParams, queries: int, k: int, d_k: int) -> int:
-    """Projections of `queries` query and k key/value tokens, plus the
-    score and mixing products."""
-    return (
-        _flops(attn.query.weight, queries)
-        + _flops(attn.key.weight, k)
-        + _flops(attn.value.weight, k)
-        + _flops(attn.out.weight, queries)
-        + 2 * 2 * queries * k * d_k
-    )
-
-
 def encoder_flops(config: ModelConfig, n_t: int, width: int) -> int:
     """Cost of one encoder stack on an [C, n_t, width] slice, pooling
     included; every device's stack has the same shapes."""
-    h, w = n_t, width
-    total = 0
-    for conv in _build(config, lambda name, shape, fan_in: shape)["encoders"][0]:
-        # a 3x3 kernel with padding 1 gives (n - 1) // stride + 1 outputs
-        h, w = (h - 1) // 2 + 1, (w - 1) // _receiver_stride(w) + 1
+    encoder = _build(config, lambda name, shape, fan_in: shape)["encoders"][0]
+    total, h, w = 0, n_t, width
+    for conv, _, (h, w) in _encoder_layers(encoder, n_t, width):
         total += _flops(conv.kernel, h * w)
     return total + config.latent_dim * h * w  # pooling
 

@@ -133,13 +133,6 @@ class EnergyModel:
             raise ConfigError("energy model parameters must be non-negative")
 
 
-@dataclass(frozen=True)
-class TransmitResult:
-    latency_s: float
-    energy_j: float
-    retransmissions: int
-
-
 def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, seed):
     """Radio airtime (including retransmitted packets) and retry count."""
     if size_bytes == 0:
@@ -161,27 +154,6 @@ def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, se
     return airtime, int(attempts.sum() - sizes.shape[0])
 
 
-def transmit(
-    size_bytes: int,
-    profile: NetworkProfile,
-    energy: EnergyModel = EnergyModel(),
-    mode: str = "expected",
-    seed=None,
-) -> TransmitResult:
-    """Latency and energy of one uplink transfer.
-
-    Expected mode folds loss into the serialization term; stochastic mode
-    additionally charges one round trip per retransmission and is
-    reproducible for a given seed.
-    """
-    if size_bytes < 0:
-        raise ConfigError(f"size_bytes must be >= 0, got {size_bytes}")
-    airtime, retries = _airtime_and_retries(size_bytes, profile, mode, seed)
-    latency = profile.base_latency_s + airtime + retries * 2.0 * profile.base_latency_s
-    energy_j = energy.tx_power_w * airtime + energy.per_byte_j * size_bytes
-    return TransmitResult(latency_s=latency, energy_j=energy_j, retransmissions=retries)
-
-
 @dataclass(frozen=True)
 class UplinkResult:
     completion_s: float
@@ -197,14 +169,21 @@ def transmit_group(
     seed=None,
     start_times=None,
 ) -> list[UplinkResult]:
-    """Completion times for one uplink per device (device_id = index).
+    """Completion time, radio energy and retries of one uplink per device
+    (device_id = index); the only transfer model, so one transfer is
+    ``transmit_group([size], ...)[0]``.
 
-    ``start_times`` gives when each device's payload becomes ready. On a
-    dedicated medium uplinks run in parallel; on a shared medium the
+    Expected mode folds loss into the serialization term; stochastic mode
+    additionally charges one round trip per retransmission, and device d
+    draws from the stream [*seed, d], so it is reproducible for a given
+    seed. ``start_times`` gives when each device's payload becomes ready.
+    On a dedicated medium uplinks run in parallel; on a shared medium the
     channel grants airtime in device-id order and each transfer waits for
     the channel to free up.
     """
     sizes = [int(s) for s in sizes]
+    if min(sizes, default=0) < 0:
+        raise ConfigError(f"transfer sizes must be >= 0, got {min(sizes)}")
     starts = [0.0] * len(sizes) if start_times is None else [float(t) for t in start_times]
     if len(starts) != len(sizes):
         raise ConfigError(f"{len(starts)} start times for {len(sizes)} transfers")
@@ -268,7 +247,7 @@ def comm_reduction_report(
     shared = replace(profile, medium="shared")
 
     def one(size):
-        return transmit(size, profile, energy, mode="expected").latency_s
+        return transmit_group([size], profile, energy, mode="expected")[0].completion_s
 
     def all_shared(size):
         ups = transmit_group([size] * n_devices, shared, energy, mode="expected")

@@ -57,6 +57,7 @@ step, late-frame counting and the report rows are the same code for both.
 
 from __future__ import annotations
 
+import math
 import statistics
 import threading
 import time
@@ -328,21 +329,30 @@ def _as_wave(sample) -> np.ndarray:
     return as_f32(data)
 
 
-def _per_sample_drops(drop_devices, n_samples: int) -> list[frozenset[int]]:
+def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[frozenset[int]]:
     if drop_devices is None:
         return [frozenset()] * n_samples
     items = list(drop_devices)
     if items and isinstance(items[0], (list, tuple, set, frozenset)):
         if len(items) != n_samples:
             raise ConfigError(f"{len(items)} drop sets for {n_samples} samples")
-        return [frozenset(int(d) for d in s) for s in items]
-    return [frozenset(int(d) for d in items)] * n_samples
+        drops = [frozenset(int(d) for d in s) for s in items]
+    else:
+        drops = [frozenset(int(d) for d in items)] * n_samples
+    outside = sorted({d for s in drops for d in s if not 0 <= d < n_devices})
+    if outside:
+        raise ConfigError(f"drop device ids {outside} outside [0, {n_devices})")
+    return drops
 
 
-def _per_sample_delays(extra_delay_s) -> dict[int, float]:
-    if extra_delay_s is None:
-        return {}
-    return {int(d): float(v) for d, v in dict(extra_delay_s).items()}
+def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
+    delays = {int(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
+    for d, v in delays.items():
+        if not 0 <= d < n_devices:
+            raise ConfigError(f"extra delay for device {d} outside [0, {n_devices})")
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ConfigError(f"extra delay of device {d} must be finite and >= 0, got {v}")
+    return delays
 
 
 # profile_decoder's trials and the seed of its dummy latents
@@ -549,9 +559,11 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
     if plan.timeout and plan.t_d >= infra.deadline_s:
         raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
                           f"T={infra.deadline_s:.6g}s")
+    drops = _per_sample_drops(drop_devices, len(samples), n)
+    if ground_truth is not None and len(ground_truth) != len(samples):
+        raise ConfigError(f"{len(ground_truth)} ground truth maps for {len(samples)} samples")
     link = link or _virtual_link(plan, infra)
     v_min, v_max = weights.config.velocity_range
-    drops = _per_sample_drops(drop_devices, len(samples))
     maps: list[VelocityMap | None] = []
     report = RunReport(mode=mode, n_devices=n, profile_label=link.label,
                        deadline_s=infra.deadline_s, decode_budget_s=plan.t_d)
@@ -710,7 +722,7 @@ def run_epic(
         from .transport import run_epic_socket
 
         return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
-    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s), samples)
+    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s, infra.n_devices), samples)
     return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
 
 

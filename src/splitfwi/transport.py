@@ -193,8 +193,6 @@ class _Collector:
                     raise
                 if frame is None:
                     return
-                if frame.kind == FrameKind.CONTROL:
-                    continue
                 if not 0 <= frame.device_id < self.n_devices:
                     raise ProtocolError(
                         f"frame device_id {frame.device_id} outside [0, {self.n_devices})")
@@ -270,8 +268,8 @@ def run_epic_socket(
     """
     _check_devices(weights, infra)
     cfg = weights.config
+    delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
     t_d = _decode_budget(weights)
-    delays = _per_sample_delays(extra_delay_s)
 
     buffer = HashBuffer()
     failure = _FirstFailure(buffer)

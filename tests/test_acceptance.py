@@ -26,7 +26,7 @@ from splitfwi.netem import (
     comm_reduction_report,
     frame_decode,
     frame_encode,
-    transmit,
+    transmit_group,
 )
 from splitfwi.physics import (
     AcquisitionGeometry,
@@ -295,8 +295,8 @@ def test_criterion_8_metrics_and_netem():
     closed_form = c1 / (1.0 + c1)
     assert abs(ssim(a, b, dynamic_range=1.0) - closed_form) <= 1e-9
 
-    expected = transmit(2048, FOUR_G).latency_s
-    lats = [transmit(2048, FOUR_G, mode="stochastic", seed=[99, i]).latency_s
+    expected = transmit_group([2048], FOUR_G)[0].completion_s
+    lats = [transmit_group([2048], FOUR_G, mode="stochastic", seed=[99, i])[0].completion_s
             for i in range(10_000)]
     deviation = abs(float(np.mean(lats)) - expected) / expected
     assert deviation <= 0.05

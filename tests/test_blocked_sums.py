@@ -27,7 +27,7 @@ import pytest
 
 import splitfwi
 from splitfwi import numerics
-from splitfwi.model import ModelConfig, _receiver_stride
+from splitfwi.model import ModelConfig, _build, _encoder_layers
 from splitfwi.numerics import _conv2d_sums, _linear_sums, conv2d, linear
 
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -41,12 +41,12 @@ def conv_shapes(cfg=ModelConfig()):
     """(name, input shape, kernel shape, stride, padding) of every conv
     of the full-size model."""
     ch = cfg.encoder_channels
+    encoder = _build(cfg, lambda name, shape, fan_in: shape)["encoders"][0]
     for width in ENCODER_WIDTHS:
         h, w = N_T, width
-        for b in range(cfg.n_encoder_blocks):
-            stride = (2, _receiver_stride(w))
-            yield f"encoder w{width} b{b}", (ch[b], h, w), (ch[b + 1], ch[b], 3, 3), stride, (1, 1)
-            h, w = (h - 1) // 2 + 1, (w - 1) // stride[1] + 1
+        for b, (conv, stride, out) in enumerate(_encoder_layers(encoder, N_T, width)):
+            yield f"encoder w{width} b{b}", (ch[b], h, w), conv.kernel, stride, (1, 1)
+            h, w = out
     dc = cfg.decoder_channels
     for j, (h, w) in enumerate(cfg.decoder_resolutions[1:]):
         yield f"decoder block{j}", (dc[j], h, w), (dc[j + 1], dc[j], 3, 3), (1, 1), (1, 1)

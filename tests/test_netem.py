@@ -13,7 +13,6 @@ from splitfwi.netem import (
     comm_reduction_report,
     frame_decode,
     frame_encode,
-    transmit,
     transmit_group,
 )
 
@@ -59,46 +58,51 @@ class TestFraming:
             frame_encode(FrameKind.LATENT, 0, 2**16, b"")
 
 
+def uplink(size, profile, *args, **kwargs):
+    """One transfer: the single uplink of a one-device group."""
+    return transmit_group([size], profile, *args, **kwargs)[0]
+
+
 class TestTransmit:
     def test_empty_payload(self):
-        r = transmit(0, FOUR_G)
-        assert r.latency_s == FOUR_G.base_latency_s
+        r = uplink(0, FOUR_G)
+        assert r.completion_s == FOUR_G.base_latency_s
         assert r.energy_j == 0.0
 
     def test_latent_on_4g_expected(self):
-        r = transmit(2048, NO_LOSS_4G)
-        assert r.latency_s == pytest.approx(0.05 + 2048 * 8 / 15e6, rel=1e-12)
-        assert r.latency_s * 1e3 == pytest.approx(51.09, abs=0.01)
+        r = uplink(2048, NO_LOSS_4G)
+        assert r.completion_s == pytest.approx(0.05 + 2048 * 8 / 15e6, rel=1e-12)
+        assert r.completion_s * 1e3 == pytest.approx(51.09, abs=0.01)
 
     def test_raw_slice_on_4g_expected(self):
-        r = transmit(280000, NO_LOSS_4G)
-        assert r.latency_s * 1e3 == pytest.approx(199.33, abs=0.01)
+        r = uplink(280000, NO_LOSS_4G)
+        assert r.completion_s * 1e3 == pytest.approx(199.33, abs=0.01)
 
     def test_energy_model(self):
         e = EnergyModel(tx_power_w=0.8, per_byte_j=1e-9)
-        r = transmit(15_000_000 // 8, NetworkProfile(15e6, 0.0, 0.0), e)
+        r = uplink(15_000_000 // 8, NetworkProfile(15e6, 0.0, 0.0), e)
         # one second of airtime at 0.8 W plus the per-byte charge
-        assert r.latency_s == pytest.approx(1.0)
+        assert r.completion_s == pytest.approx(1.0)
         assert r.energy_j == pytest.approx(0.8 + 1e-9 * 15_000_000 / 8)
 
     def test_stochastic_reproducible(self):
-        a = transmit(280000, FOUR_G, mode="stochastic", seed=[1, 2])
-        b = transmit(280000, FOUR_G, mode="stochastic", seed=[1, 2])
+        a = uplink(280000, FOUR_G, mode="stochastic", seed=[1, 2])
+        b = uplink(280000, FOUR_G, mode="stochastic", seed=[1, 2])
         assert a == b
-        assert a.latency_s >= FOUR_G.base_latency_s
+        assert a.completion_s >= FOUR_G.base_latency_s
 
     def test_stochastic_mean_matches_expected_at_latent_size(self):
-        expected = transmit(2048, FOUR_G).latency_s
+        expected = uplink(2048, FOUR_G).completion_s
         lats = [
-            transmit(2048, FOUR_G, mode="stochastic", seed=[9, i]).latency_s
+            uplink(2048, FOUR_G, mode="stochastic", seed=[9, i]).completion_s
             for i in range(10_000)
         ]
         assert abs(np.mean(lats) - expected) / expected <= 0.05
 
     def test_stochastic_p0_equals_expected(self):
-        a = transmit(4096, NO_LOSS_4G, mode="stochastic", seed=0)
-        b = transmit(4096, NO_LOSS_4G)
-        assert a.latency_s == pytest.approx(b.latency_s, rel=1e-12)
+        a = uplink(4096, NO_LOSS_4G, mode="stochastic", seed=0)
+        b = uplink(4096, NO_LOSS_4G)
+        assert a.completion_s == pytest.approx(b.completion_s, rel=1e-12)
         assert a.retransmissions == 0
 
     @given(
@@ -112,20 +116,23 @@ class TestTransmit:
         base = NetworkProfile(bandwidth_bps=1e7, base_latency_s=0.02, loss_rate=p)
         worse_p = NetworkProfile(bandwidth_bps=1e7, base_latency_s=0.02, loss_rate=min(p + dp, 0.95))
         worse_l = NetworkProfile(bandwidth_bps=1e7, base_latency_s=0.03, loss_rate=p)
-        t0 = transmit(size, base).latency_s
-        assert transmit(size + extra, base).latency_s >= t0
-        assert transmit(size, worse_p).latency_s >= t0
-        assert transmit(size, worse_l).latency_s >= t0
+        t0 = uplink(size, base).completion_s
+        assert uplink(size + extra, base).completion_s >= t0
+        assert uplink(size, worse_p).completion_s >= t0
+        assert uplink(size, worse_l).completion_s >= t0
 
-    def test_negative_size_rejected(self):
-        with pytest.raises(ConfigError):
-            transmit(-1, FOUR_G)
+    @pytest.mark.parametrize("mode", ["expected", "stochastic"])
+    def test_negative_size_rejected(self, mode):
+        # before any device is charged, wherever the negative size stands
+        for sizes in ([-1], [2048, -1000]):
+            with pytest.raises(ConfigError, match="sizes must be >= 0"):
+                transmit_group(sizes, FOUR_G, mode=mode, seed=[3, 0])
 
 
 class TestTransmitGroup:
     def test_dedicated_parallel(self):
         ups = transmit_group([2048] * 3, NO_LOSS_4G, start_times=[0.0, 0.0, 0.0])
-        single = transmit(2048, NO_LOSS_4G).latency_s
+        single = uplink(2048, NO_LOSS_4G).completion_s
         for u in ups:
             assert u.completion_s == pytest.approx(single, rel=1e-12)
 

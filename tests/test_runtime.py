@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import TINY, make_latents
+from splitfwi import runtime, transport
 from splitfwi.errors import ConfigError
 from splitfwi.model import (
     LatentVector,
@@ -354,6 +355,38 @@ class TestRunEpic:
         _, a = run_epic(tiny_waves(2), weights, infra)
         _, b = run_epic(tiny_waves(2), weights, infra)
         assert [r.l_total_s for r in a.rows] == [r.l_total_s for r in b.rows]
+
+    @pytest.mark.parametrize("clock", ["simulated", "socket"])
+    @pytest.mark.parametrize("faults, match", [
+        ({"drop_devices": {7}}, r"drop device ids \[7\] outside \[0, 3\)"),
+        ({"drop_devices": [set(), {-1}]}, r"drop device ids \[-1\] outside"),
+        ({"extra_delay_s": {3: 0.1}}, r"extra delay for device 3 outside \[0, 3\)"),
+        ({"extra_delay_s": {0: -5.0}}, "must be finite and >= 0, got -5.0"),
+        ({"extra_delay_s": {0: float("nan")}}, "must be finite and >= 0, got nan"),
+        ({"extra_delay_s": {2: float("inf")}}, "must be finite and >= 0, got inf"),
+    ])
+    def test_faults_outside_the_run_rejected_before_any_encode(self, weights, monkeypatch,
+                                                               clock, faults, match):
+        _forbid_encode(monkeypatch)
+        infra = tiny_infra(network=FOUR_G, deadline_s=2.0, transport=clock)
+        with pytest.raises(ConfigError, match=match):
+            run_epic(tiny_waves(2), weights, infra, **faults)
+
+    @pytest.mark.parametrize("mode", [PipelineMode.EPIC, PipelineMode.CENTRALIZED])
+    def test_ground_truth_count_must_match_samples(self, weights, monkeypatch, mode):
+        _forbid_encode(monkeypatch)
+        truths = [np.full((70, 70), 3000.0, np.float32)] * 2
+        with pytest.raises(ConfigError, match="2 ground truth maps for 3 samples"):
+            run_baseline(mode, tiny_waves(3), weights, tiny_infra(), ground_truth=truths)
+
+
+def _forbid_encode(monkeypatch):
+    """Fail the test if either clock encodes a slice."""
+    def encode_called(*args, **kwargs):
+        raise AssertionError("a slice was encoded")
+
+    monkeypatch.setattr(runtime, "encode", encode_called)
+    monkeypatch.setattr(transport, "encode", encode_called)
 
 
 class TestBaselines:

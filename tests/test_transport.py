@@ -361,13 +361,15 @@ class TestSocketThreadFailures:
         monkeypatch.setattr(transport, "latent_to_frame", poisoned)
         self._failure(weights, monkeypatch, ProtocolError, "non-finite")
 
-    @pytest.mark.parametrize("device_id, payload, match", [
+    @pytest.mark.parametrize("kind, device_id, payload, match", [
         # a device outside the run's 3 would complete the sample without device 1
-        (5, None, r"device_id 5 outside \[0, 3\)"),
+        (FrameKind.LATENT, 5, None, r"device_id 5 outside \[0, 3\)"),
         # a CRC-valid, float32-aligned latent shorter than the run's 16 floats
-        (1, b"\x00" * 4, "payload_len 4 is not the run's 64-byte latent"),
+        (FrameKind.LATENT, 1, b"\x00" * 4, "payload_len 4 is not the run's 64-byte latent"),
+        # no sender emits a CONTROL frame, so one is not skipped
+        (FrameKind.CONTROL, 1, None, "expected a latent frame, got CONTROL"),
     ])
-    def test_frame_that_does_not_fit_the_run_fails_the_reader(self, weights, monkeypatch,
+    def test_frame_that_does_not_fit_the_run_fails_the_reader(self, weights, monkeypatch, kind,
                                                               device_id, payload, match):
         real_to_frame = transport.latent_to_frame
 
@@ -375,7 +377,7 @@ class TestSocketThreadFailures:
             if latent.device_id != 1:
                 return real_to_frame(latent)
             body = latent.values.astype("<f4").tobytes() if payload is None else payload
-            return frame_encode(FrameKind.LATENT, latent.sample_id, device_id, body)
+            return frame_encode(kind, latent.sample_id, device_id, body)
 
         monkeypatch.setattr(transport, "latent_to_frame", misfit)
         self._failure(weights, monkeypatch, ProtocolError, match)
