@@ -306,9 +306,8 @@ class LatentVector:
 class LatentSet:
     """Latents received for one sample, keyed by device id.
 
-    The presence mask is derived from the stored entries, so it is true
-    exactly where an entry exists. Iteration order is always device-id
-    order, never arrival order.
+    A device is present exactly where an entry exists. present_ids and
+    stacked are always in device-id order, never arrival order.
     """
 
     def __init__(self, n_devices: int):
@@ -323,12 +322,6 @@ class LatentSet:
                 f"device_id {latent.device_id} outside [0, {self.n_devices})"
             )
         self.entries[latent.device_id] = latent
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n_devices, dtype=bool)
-        for d in self.entries:
-            m[d] = True
-        return m
 
     def present_ids(self) -> list[int]:
         return sorted(self.entries)

@@ -5,8 +5,9 @@ Frame layout, little-endian and bit-exact:
     magic ``EP`` (2B) | version u8 | kind u8 | sample_id u64 |
     device_id u16 | payload_len u32 | payload | crc32 u32
 
-The CRC covers every byte before it. The same framing runs over the real
-stream-socket transport and inside the simulated link.
+The CRC covers every byte before it. The framing runs over the
+stream-socket transport only: the simulated link charges payload bytes
+alone, without the 22 bytes of header and CRC per frame.
 
 The emulator is a pure function of its inputs plus a seed. Expected mode
 uses the closed form latency = l + (bits/b) / (1 - p); stochastic mode
@@ -134,13 +135,12 @@ class EnergyModel:
 
 
 def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, seed):
-    """Radio airtime (including retransmitted packets) and retry count."""
+    """Radio airtime (including retransmitted packets) and retry count;
+    transmit_group has checked the mode."""
     if size_bytes == 0:
         return 0.0, 0
     if mode == "expected":
         return size_bytes * 8.0 / profile.bandwidth_bps / (1.0 - profile.loss_rate), 0
-    if mode != "stochastic":
-        raise ConfigError(f"transmit mode must be 'expected' or 'stochastic', got {mode!r}")
     rng = np.random.default_rng(seed)
     n_full, rem = divmod(size_bytes, profile.mtu_bytes)
     sizes = np.full(n_full + (1 if rem else 0), profile.mtu_bytes, dtype=np.float64)
@@ -181,6 +181,8 @@ def transmit_group(
     channel grants airtime in device-id order and each transfer waits for
     the channel to free up.
     """
+    if mode not in ("expected", "stochastic"):
+        raise ConfigError(f"transmit mode must be 'expected' or 'stochastic', got {mode!r}")
     sizes = [int(s) for s in sizes]
     if min(sizes, default=0) < 0:
         raise ConfigError(f"transfer sizes must be >= 0, got {min(sizes)}")

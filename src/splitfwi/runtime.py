@@ -18,13 +18,13 @@ FLA         single-device model map span  stitch the spans            none
 T is the end-to-end deadline and T_d the central work's own modeled
 latency (full-mask fuse + decode, plain decode, the whole model on the
 first sample's length, and 0 for FLA). EPIC collects latents in a
-hash-map buffer keyed by (sample_id, device_id), tolerating out-of-order
-and duplicate arrivals, and decodes as soon as all devices reported or
-T - T_d passed, whichever comes first. Closing a sample completes it in
-the buffer: a late frame, the output of an online device that was not
-present at that moment, is counted in the sample's row and discarded,
-never applied retroactively. The other modes wait for every
-online device and only record whether T held. An offline device is
+hash-map buffer keyed by (sample_id, device_id), in any arrival order,
+and decodes once all devices reported or T - T_d passed. The loop closes
+each sample in the buffer before it dispatches the next, so samples close
+in id order: a late frame, an online device's output that was not
+present at the close, is counted in the sample's row and discarded,
+never applied retroactively. The other modes wait for every online
+device and only record whether T held. An offline device is
 missing from the latent set (EPIC, SLA), zero-filled (CENTRALIZED) or
 the velocity floor over its map span (FLA). A sample with nothing to
 decode (EPIC, SLA) becomes a failed row and the run continues.
@@ -174,80 +174,69 @@ class InsertOutcome(Enum):
     STALE = "stale"
 
 
-@dataclass
-class _BufferEntry:
-    latents: dict[int, LatentVector] = field(default_factory=dict)
-    arrivals: dict[int, float] = field(default_factory=dict)
-
-
 class HashBuffer:
-    """Out-of-order collector keyed by (sample_id, device_id).
+    """Collector keyed by (sample_id, device_id); samples close in id order.
 
-    Inserts are idempotent per key. Closing a sample (finalize or
-    collect_blocking) completes it: its entry is evicted and every later
-    insert for it is stale and dropped. Every id below a low watermark is
-    complete, so memory stays bounded by the samples in flight. Safe for
-    concurrent producers with a single consumer per sample.
+    Inserts may arrive in any order and are idempotent per key. Closing a
+    sample (finalize or collect_blocking) evicts it and moves a watermark
+    past it, closing every lower id too: an insert for an id below the
+    watermark is stale and dropped, so memory stays bounded by the samples
+    in flight. An entry maps each device that reported to its (latent,
+    arrival time). Safe for concurrent producers with a single consumer.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
-        self._entries: dict[int, _BufferEntry] = {}
-        self._low = 0  # every sample id below is complete
-        self._completed: set[int] = set()  # completed ids at or above _low
+        self._entries: dict[int, dict[int, tuple[LatentVector, float]]] = {}
+        self._next = 0  # every sample id below is closed
         self._interrupted = False
 
     def closed(self, sample_id: int) -> bool:
-        """Whether the sample is complete, so any insert for it is stale."""
-        with self._cond:  # an RLock, so insert can ask too
-            return sample_id < self._low or sample_id in self._completed
+        """Whether the sample is closed, so any insert for it is stale."""
+        with self._cond:
+            return sample_id < self._next
 
     def insert(self, sample_id: int, device_id: int, latent: LatentVector, t: float) -> InsertOutcome:
         with self._cond:
-            if self.closed(sample_id):
+            if sample_id < self._next:
                 return InsertOutcome.STALE
-            entry = self._entries.setdefault(sample_id, _BufferEntry())
-            if device_id in entry.latents:
+            entry = self._entries.setdefault(sample_id, {})
+            if device_id in entry:
                 return InsertOutcome.DUPLICATE
-            entry.latents[device_id] = latent
-            entry.arrivals[device_id] = t
+            entry[device_id] = (latent, t)
             self._cond.notify_all()
             return InsertOutcome.INSERTED
 
-    def _complete(self, sample_id: int) -> _BufferEntry:
-        """Evict the sample and return what it collected; the caller holds
-        the lock."""
-        entry = self._entries.pop(sample_id, None) or _BufferEntry()
-        if sample_id >= self._low:
-            self._completed.add(sample_id)
-        while self._low in self._completed:
-            self._completed.remove(self._low)
-            self._low += 1
-        return entry
+    def _close(self, sample_id: int, n_devices: int):
+        """Close every id up to sample_id and evict their entries; returns
+        sample_id's latents by device, their arrival times and whether a
+        device is missing (released). The caller holds the lock."""
+        entry = self._entries.get(sample_id, {})
+        self._next = max(self._next, sample_id + 1)
+        self._entries = {s: e for s, e in self._entries.items() if s >= self._next}
+        latents = {d: latent for d, (latent, _) in entry.items()}
+        return latents, [t for _, t in entry.values()], len(entry) != n_devices
 
     def finalize(self, sample_id: int, n_devices: int, deadline: float):
         """Close collection under the virtual clock.
 
-        Returns (LatentSet, collect_time, released). collect_time is the
-        last arrival when every device reported, or the deadline when the
-        timeout release fired.
+        Returns (latents by device, collect_time, released). collect_time
+        is the last arrival when every device reported, or the deadline
+        when the timeout release fired.
         """
         with self._cond:
-            entry = self._complete(sample_id)
-            released = len(entry.latents) != n_devices
-            collect_time = deadline if released else max(entry.arrivals.values())
-            return LatentSet.from_latents(entry.latents.values(), n_devices), collect_time, released
+            latents, arrivals, released = self._close(sample_id, n_devices)
+            return latents, deadline if released else max(arrivals), released
 
     def collect_blocking(self, sample_id: int, n_devices: int, deadline_wall: float):
         """Wall-clock collection: wait until complete, the deadline or an
-        interrupt, then close the sample. Returns (LatentSet, released)."""
+        interrupt, then close the sample. Returns (latents by device, released)."""
         with self._cond:
-            entry = self._entries.setdefault(sample_id, _BufferEntry())
-            self._cond.wait_for(lambda: self._interrupted or len(entry.latents) == n_devices,
+            entry = self._entries.setdefault(sample_id, {})
+            self._cond.wait_for(lambda: self._interrupted or len(entry) == n_devices,
                                 timeout=max(0.0, deadline_wall - time.monotonic()))
-            self._complete(sample_id)
-            released = len(entry.latents) != n_devices
-            return LatentSet.from_latents(entry.latents.values(), n_devices), released
+            latents, _, released = self._close(sample_id, n_devices)
+            return latents, released
 
     def interrupt(self) -> None:
         """Release every current and later collect_blocking call at once."""
@@ -332,13 +321,17 @@ def _as_wave(sample) -> np.ndarray:
 def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[frozenset[int]]:
     if drop_devices is None:
         return [frozenset()] * n_samples
-    items = list(drop_devices)
-    if items and isinstance(items[0], (list, tuple, set, frozenset)):
-        if len(items) != n_samples:
-            raise ConfigError(f"{len(items)} drop sets for {n_samples} samples")
-        drops = [frozenset(int(d) for d in s) for s in items]
-    else:
-        drops = [frozenset(int(d) for d in items)] * n_samples
+    try:
+        items = list(drop_devices)
+        if items and isinstance(items[0], (list, tuple, set, frozenset)):
+            drops = [frozenset(int(d) for d in s) for s in items]
+        else:
+            drops = [frozenset(int(d) for d in items)] * n_samples
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"drop_devices must be device ids or one set of them per sample, "
+                          f"got {drop_devices!r}") from exc
+    if len(drops) != n_samples:
+        raise ConfigError(f"{len(drops)} drop sets for {n_samples} samples")
     outside = sorted({d for s in drops for d in s if not 0 <= d < n_devices})
     if outside:
         raise ConfigError(f"drop device ids {outside} outside [0, {n_devices})")
@@ -346,7 +339,11 @@ def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[froz
 
 
 def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
-    delays = {int(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
+    try:
+        delays = {int(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"extra_delay_s must map device ids to seconds, "
+                          f"got {extra_delay_s!r}") from exc
     for d, v in delays.items():
         if not 0 <= d < n_devices:
             raise ConfigError(f"extra delay for device {d} outside [0, {n_devices})")
@@ -535,8 +532,7 @@ def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
             for t, d in arrivals:
                 if t <= deadline:
                     buffer.insert(idx, d, outputs[d], t)
-            lset, collect_s, released = buffer.finalize(idx, n, deadline)
-            present = lset.entries
+            present, collect_s, released = buffer.finalize(idx, n, deadline)
         else:
             present, released = outputs, False
             collect_s = max((t for t, _ in arrivals), default=0.0)
@@ -702,6 +698,13 @@ def _check_devices(weights: ModelWeights, infra: InfraConfig) -> None:
         )
 
 
+def _check_clock(modes, infra: InfraConfig) -> None:
+    # only EPIC has a wall-clock twin; another mode would run simulated under a socket config
+    other = [m.value for m in modes if m != PipelineMode.EPIC]
+    if infra.transport == "socket" and other:
+        raise ConfigError(f"transport 'socket' runs EPIC only, not {', '.join(other)}")
+
+
 def run_epic(
     samples,
     weights: ModelWeights,
@@ -736,13 +739,15 @@ def run_baseline(
 ) -> tuple[list[VelocityMap | None], RunReport]:
     """Run any mode with the RunReport schema; see the module table.
 
-    EPIC goes through run_epic. CENTRALIZED and SLA take the split
-    pipeline's weights; FLA needs single-device weights (one complete
-    model per edge).
+    EPIC goes through run_epic; the other modes run on the simulated
+    clock only, so a socket infra raises ConfigError for them. CENTRALIZED
+    and SLA take the split pipeline's weights; FLA needs single-device
+    weights (one complete model per edge).
     """
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
+    _check_clock([mode], infra)
     if mode == PipelineMode.FLA:
         if weights.config.n_devices != 1:
             raise ConfigError("FLA needs single-device weights (a full model per edge)")
@@ -785,6 +790,7 @@ def run_robustness_sweep(
     than crashing. Each edge output is computed once for the whole sweep
     (see the module docstring).
     """
+    _check_clock(modes, infra)
     results: dict[tuple[str, int], RunReport] = {}
     samples = _Shared(samples)
     for k in drop_counts:

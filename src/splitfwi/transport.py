@@ -296,10 +296,10 @@ def run_epic_socket(
         for d in online:
             a, b = slices[d]
             jobs[d].put((idx, wave[:, :, a:b], edge_s))
-        lset, released = buffer.collect_blocking(idx, cfg.n_devices, t0 + infra.deadline_s - t_d)
+        latents, released = buffer.collect_blocking(idx, cfg.n_devices, t0 + infra.deadline_s - t_d)
         failure.reraise()
         # a worker records its edge seconds before it sends the frame
-        return _Collected(lset.entries, {d: edge_s[d] for d in lset.entries},
+        return _Collected(latents, {d: edge_s[d] for d in latents},
                           time.monotonic() - t0, released, 0.0, cfg.latent_dim * 4 * len(online))
 
     def central(latents, wave, idx, slices):

@@ -158,6 +158,19 @@ def test_partition_must_cover_the_dataset(workspace, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["sla", "centralized", "fla"])
+def test_socket_run_of_another_mode_than_epic_exits_2(workspace, tmp_path, capsys, mode):
+    doc = json.loads((workspace / "run.json").read_text())
+    doc["transport"] = "socket"
+    doc["socket"] = {"central_addr": "127.0.0.1", "port": 0}
+    doc["paths"]["out"] = str(tmp_path / "out")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(cfg), "--mode", mode) == 2
+    assert f"runs EPIC only, not {mode}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_config_points_at_field(workspace, tmp_path, capsys):
     bad = dict(json.loads((workspace / "run.json").read_text()))
     bad["network"] = {"l": 0.05}

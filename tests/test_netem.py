@@ -128,6 +128,12 @@ class TestTransmit:
             with pytest.raises(ConfigError, match="sizes must be >= 0"):
                 transmit_group(sizes, FOUR_G, mode=mode, seed=[3, 0])
 
+    @pytest.mark.parametrize("sizes", [[0, 0], [], [10]])
+    def test_unknown_mode_rejected_whatever_the_sizes(self, sizes):
+        # the zero-size shortcut charges nothing, but the mode is checked first
+        with pytest.raises(ConfigError, match="transmit mode must be"):
+            transmit_group(sizes, FOUR_G, mode="bogus")
+
 
 class TestTransmitGroup:
     def test_dedicated_parallel(self):

@@ -87,8 +87,8 @@ class TestHashBuffer:
         buf = HashBuffer()
         for d in (2, 0, 1):
             assert buf.insert(0, d, self._latent(d), 0.1 * d) == InsertOutcome.INSERTED
-        lset, collect, released = buf.finalize(0, 3, deadline=1.0)
-        assert lset.mask().all()
+        latents, collect, released = buf.finalize(0, 3, deadline=1.0)
+        assert sorted(latents) == [0, 1, 2]
         assert not released
         assert collect == pytest.approx(0.2)
 
@@ -96,17 +96,17 @@ class TestHashBuffer:
         buf = HashBuffer()
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.insert(0, 1, self._latent(1), 0.05)
-        lset, collect, released = buf.finalize(0, 3, deadline=0.4)
+        latents, collect, released = buf.finalize(0, 3, deadline=0.4)
         assert released
         assert collect == 0.4
-        assert lset.present_ids() == [0, 1]
+        assert sorted(latents) == [0, 1]
 
     def test_duplicate_ignored(self):
         buf = HashBuffer()
         assert buf.insert(0, 1, self._latent(1), 0.0) == InsertOutcome.INSERTED
         assert buf.insert(0, 1, self._latent(1), 0.1) == InsertOutcome.DUPLICATE
-        lset, _, _ = buf.finalize(0, 3, deadline=1.0)
-        assert len(lset) == 1
+        latents, _, _ = buf.finalize(0, 3, deadline=1.0)
+        assert len(latents) == 1
 
     def test_insert_after_release_dropped(self):
         buf = HashBuffer()
@@ -115,7 +115,7 @@ class TestHashBuffer:
         assert buf.insert(0, 2, self._latent(2), 0.6) == InsertOutcome.STALE
         assert buf._entries == {}
 
-    def test_completed_sample_evicted(self):
+    def test_closed_sample_evicted(self):
         buf = HashBuffer()
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.finalize(0, 1, deadline=1.0)
@@ -127,6 +127,17 @@ class TestHashBuffer:
         buf.insert(0, 0, self._latent(0), 0.0)
         buf.finalize(0, 2, deadline=0.1)
         assert buf.insert(1, 0, self._latent(0, sample=1), 0.2) == InsertOutcome.INSERTED
+
+    def test_closing_a_higher_id_closes_every_lower_one(self):
+        buf = HashBuffer()
+        buf.insert(1, 0, self._latent(0, sample=1), 0.0)
+        latents, _, released = buf.finalize(3, 2, deadline=0.5)
+        assert (latents, released) == ({}, True)
+        assert [buf.closed(s) for s in range(5)] == [True] * 4 + [False]
+        assert buf.insert(2, 0, self._latent(0, sample=2), 0.6) == InsertOutcome.STALE
+        assert buf.insert(1, 1, self._latent(1, sample=1), 0.6) == InsertOutcome.STALE
+        assert buf._entries == {}
+        assert buf.insert(4, 0, self._latent(0, sample=4), 0.7) == InsertOutcome.INSERTED
 
     def test_collect_blocking_wakes_when_all_producers_inserted(self):
         buf = HashBuffer()
@@ -140,25 +151,25 @@ class TestHashBuffer:
             ]
             for t in producers:
                 t.start()
-            lset, released = buf.collect_blocking(0, n, time.monotonic() + 10.0)
+            latents, released = buf.collect_blocking(0, n, time.monotonic() + 10.0)
             for t in producers:
                 t.join(timeout=5.0)
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(old)
         assert not released
-        assert lset.present_ids() == list(range(n))
+        assert sorted(latents) == list(range(n))
 
     def test_collect_blocking_releases_at_deadline(self):
         buf = HashBuffer()
         buf.insert(0, 1, self._latent(1), 0.0)
-        lset, released = buf.collect_blocking(0, 3, time.monotonic() + 0.05)
+        latents, released = buf.collect_blocking(0, 3, time.monotonic() + 0.05)
         assert released
-        assert lset.present_ids() == [1]
+        assert sorted(latents) == [1]
         assert buf.insert(0, 2, self._latent(2), 0.0) == InsertOutcome.STALE
-        lset, released = buf.collect_blocking(1, 1, time.monotonic() - 1.0)
+        latents, released = buf.collect_blocking(1, 1, time.monotonic() - 1.0)
         assert released
-        assert len(lset) == 0
+        assert len(latents) == 0
 
     def test_interrupt_releases_waiting_and_later_collects(self):
         buf = HashBuffer()
@@ -166,29 +177,31 @@ class TestHashBuffer:
         timer = threading.Timer(0.05, buf.interrupt)
         timer.start()
         t0 = time.monotonic()
-        lset, released = buf.collect_blocking(0, 2, t0 + 30.0)
+        latents, released = buf.collect_blocking(0, 2, t0 + 30.0)
         timer.join()
         assert time.monotonic() - t0 < 10.0
-        assert released and lset.present_ids() == [0]
+        assert released and sorted(latents) == [0]
         t0 = time.monotonic()
-        lset, released = buf.collect_blocking(1, 1, t0 + 30.0)
+        latents, released = buf.collect_blocking(1, 1, t0 + 30.0)
         assert time.monotonic() - t0 < 10.0
-        assert released and len(lset) == 0
+        assert released and len(latents) == 0
 
 
-SAMPLES = st.integers(min_value=0, max_value=5)
+SAMPLES = st.integers(min_value=0, max_value=7)
+SKIPS = st.integers(min_value=0, max_value=2)  # ids a close passes over
 BUFFER_DEVICES = 3
 
 
 class HashBufferMachine(RuleBasedStateMachine):
     """HashBuffer against a dict model under any order of inserts,
-    duplicates, closes and an interrupt; a close completes its sample."""
+    duplicates and an interrupt, with samples closed in id order, at times
+    passing over a few ids; a close closes every lower id too."""
 
     def __init__(self):
         super().__init__()
         self.buf = HashBuffer()
         self.arrivals: dict[int, dict[int, float]] = {}  # open sample -> device -> t
-        self.done: set[int] = set()
+        self.next = 0  # every id below is closed
         self.interrupted = False
         self.clock = 0.0
 
@@ -200,7 +213,7 @@ class HashBufferMachine(RuleBasedStateMachine):
         self.clock += 1.0
         outcome = self.buf.insert(sample, d, self._latent(sample, d), self.clock)
         devices = self.arrivals.get(sample, {})
-        if sample in self.done:
+        if sample < self.next:
             assert outcome == InsertOutcome.STALE
         elif d in devices:
             assert outcome == InsertOutcome.DUPLICATE
@@ -217,28 +230,28 @@ class HashBufferMachine(RuleBasedStateMachine):
         sample, d = data.draw(st.sampled_from(self._open_keys()))
         assert self.buf.insert(sample, d, self._latent(sample, d), 0.0) == InsertOutcome.DUPLICATE
 
-    def _close(self, sample):
+    def _close(self, sample, latents):
         devices = self.arrivals.pop(sample, {})
-        self.done.add(sample)
+        self.arrivals = {s: a for s, a in self.arrivals.items() if s > sample}
+        self.next = sample + 1
+        assert all(lat.sample_id == sample and lat.values[0] == d for d, lat in latents.items())
         return sorted(devices), len(devices) != BUFFER_DEVICES
 
-    @rule(sample=SAMPLES)
-    def finalize(self, sample):
-        if sample in self.done:
-            return
+    @rule(skip=SKIPS)
+    def finalize(self, skip):
+        sample = self.next + skip
         devices = dict(self.arrivals.get(sample, {}))
-        lset, collect, released = self.buf.finalize(sample, BUFFER_DEVICES, deadline=100.0)
-        assert (lset.present_ids(), released) == self._close(sample)
+        latents, collect, released = self.buf.finalize(sample, BUFFER_DEVICES, deadline=100.0)
+        assert (sorted(latents), released) == self._close(sample, latents)
         assert collect == (100.0 if released else max(devices.values()))
 
-    @rule(sample=SAMPLES)
-    def collect_blocking(self, sample):
-        if sample in self.done:
-            return
+    @rule(skip=SKIPS)
+    def collect_blocking(self, skip):
+        sample = self.next + skip
         # an interrupted buffer returns at once however far the deadline
         deadline = time.monotonic() + (30.0 if self.interrupted else -1.0)
-        lset, released = self.buf.collect_blocking(sample, BUFFER_DEVICES, deadline)
-        assert (lset.present_ids(), released) == self._close(sample)
+        latents, released = self.buf.collect_blocking(sample, BUFFER_DEVICES, deadline)
+        assert (sorted(latents), released) == self._close(sample, latents)
 
     @rule()
     def interrupt(self):
@@ -247,17 +260,14 @@ class HashBufferMachine(RuleBasedStateMachine):
 
     @invariant()
     def matches_model(self):
-        for sample in range(6):
-            if sample not in self.done:
-                entry = self.buf._entries.get(sample)
-                assert (entry.arrivals if entry else {}) == self.arrivals.get(sample, {})
+        held = {s: {d: t for d, (_, t) in entry.items()} for s, entry in self.buf._entries.items()}
+        assert held == self.arrivals
 
     @invariant()
-    def holds_nothing_for_completed_samples(self):
-        low = min(set(range(7)) - self.done)
-        assert self.buf._low == low
-        assert self.buf._completed == {s for s in self.done if s > low}
-        assert not set(self.buf._entries) & self.done
+    def holds_nothing_for_closed_samples(self):
+        assert self.buf._next == self.next
+        assert [self.buf.closed(s) for s in range(12)] == [s < self.next for s in range(12)]
+        assert all(s >= self.next for s in self.buf._entries)
 
 
 TestHashBufferModel = HashBufferMachine.TestCase
@@ -272,7 +282,7 @@ def test_hash_buffer_bounded_over_in_order_samples():
         buf.finalize(sample, 2, deadline=1.0)
         assert buf.insert(sample, 1, latent, 2.0) == InsertOutcome.STALE
     assert buf.insert(3, 0, latent, 3.0) == InsertOutcome.STALE
-    assert (buf._low, buf._entries, buf._completed) == (1000, {}, set())
+    assert (buf._next, buf._entries) == (1000, {})
 
 
 class TestRunEpic:
@@ -364,6 +374,10 @@ class TestRunEpic:
         ({"extra_delay_s": {0: -5.0}}, "must be finite and >= 0, got -5.0"),
         ({"extra_delay_s": {0: float("nan")}}, "must be finite and >= 0, got nan"),
         ({"extra_delay_s": {2: float("inf")}}, "must be finite and >= 0, got inf"),
+        ({"extra_delay_s": {0: "x"}}, "extra_delay_s must map device ids to seconds"),
+        ({"drop_devices": ["a"]}, "drop_devices must be device ids or one set of them"),
+        ({"drop_devices": 5}, "drop_devices must be device ids or one set of them"),
+        ({"drop_devices": [{0}, 1]}, "drop_devices must be device ids or one set of them"),
     ])
     def test_faults_outside_the_run_rejected_before_any_encode(self, weights, monkeypatch,
                                                                clock, faults, match):
@@ -389,7 +403,27 @@ def _forbid_encode(monkeypatch):
     monkeypatch.setattr(transport, "encode", encode_called)
 
 
+def _work_started(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("mode", [PipelineMode.SLA, PipelineMode.CENTRALIZED,
+                                      PipelineMode.FLA])
+    def test_only_epic_runs_on_a_socket_infra(self, weights, monkeypatch, mode):
+        # any other mode would run on the simulated clock under a socket config
+        _forbid_encode(monkeypatch)
+        monkeypatch.setattr(runtime, "forward_full", _work_started)  # FLA's edge work
+        with pytest.raises(ConfigError, match=f"runs EPIC only, not {mode.value}"):
+            run_baseline(mode, tiny_waves(2), weights, tiny_infra(transport="socket"))
+
+    def test_socket_sweep_over_other_modes_rejected_before_any_run(self, weights, monkeypatch):
+        _forbid_encode(monkeypatch)
+        monkeypatch.setattr(transport, "profile_decoder", _work_started)  # a socket run's first
+        with pytest.raises(ConfigError, match="runs EPIC only, not sla"):
+            run_robustness_sweep(tiny_waves(2), weights, tiny_infra(transport="socket"), [0],
+                                 modes=(PipelineMode.EPIC, PipelineMode.SLA))
+
     def test_centralized_comm_bytes_ratio(self, weights):
         cfg = ModelConfig(n_devices=5)
         w5 = init_weights(cfg, 1)

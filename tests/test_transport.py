@@ -198,14 +198,14 @@ class TestSocketPipeline:
         # worker's own closed() read of that sample returning False
         sample1_closed = threading.Event()
         reads, starts = {}, []
-        real_complete, real_closed = HashBuffer._complete, HashBuffer.closed
+        real_close, real_closed = HashBuffer._close, HashBuffer.closed
         real_encode = transport.encode
 
-        def recording_complete(buffer, sample_id):
-            entry = real_complete(buffer, sample_id)
+        def recording_close(buffer, sample_id, n_devices):
+            closed = real_close(buffer, sample_id, n_devices)
             if sample_id == 1:
                 sample1_closed.set()
-            return entry
+            return closed
 
         def recording_closed(buffer, sample_id):
             result = real_closed(buffer, sample_id)
@@ -218,7 +218,7 @@ class TestSocketPipeline:
                 sample1_closed.wait(timeout=10.0)
             return real_encode(wave, enc, device_id=device_id, sample_id=sample_id)
 
-        monkeypatch.setattr(HashBuffer, "_complete", recording_complete)
+        monkeypatch.setattr(HashBuffer, "_close", recording_close)
         monkeypatch.setattr(HashBuffer, "closed", recording_closed)
         monkeypatch.setattr(transport, "encode", gated_encode)
         rng = np.random.default_rng(9)
