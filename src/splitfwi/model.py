@@ -270,7 +270,7 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     (config, seed) regardless of evaluation order.
     """
     if seed < 0 or seed >= 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
     index = itertools.count()
 
     def draw(name, shape, fan_in):

@@ -19,6 +19,7 @@ them in parallel.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -98,10 +99,10 @@ class NetworkProfile:
     mtu_bytes: int = 1500
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ConfigError(f"bandwidth_bps must be > 0, got {self.bandwidth_bps}")
-        if self.base_latency_s < 0:
-            raise ConfigError(f"base_latency_s must be >= 0, got {self.base_latency_s}")
+        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
+            raise ConfigError(f"bandwidth_bps must be finite and > 0, got {self.bandwidth_bps}")
+        if not (math.isfinite(self.base_latency_s) and self.base_latency_s >= 0):
+            raise ConfigError(f"base_latency_s must be finite and >= 0, got {self.base_latency_s}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.medium not in ("dedicated", "shared"):
@@ -130,8 +131,10 @@ class EnergyModel:
     per_byte_j: float = 0.0
 
     def __post_init__(self):
-        if self.tx_power_w < 0 or self.per_byte_j < 0:
-            raise ConfigError("energy model parameters must be non-negative")
+        for name in ("tx_power_w", "per_byte_j"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, seed):
@@ -236,7 +239,6 @@ def comm_reduction_report(
     latent_bytes: int,
     profile: NetworkProfile,
     n_devices: int = 5,
-    energy: EnergyModel = EnergyModel(),
 ) -> CommReduction:
     """Expected-mode latency ratios of raw-slice vs latent uplinks.
 
@@ -249,10 +251,10 @@ def comm_reduction_report(
     shared = replace(profile, medium="shared")
 
     def one(size):
-        return transmit_group([size], profile, energy, mode="expected")[0].completion_s
+        return transmit_group([size], profile)[0].completion_s
 
     def all_shared(size):
-        ups = transmit_group([size] * n_devices, shared, energy, mode="expected")
+        ups = transmit_group([size] * n_devices, shared)
         return max(u.completion_s for u in ups)
 
     raw_ded, lat_ded = one(raw_bytes), one(latent_bytes)

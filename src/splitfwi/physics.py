@@ -55,6 +55,13 @@ SPONGE_CELLS = 10
 SPONGE_STRENGTH = 0.015
 CFL_FACTOR = 0.5
 DEFAULT_DT_FACTOR = 0.4
+# default_geometry's source count and wavelet peak frequency (Hz)
+DEFAULT_SOURCES = 5
+DEFAULT_F0 = 15.0
+# generate_dataset's velocity range (m/s); its top sets default_geometry's dt
+VELOCITY_RANGE = (1500.0, 4500.0)
+# the Ricker pulse's delay, in periods of its peak frequency
+RICKER_DELAY_PERIODS = 1.5
 
 
 @dataclass(frozen=True)
@@ -114,34 +121,27 @@ class EnergyDistribution:
     group_fractions: tuple[float, ...]
 
 
-def default_geometry(
-    n_sources: int = 5,
-    n_receivers: int = 70,
-    n_t: int = 1000,
-    dx: float = 10.0,
-    v_max: float = 4500.0,
-    f0: float = 15.0,
-) -> AcquisitionGeometry:
-    """Evenly spread sources over the surface; one receiver per column.
+def default_geometry(n_receivers: int = 70, n_t: int = 1000, dx: float = 10.0) -> AcquisitionGeometry:
+    """DEFAULT_SOURCES sources spread evenly over the surface; one receiver
+    per column; a DEFAULT_F0 wavelet.
 
     dt is tied to the global velocity ceiling (not the per-sample maximum)
     so every generated sample shares one time axis.
     """
-    cols = np.round(np.linspace(0, n_receivers - 1, n_sources)).astype(int)
+    cols = np.round(np.linspace(0, n_receivers - 1, DEFAULT_SOURCES)).astype(int)
     return AcquisitionGeometry(
         source_cols=tuple(int(c) for c in cols),
         receiver_cols=tuple(range(n_receivers)),
         n_t=n_t,
-        dt=DEFAULT_DT_FACTOR * dx / v_max,
-        f0=f0,
+        dt=DEFAULT_DT_FACTOR * dx / VELOCITY_RANGE[1],
+        f0=DEFAULT_F0,
     )
 
 
-def ricker_wavelet(f0: float, n_t: int, dt: float, delay: float | None = None) -> np.ndarray:
-    """Ricker pulse with peak frequency f0, delayed so the onset is ~0."""
-    if delay is None:
-        delay = 1.5 / f0
-    t = np.arange(n_t) * dt - delay
+def ricker_wavelet(f0: float, n_t: int, dt: float) -> np.ndarray:
+    """Ricker pulse with peak frequency f0, delayed by RICKER_DELAY_PERIODS
+    periods so the onset is ~0."""
+    t = np.arange(n_t) * dt - RICKER_DELAY_PERIODS / f0
     a = (np.pi * f0 * t) ** 2
     return ((1.0 - 2.0 * a) * np.exp(-a)).astype(np.float64)
 
@@ -303,7 +303,6 @@ def generate_dataset(
     rows: int = 70,
     cols: int = 70,
     geometry: AcquisitionGeometry | None = None,
-    velocity_range: tuple[float, float] = (1500.0, 4500.0),
     dx: float = 10.0,
 ) -> list[tuple[VelocityModel, WaveformRecord]]:
     """Seeded synthetic (velocity model, record) pairs.
@@ -312,17 +311,18 @@ def generate_dataset(
     ``faulted`` adds one dipping displacement. The same seed always yields
     bit-identical samples.
     """
+    if seed < 0:
+        raise InputValidationError(f"seed must be >= 0, got {seed}")
     if n_samples < 1:
         raise InputValidationError(f"n_samples must be >= 1, got {n_samples}")
     if family not in ("layered", "faulted"):
         raise InputValidationError(f"unknown family {family!r}")
-    v_lo, v_hi = velocity_range
     if geometry is None:
-        geometry = default_geometry(n_receivers=cols, dx=dx, v_max=v_hi)
+        geometry = default_geometry(n_receivers=cols, dx=dx)
     samples = []
     for idx in range(n_samples):
         rng = np.random.default_rng([seed, idx])
-        vm = _make_model(rng, family, rows, cols, v_lo, v_hi, dx)
+        vm = _make_model(rng, family, rows, cols, *VELOCITY_RANGE, dx)
         samples.append((vm, simulate(vm, geometry)))
     return samples
 

@@ -108,8 +108,10 @@ class ComputeModel:
     central_flops_per_s: float = 1e10
 
     def __post_init__(self):
-        if self.edge_flops_per_s <= 0 or self.central_flops_per_s <= 0:
-            raise ConfigError("compute rates must be positive")
+        for name in ("edge_flops_per_s", "central_flops_per_s"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +152,14 @@ class InfraConfig:
     socket_port: int = 0
 
     def __post_init__(self):
-        if self.deadline_s <= 0:
-            raise ConfigError(f"deadline must be > 0, got {self.deadline_s}")
+        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
+            raise ConfigError(f"deadline must be finite and > 0, got {self.deadline_s}")
         if self.transport not in ("simulated", "socket"):
             raise ConfigError(f"transport must be 'simulated' or 'socket', got {self.transport!r}")
         if self.netem_mode not in ("expected", "stochastic"):
             raise ConfigError(f"netem_mode must be 'expected' or 'stochastic', got {self.netem_mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.partition:
             object.__setattr__(self, "partition", partition_receivers(70, self.n_devices))
         try:
@@ -367,13 +371,12 @@ def profile_decoder(weights: ModelWeights) -> float:
     durations = []
     for trial in range(_PROFILE_TRIALS):
         rng = np.random.Generator(np.random.Philox(key=(_PROFILE_SEED << 64) | trial))
-        lset = LatentSet(cfg.n_devices)
+        latents = {}
         for d in range(cfg.n_devices):
             vals = rng.uniform(-1, 1, size=cfg.latent_dim).astype(np.float32)
-            lset.add(LatentVector(values=vals, device_id=d))
+            latents[d] = LatentVector(values=vals, device_id=d)
         t0 = time.perf_counter()
-        gl = fuse(lset, weights.fusion, cfg.n_heads)
-        decode(gl, lset, weights)
+        _fuse_decode(weights, latents)
         durations.append(time.perf_counter() - t0)
     return statistics.median(durations)
 
@@ -766,6 +769,8 @@ def run_baseline(
 def random_drop_sets(seed: int, n_devices: int, k: int, n_samples: int) -> list[frozenset[int]]:
     """k seeded-random offline devices per sample, from the stream
     [seed, 7001, k, sample_id]."""
+    if seed < 0:
+        raise ConfigError(f"drop seed must be >= 0, got {seed}")
     if not 0 <= k <= n_devices:
         raise ConfigError(f"drop count {k} outside [0, {n_devices}]")
     return [

@@ -3,9 +3,10 @@
 The same frames that the simulated link accounts for are sent here for
 real, length-delimited over TCP: a fixed 18-byte header declares the
 payload length, so the reader pulls header, payload and CRC and hands the
-whole buffer to the frame decoder. One writer per connection; the central
-collector accepts any number of connections and funnels every decoded
-latent into the shared hash-map buffer under wall-clock timestamps.
+whole buffer to the frame decoder. Each device's edge thread writes one
+connection, made before the first sample through a listener that then
+closes, and one reader thread funnels its latents into the shared
+hash-map buffer under wall-clock timestamps.
 
 This module is the wall link of EPIC's per-sample loop, `_run_plan` in
 runtime.py, which also drives the simulated twin: the loop validates each
@@ -23,7 +24,6 @@ calls with the same weights profiles only once.
 
 from __future__ import annotations
 
-import contextlib
 import queue
 import socket
 import threading
@@ -146,80 +146,68 @@ class _FirstFailure:
             raise WorkerError(f"socket worker thread failed: {self.exc!r}") from self.exc
 
 
-class _Collector:
-    """Accepts device connections and feeds frames into the buffer.
+def _connect_edges(host: str, port: int, n_devices: int):
+    """The listener's address and the edge and central ends of n_devices
+    connections. Each edge connects before its central end is accepted,
+    so accept() never waits; a connection from any other peer is closed
+    unread, and the listener closes before this returns."""
+    made: list[socket.socket] = []
+    try:
+        with socket.create_server((host, port)) as listener:
+            address = listener.getsockname()[:2]
+            for _ in range(n_devices):
+                edge = socket.create_connection(address)
+                made.append(edge)
+                while True:
+                    conn, peer = listener.accept()
+                    if peer == edge.getsockname():
+                        break
+                    conn.close()
+                made.append(conn)
+    except BaseException:
+        for sock in made:
+            sock.close()
+        raise
+    return address, made[0::2], made[1::2]
+
+
+def _read_latents(conn: socket.socket, buffer: HashBuffer, n_devices: int, latent_bytes: int,
+                  stop: threading.Event) -> None:
+    """Feed the latent frames of one edge connection into the buffer
+    until the edge closes it.
 
     A latent frame must come from one of the run's n_devices and carry
     exactly latent_bytes of payload; any other frame is a ProtocolError
-    that ends the run, like a corrupt one.
+    that ends the run, like a corrupt one, unless the run has stopped.
     """
-
-    def __init__(self, host: str, port: int, buffer: HashBuffer, n_devices: int,
-                 latent_bytes: int, failure: _FirstFailure):
-        self.buffer = buffer
-        self.n_devices = n_devices
-        self.latent_bytes = latent_bytes
-        self._failure = failure
-        self._listener = socket.create_server((host, port))
-        self._threads: list[threading.Thread] = []
-        self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
-        self._closing = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> None:
-        self._accepting.start()
-
-    def _accept_loop(self) -> None:
+    with conn:
         while True:
             try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._failure.guard(self._reader), args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _reader(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    frame = read_frame(conn, self.latent_bytes)
-                except ProtocolError:
-                    if self._closing:
-                        return
-                    raise
-                if frame is None:
+                frame = read_frame(conn, latent_bytes)
+            except ProtocolError:
+                if stop.is_set():
                     return
-                if not 0 <= frame.device_id < self.n_devices:
-                    raise ProtocolError(
-                        f"frame device_id {frame.device_id} outside [0, {self.n_devices})")
-                if len(frame.payload) != self.latent_bytes:
-                    raise ProtocolError(f"frame payload_len {len(frame.payload)} is not the "
-                                        f"run's {self.latent_bytes}-byte latent")
-                latent = latent_from_frame(frame)
-                self.buffer.insert(latent.sample_id, latent.device_id, latent, time.monotonic())
-
-    def close(self) -> None:
-        self._closing = True
-        # close() alone does not wake a thread blocked in accept() on Linux
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        self._listener.close()
-        self._accepting.join(timeout=2.0)
-        for t in self._threads:
-            t.join(timeout=2.0)
+                raise
+            if frame is None:
+                return
+            if not 0 <= frame.device_id < n_devices:
+                raise ProtocolError(
+                    f"frame device_id {frame.device_id} outside [0, {n_devices})")
+            if len(frame.payload) != latent_bytes:
+                raise ProtocolError(f"frame payload_len {len(frame.payload)} is not the "
+                                    f"run's {latent_bytes}-byte latent")
+            latent = latent_from_frame(frame)
+            buffer.insert(latent.sample_id, latent.device_id, latent, time.monotonic())
 
 
-def _edge_worker(device_id: int, address: tuple[str, int], weights, jobs: queue.SimpleQueue,
+def _edge_worker(device_id: int, sock: socket.socket, weights, jobs: queue.SimpleQueue,
                  delay_s: float, stop: threading.Event, buffer: HashBuffer) -> None:
     """Encode and send each job's slice, (sample_id, wave slice, edge
-    seconds by device), until a None job or a stop. A job whose sample
-    already closed in the buffer is skipped: its frame could only be
-    stale, so a straggler catches up instead of falling further behind."""
-    with socket.create_connection(address) as sock:
+    seconds by device), until a None job or a stop, then close the
+    connection. A job whose sample already closed in the buffer is
+    skipped: its frame could only be stale, so a straggler catches up
+    instead of falling further behind."""
+    with sock:
         for idx, wave_slice, edge_s in iter(jobs.get, None):
             if stop.is_set():
                 return
@@ -271,24 +259,21 @@ def run_epic_socket(
     delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
     t_d = _decode_budget(weights)
 
+    latent_bytes = cfg.latent_dim * 4
+    (host, port), edges, centrals = _connect_edges(infra.socket_host, infra.socket_port,
+                                                   cfg.n_devices)
     buffer = HashBuffer()
     failure = _FirstFailure(buffer)
     stop = threading.Event()
-    collector = _Collector(infra.socket_host, infra.socket_port, buffer, cfg.n_devices,
-                           cfg.latent_dim * 4, failure)
-    collector.start()
-
     jobs = [queue.SimpleQueue() for _ in range(cfg.n_devices)]
-    workers = [
-        threading.Thread(
-            target=failure.guard(_edge_worker),
-            args=(d, collector.address, weights, jobs[d], delays.get(d, 0.0), stop, buffer),
-            daemon=True,
-        )
-        for d in range(cfg.n_devices)
-    ]
-    for w in workers:
-        w.start()
+    threads = []
+    for d in range(cfg.n_devices):
+        threads += [
+            threading.Thread(target=failure.guard(_edge_worker), daemon=True,
+                             args=(d, edges[d], weights, jobs[d], delays.get(d, 0.0), stop, buffer)),
+            threading.Thread(target=failure.guard(_read_latents), daemon=True,
+                             args=(centrals[d], buffer, cfg.n_devices, latent_bytes, stop)),
+        ]
 
     def collect(idx, wave, slices, online):
         t0 = time.monotonic()
@@ -300,7 +285,7 @@ def run_epic_socket(
         failure.reraise()
         # a worker records its edge seconds before it sends the frame
         return _Collected(latents, {d: edge_s[d] for d in latents},
-                          time.monotonic() - t0, released, 0.0, cfg.latent_dim * 4 * len(online))
+                          time.monotonic() - t0, released, 0.0, latent_bytes * len(online))
 
     def central(latents, wave, idx, slices):
         if not latents:
@@ -313,8 +298,9 @@ def run_epic_socket(
         vmap = decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
         return vmap, time.monotonic() - t0
 
-    host, port = collector.address
     try:
+        for t in threads:
+            t.start()
         result = _run_plan(PipelineMode.EPIC, _Plan(None, central, t_d, timeout=True), samples,
                            weights, infra, drop_devices, ground_truth,
                            _Link(collect, f"socket:{host}:{port}"))
@@ -322,8 +308,11 @@ def run_epic_socket(
         stop.set()
         for q in jobs:
             q.put(None)
-        for w in workers:
-            w.join(timeout=5.0)
-        collector.close()
+        # a reader ends when its edge worker closes the connection
+        for t in threads:
+            if t.ident is not None:
+                t.join(timeout=5.0)
+        for sock in edges + centrals:
+            sock.close()
     failure.reraise()
     return result

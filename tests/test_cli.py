@@ -208,6 +208,16 @@ def test_samples_below_one_exits_2(workspace, tmp_path, capsys, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["gen-weights", "--devices", "1"],
+                                     ["gen-data", "--n", "1", "--n-t", "20"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli(*command, "--seed", "-1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "got -1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["weights", "data"])
 def test_missing_input_file_exits_2(workspace, tmp_path, capsys, key):
     doc = json.loads((workspace / "run.json").read_text())

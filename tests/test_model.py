@@ -108,6 +108,10 @@ class TestInitWeights:
         assert w.position_embeddings.shape == (cfg.d_pos, 70, 70)
         assert w.encoders[0][0].kernel.shape == (32, 5, 3, 3)
 
+    def test_negative_seed_rejected_typed(self, tiny_config):
+        with pytest.raises(ConfigError, match="unsigned 64-bit integer, got -1"):
+            init_weights(tiny_config, -1)
+
     def test_bounds(self, tiny_weights, tiny_config):
         fan_in = tiny_config.latent_dim
         bound = math.sqrt(1.0 / fan_in)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON, put, reads_or_points, resealed_tensor_edit
+from splitfwi import physics
 from splitfwi.errors import (
     DatasetError,
     InputValidationError,
@@ -209,6 +210,14 @@ class TestGenerateDataset:
         for (vma, reca), (vmb, recb) in zip(a, b):
             np.testing.assert_array_equal(vma.grid, vmb.grid)
             np.testing.assert_array_equal(reca.data, recb.data)
+
+    def test_negative_seed_rejected_before_any_simulation(self, monkeypatch):
+        def simulated(*args):
+            raise AssertionError("a sample was simulated")
+
+        monkeypatch.setattr(physics, "simulate", simulated)
+        with pytest.raises(InputValidationError, match="seed must be >= 0, got -1"):
+            generate_dataset(-1, 1, geometry=default_geometry(n_t=20))
 
     def test_velocities_in_range(self):
         geom = default_geometry(n_t=40)

@@ -19,7 +19,7 @@ from splitfwi.model import (
     forward_full,
     init_weights,
 )
-from splitfwi.netem import FOUR_G, NetworkProfile
+from splitfwi.netem import FOUR_G, EnergyModel, NetworkProfile
 from splitfwi.runtime import (
     ComputeModel,
     HashBuffer,
@@ -30,6 +30,7 @@ from splitfwi.runtime import (
     encoder_flops,
     partition_receivers,
     profile_decoder,
+    random_drop_sets,
     run_baseline,
     run_epic,
     run_robustness_sweep,
@@ -392,6 +393,32 @@ class TestRunEpic:
         truths = [np.full((70, 70), 3000.0, np.float32)] * 2
         with pytest.raises(ConfigError, match="2 ground truth maps for 3 samples"):
             run_baseline(mode, tiny_waves(3), weights, tiny_infra(), ground_truth=truths)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("config, field", [
+    (InfraConfig, "deadline_s"),
+    (ComputeModel, "edge_flops_per_s"),
+    (ComputeModel, "central_flops_per_s"),
+    (NetworkProfile, "bandwidth_bps"),
+    (NetworkProfile, "base_latency_s"),
+    (EnergyModel, "tx_power_w"),
+    (EnergyModel, "per_byte_j"),
+])
+def test_non_finite_config_value_rejected(config, field, value):
+    # a NaN deadline used to give a failed row with deadline_met=True, and
+    # a NaN bandwidth a NaN energy
+    with pytest.raises(ConfigError, match=f"must be finite and .*, got {value}"):
+        config(**{field: value})
+
+
+def test_negative_seeds_rejected_typed():
+    # numpy's own ValueError used to surface once a stochastic run or a
+    # drop schedule drew from the seed
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        InfraConfig(netem_mode="stochastic", seed=-1)
+    with pytest.raises(ConfigError, match="drop seed must be >= 0, got -1"):
+        random_drop_sets(-1, 5, 2, 3)
 
 
 def _forbid_encode(monkeypatch):

@@ -187,9 +187,55 @@ class TestSocketPipeline:
         waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
         before = set(threading.enumerate())
         run_epic_socket(waves, weights, self._infra(deadline=1.0), extra_delay_s={1: 3.0})
-        # the collector's accept loop and readers and every edge worker end
-        # with the run, so its listener closes too
+        # every edge worker and reader ends with the run; the listener
+        # closed before the first sample
         assert not set(threading.enumerate()) - before
+
+    def test_run_starts_two_threads_per_device(self, weights, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        rng = np.random.default_rng(4)
+        run_epic_socket([rng.normal(size=(5, 40, 70)).astype(np.float32)], weights, self._infra())
+        # one edge worker and one reader per device
+        assert len(started) == 2 * TINY.n_devices
+
+    def test_stranger_cannot_deliver_frames(self, weights, monkeypatch):
+        # a stranger connects to the run's listener before any edge does and
+        # sends a CRC-valid zero latent for sample 1, device 0; its
+        # connection must be closed unread, so every map stays exact
+        real_connect = socket.create_connection
+        strangers = []
+        lock = threading.Lock()
+
+        def connect_after_a_stranger(address, *args, **kwargs):
+            with lock:
+                if not strangers:
+                    strangers.append(real_connect(address))
+                    zero = LatentVector(values=np.zeros(TINY.latent_dim, np.float32),
+                                        device_id=0, sample_id=1)
+                    strangers[0].sendall(latent_to_frame(zero))
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", connect_after_a_stranger)
+        rng = np.random.default_rng(10)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(3)]
+        infra = self._infra()
+        try:
+            maps, report = run_epic_socket(waves, weights, infra)
+        finally:
+            for stranger in strangers:
+                stranger.close()
+        assert len(strangers) == 1
+        assert [r.mask for r in report.rows] == [(True,) * TINY.n_devices] * 3
+        for wave, vmap in zip(waves, maps):
+            ref = forward_full(wave, weights, infra.partition)
+            np.testing.assert_array_equal(vmap.values, ref.values)
 
     def test_straggler_skips_closed_samples(self, weights, monkeypatch):
         # device 1's encode of sample 0 returns only once sample 1 has
