@@ -209,7 +209,8 @@ def test_samples_below_one_exits_2(workspace, tmp_path, capsys, samples):
 
 
 @pytest.mark.parametrize("command", [["gen-weights", "--devices", "1"],
-                                     ["gen-data", "--n", "1", "--n-t", "20"]])
+                                     ["gen-data", "--n", "1", "--n-t", "20"]],
+                         ids=["gen-weights", "gen-data"])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert run_cli(*command, "--seed", "-1", "--out", str(out)) == 2
