@@ -29,9 +29,8 @@ from .runtime import (
     PipelineMode,
     RunReport,
     SampleResult,
-    _Shared,
     partition_receivers,
-    run_baseline,
+    run_many,
 )
 
 
@@ -242,43 +241,31 @@ class BenchmarkSpec:
 def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
     """Execute the sweep; optionally write the three report files.
 
-    Simulated clock throughout, so repeated runs with the same spec give
-    byte-identical CSVs. Each edge output is computed once for the whole
-    sweep: profiles and modes that share a device count share latents,
-    and FLA's map spans serve every profile.
+    Reports come in (profile, device count, mode) order. Every run is
+    built before the weights and the dataset, so an invalid device count
+    or deadline fails before any work. Simulated clock throughout, so
+    repeated runs with the same spec give byte-identical CSVs. The runs
+    share their edge outputs (see runtime.run_many): profiles and modes
+    that share a device count share latents, and FLA's map spans serve
+    every profile.
     """
     n_receivers = spec.model.output_dims[1]
-    geometry = default_geometry(n_receivers=n_receivers)
-    dataset = generate_dataset(spec.data_seed, spec.n_samples, spec.family,
-                               rows=spec.model.output_dims[0], cols=n_receivers,
-                               geometry=geometry)
-    truths = [vm for vm, _ in dataset]
-    waves = _Shared(rec for _, rec in dataset)
-
-    weights_by_n = {
-        n: init_weights(replace(spec.model, n_devices=n), spec.weights_seed)
-        for n in spec.device_counts
-    }
+    infras = [InfraConfig(n_devices=n, partition=partition_receivers(n_receivers, n),
+                          network=profile, deadline_s=spec.deadline_s, compute=spec.compute,
+                          seed=spec.run_seed)
+              for profile in spec.profiles for n in spec.device_counts]
+    weights_by_n = {n: init_weights(replace(spec.model, n_devices=n), spec.weights_seed)
+                    for n in spec.device_counts}
     single = None
     if PipelineMode.FLA in spec.modes:
         single = init_weights(replace(spec.model, n_devices=1), spec.weights_seed)
-
-    reports = []
-    for profile in spec.profiles:
-        for n in spec.device_counts:
-            infra = InfraConfig(
-                n_devices=n,
-                partition=partition_receivers(n_receivers, n),
-                network=profile,
-                deadline_s=spec.deadline_s,
-                compute=spec.compute,
-                seed=spec.run_seed,
-            )
-            for mode in spec.modes:
-                w = single if mode == PipelineMode.FLA else weights_by_n[n]
-                _, report = run_baseline(mode, waves, w, infra, ground_truth=truths)
-                reports.append(report)
-
+    runs = [(mode, single if mode == PipelineMode.FLA else weights_by_n[infra.n_devices],
+             infra, None) for infra in infras for mode in spec.modes]
+    dataset = generate_dataset(spec.data_seed, spec.n_samples, spec.family,
+                               rows=spec.model.output_dims[0], cols=n_receivers,
+                               geometry=default_geometry(n_receivers=n_receivers))
+    reports = run_many([rec for _, rec in dataset], runs,
+                       ground_truth=[vm for vm, _ in dataset])
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

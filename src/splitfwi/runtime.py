@@ -36,8 +36,9 @@ device, which equals `forward_full` on the zero-filled wave), and an FLA
 map span serves every drop set. A zero slice's latent is the same for
 every sample and call, so it is encoded once per (device, slice shape)
 and kept on the weights object, like the socket twin's T_d.
-`run_robustness_sweep` and `reporting.run_benchmark` hand every run the
-same `_Shared` sample list, whose `done` dict keeps what those runs
+`run_many`, which runs every sweep and bench, checks all their runs
+before the first, then hands every run the same `_Shared` sample list;
+it is the only maker of one. Its `done` dict keeps what those runs
 share, each computed once: latents, FLA map spans, central results keyed
 by (kind, weights, sample, present latents), and each ground truth's
 SSIM reference. A full-mask EPIC sample and its CENTRALIZED k = 0 twin
@@ -58,6 +59,7 @@ step, late-frame counting and the report rows are the same code for both.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 import threading
 import time
@@ -160,6 +162,8 @@ class InfraConfig:
             raise ConfigError(f"netem_mode must be 'expected' or 'stochastic', got {self.netem_mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.socket_port <= 65535:
+            raise ConfigError(f"socket_port must be in [0, 65535], got {self.socket_port}")
         if not self.partition:
             object.__setattr__(self, "partition", partition_receivers(70, self.n_devices))
         try:
@@ -318,8 +322,7 @@ class RunReport:
 
 
 def _as_wave(sample) -> np.ndarray:
-    data = getattr(sample, "data", sample)
-    return as_f32(data)
+    return as_f32(getattr(sample, "data", sample))
 
 
 def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[frozenset[int]]:
@@ -328,9 +331,9 @@ def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[froz
     try:
         items = list(drop_devices)
         if items and isinstance(items[0], (list, tuple, set, frozenset)):
-            drops = [frozenset(int(d) for d in s) for s in items]
+            drops = [frozenset(operator.index(d) for d in s) for s in items]
         else:
-            drops = [frozenset(int(d) for d in items)] * n_samples
+            drops = [frozenset(operator.index(d) for d in items)] * n_samples
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"drop_devices must be device ids or one set of them per sample, "
                           f"got {drop_devices!r}") from exc
@@ -344,7 +347,7 @@ def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[froz
 
 def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
     try:
-        delays = {int(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
+        delays = {operator.index(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"extra_delay_s must map device ids to seconds, "
                           f"got {extra_delay_s!r}") from exc
@@ -689,23 +692,20 @@ def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
 
 def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
     """Map a receiver slice [a, b) onto output-map columns."""
-    lo = a * out_w // n_rcv
-    hi = b * out_w // n_rcv
-    return lo, hi
+    return a * out_w // n_rcv, b * out_w // n_rcv
 
 
-def _check_devices(weights: ModelWeights, infra: InfraConfig) -> None:
-    if weights.config.n_devices != infra.n_devices:
-        raise ConfigError(
-            f"weights built for {weights.config.n_devices} devices, infra has {infra.n_devices}"
-        )
-
-
-def _check_clock(modes, infra: InfraConfig) -> None:
+def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig) -> None:
+    """Raise ConfigError if mode cannot run with these weights on this infra."""
     # only EPIC has a wall-clock twin; another mode would run simulated under a socket config
-    other = [m.value for m in modes if m != PipelineMode.EPIC]
-    if infra.transport == "socket" and other:
-        raise ConfigError(f"transport 'socket' runs EPIC only, not {', '.join(other)}")
+    if infra.transport == "socket" and mode != PipelineMode.EPIC:
+        raise ConfigError(f"transport 'socket' runs EPIC only, not {mode.value}")
+    if mode == PipelineMode.FLA:
+        if weights.config.n_devices != 1:
+            raise ConfigError("FLA needs single-device weights (a full model per edge)")
+    elif weights.config.n_devices != infra.n_devices:
+        raise ConfigError(f"weights built for {weights.config.n_devices} devices, "
+                          f"infra has {infra.n_devices}")
 
 
 def run_epic(
@@ -723,7 +723,7 @@ def run_epic(
     samples or one set per sample. A sample with no latents by the
     deadline is marked failed and the run continues.
     """
-    _check_devices(weights, infra)
+    _check_run(PipelineMode.EPIC, weights, infra)
     if infra.transport == "socket":
         from .transport import run_epic_socket
 
@@ -750,16 +750,24 @@ def run_baseline(
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
-    _check_clock([mode], infra)
-    if mode == PipelineMode.FLA:
-        if weights.config.n_devices != 1:
-            raise ConfigError("FLA needs single-device weights (a full model per edge)")
-        plan = _fla_plan(weights, infra, samples)
-    else:
-        _check_devices(weights, infra)
-        plan = (_sla_plan(weights, infra, samples) if mode == PipelineMode.SLA
-                else _centralized_plan(weights, infra, samples))
+    _check_run(mode, weights, infra)
+    plan = {PipelineMode.SLA: _sla_plan, PipelineMode.CENTRALIZED: _centralized_plan,
+            PipelineMode.FLA: _fla_plan}[mode](weights, infra, samples)
     return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
+
+
+def run_many(samples, runs, ground_truth=None) -> list[RunReport]:
+    """The reports of runs, each (mode, weights, infra, drop_devices), over
+    the same samples, in order. Every run is checked before the first
+    starts; they share one _Shared sample list (see the module docstring).
+    """
+    runs = list(runs)
+    for mode, weights, infra, _ in runs:
+        _check_run(mode, weights, infra)
+    samples = _Shared(samples)
+    return [run_baseline(mode, samples, weights, infra, drop_devices=drops,
+                         ground_truth=ground_truth)[1]
+            for mode, weights, infra, drops in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +776,11 @@ def run_baseline(
 
 def random_drop_sets(seed: int, n_devices: int, k: int, n_samples: int) -> list[frozenset[int]]:
     """k seeded-random offline devices per sample, from the stream
-    [seed, 7001, k, sample_id]."""
+    [seed, 7001, k, sample_id]; k must be an int, Python's or numpy's."""
+    try:
+        k = operator.index(k)
+    except TypeError as exc:
+        raise ConfigError(f"drop count must be an integer, got {k!r}") from exc
     if seed < 0:
         raise ConfigError(f"drop seed must be >= 0, got {seed}")
     if not 0 <= k <= n_devices:
@@ -789,26 +801,20 @@ def run_robustness_sweep(
     ground_truth=None,
     fla_weights: ModelWeights | None = None,
 ) -> dict[tuple[str, int], RunReport]:
-    """For each k, drop k seeded-random devices per sample and rerun.
+    """For each k, drop k seeded-random devices per sample and run every
+    mode; reports are keyed (mode value, k), k-major.
 
     k may reach n_devices; those samples surface as failed rows rather
-    than crashing. Each edge output is computed once for the whole sweep
-    (see the module docstring).
+    than crashing. Every k's drop sets are drawn before run_many checks
+    every run, and the runs share their edge outputs (see run_many).
     """
-    _check_clock(modes, infra)
-    results: dict[tuple[str, int], RunReport] = {}
-    samples = _Shared(samples)
+    if PipelineMode.FLA in modes and fla_weights is None:
+        raise ConfigError("robustness sweep over FLA needs fla_weights")
+    samples = list(samples)
+    runs = {}
     for k in drop_counts:
-        k = int(k)
         drop_sets = random_drop_sets(infra.seed, infra.n_devices, k, len(samples))
         for mode in modes:
-            w = weights
-            if mode == PipelineMode.FLA:
-                if fla_weights is None:
-                    raise ConfigError("robustness sweep over FLA needs fla_weights")
-                w = fla_weights
-            _, report = run_baseline(
-                mode, samples, w, infra, drop_devices=drop_sets, ground_truth=ground_truth
-            )
-            results[(mode.value, k)] = report
-    return results
+            w = fla_weights if mode == PipelineMode.FLA else weights
+            runs[mode.value, operator.index(k)] = (mode, w, infra, drop_sets)
+    return dict(zip(runs, run_many(samples, runs.values(), ground_truth)))

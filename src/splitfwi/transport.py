@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from .errors import ProtocolError, SplitFwiError, WorkerError
+from .errors import ConfigError, ProtocolError, SplitFwiError, WorkerError
 from .model import LatentSet, LatentVector, VelocityMap, decode, encode, fuse
 from .netem import HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
 from .runtime import (
@@ -39,7 +39,7 @@ from .runtime import (
     InfraConfig,
     PipelineMode,
     RunReport,
-    _check_devices,
+    _check_run,
     _Collected,
     _Link,
     _per_sample_delays,
@@ -150,10 +150,16 @@ def _connect_edges(host: str, port: int, n_devices: int):
     """The listener's address and the edge and central ends of n_devices
     connections. Each edge connects before its central end is accepted,
     so accept() never waits; a connection from any other peer is closed
-    unread, and the listener closes before this returns."""
+    unread, and the listener closes before this returns. A host or port
+    that cannot be bound, in the family host resolves to, is a ConfigError."""
+    try:
+        family = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][0]
+        listener = socket.create_server((host, port), family=family)
+    except OSError as exc:
+        raise ConfigError(f"cannot listen on host {host!r} port {port}: {exc}") from exc
     made: list[socket.socket] = []
     try:
-        with socket.create_server((host, port)) as listener:
+        with listener:
             address = listener.getsockname()[:2]
             for _ in range(n_devices):
                 edge = socket.create_connection(address)
@@ -254,7 +260,7 @@ def run_epic_socket(
     an edge or reader thread ends the run: it is re-raised after cleanup,
     a SplitFwiError as is and anything else as a WorkerError.
     """
-    _check_devices(weights, infra)
+    _check_run(PipelineMode.EPIC, weights, infra)
     cfg = weights.config
     delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
     t_d = _decode_budget(weights)

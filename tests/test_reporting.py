@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON, TINY, put, reads_or_points
-from splitfwi.errors import ReportError
+from splitfwi import reporting
+from splitfwi.errors import ConfigError, ReportError
 from splitfwi.model import ModelConfig, init_weights
 from splitfwi.netem import FOUR_G, NetworkProfile
 from splitfwi.reporting import (
@@ -187,3 +188,18 @@ class TestBenchmark:
             for row in report.rows:
                 assert row.ssim is not None
                 assert -1.0 <= row.ssim <= 1.0
+
+    @pytest.mark.parametrize("change, match", [
+        ({"device_counts": (2, 71)}, r"n_devices must be in \[1, 70\], got 71"),
+        ({"deadline_s": -1.0}, "deadline must be finite and > 0, got -1.0"),
+    ], ids=["device-count-71", "negative-deadline"])
+    def test_invalid_run_rejected_before_any_work(self, monkeypatch, change, match):
+        # every run is built before the weights and the dataset, so no run
+        # of a valid device count goes first
+        def work_started(*args, **kwargs):
+            raise AssertionError("work started before every run was built")
+
+        monkeypatch.setattr(reporting, "generate_dataset", work_started)
+        monkeypatch.setattr(reporting, "init_weights", work_started)
+        with pytest.raises(ConfigError, match=match):
+            run_benchmark(dataclasses.replace(self._tiny_spec(), **change))

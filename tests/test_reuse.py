@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import TINY
-from splitfwi import reporting, runtime
-from splitfwi.errors import ConfigError
+from splitfwi import runtime
+from splitfwi.errors import ConfigError, PartitionError
 from splitfwi.model import forward_full, init_weights
 from splitfwi.netem import NetworkProfile
 from splitfwi.reporting import (
@@ -225,11 +225,17 @@ def test_sweeps_share_no_state(monkeypatch, fla_weights):
     assert all(x.any() for x, _ in encodes.args)
     assert set(vars(weights)) - attributes == {"_zero_latents"}
     assert len(vars(weights)["_zero_latents"]) == zero
-    # FLA without its weights fails after the k = 0 EPIC run has encoded
+    # FLA without its weights fails before the k = 0 EPIC run encodes
     encodes.args.clear()
     with pytest.raises(ConfigError, match="fla_weights"):
         run_robustness_sweep(waves, weights, infra, drop_counts=(0,),
                              modes=(PipelineMode.EPIC, PipelineMode.FLA))
+    assert not encodes.args
+    # a sweep that fails partway, at a second sample of the wrong width
+    # once sample 0 has encoded, leaves no state either
+    with pytest.raises(PartitionError):
+        run_robustness_sweep([waves[0], waves[1][:, :, :60]], weights, infra,
+                             drop_counts=(0,), modes=(PipelineMode.EPIC,))
     assert encodes.args
     assert sweep() == first - zero
     assert sweep(fla_weights=fla_weights) == first - zero
@@ -244,7 +250,7 @@ def test_bench_report_unchanged_by_reuse(monkeypatch, tmp_path):
                          model=dataclasses.replace(TINY, n_devices=1), deadline_s=0.3)
     run_benchmark(spec, tmp_path / "reused")
 
-    monkeypatch.setattr(reporting, "_Shared", list)
+    monkeypatch.setattr(runtime, "_once", lambda samples, key, compute: compute())
     run_benchmark(spec, tmp_path / "fresh")
     for name in ("bench_samples.csv", "bench_summary.csv", "bench_report.json"):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()

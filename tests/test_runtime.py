@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -421,6 +422,37 @@ def test_negative_seeds_rejected_typed():
         random_drop_sets(-1, 5, 2, 3)
 
 
+@pytest.mark.parametrize("clock", ["simulated", "socket"])
+@pytest.mark.parametrize("call", [
+    lambda w, i: run_epic(tiny_waves(2), w, i, drop_devices=[1.7]),
+    lambda w, i: run_epic(tiny_waves(2), w, i, drop_devices=[set(), {1.0}]),
+    lambda w, i: run_epic(tiny_waves(2), w, i, drop_devices=["1"]),
+    lambda w, i: run_epic(tiny_waves(2), w, i, extra_delay_s={1.5: 0.0}),
+    lambda w, i: run_epic(tiny_waves(2), w, i, extra_delay_s={"1": 0.0}),
+    lambda w, i: run_robustness_sweep(tiny_waves(2), w, i, drop_counts=[1.5]),
+    lambda w, i: run_robustness_sweep(tiny_waves(2), w, i, drop_counts=[0, "1"]),
+], ids=["drop-float", "drop-set-float", "drop-str", "delay-float", "delay-str",
+        "count-float", "count-str"])
+def test_non_integral_ids_and_counts_rejected_before_any_encode(weights, monkeypatch, clock,
+                                                                call):
+    # each used to be truncated by int(), so 1.7 or "1" named device 1
+    _forbid_encode(monkeypatch)
+    infra = tiny_infra(network=FOUR_G, deadline_s=2.0, transport=clock)
+    with pytest.raises(ConfigError, match="device ids|drop count must be an integer"):
+        call(weights, infra)
+
+
+def test_numpy_ids_and_counts_accepted(weights):
+    waves, infra = tiny_waves(2), tiny_infra()
+    _, by_int = run_epic(waves, weights, infra, drop_devices=[1], extra_delay_s={2: 0.1})
+    _, by_numpy = run_epic(waves, weights, infra, drop_devices=np.array([1]),
+                           extra_delay_s={np.int64(2): 0.1})
+    assert by_numpy.rows == by_int.rows
+    swept = run_robustness_sweep(waves, weights, infra, drop_counts=np.arange(2))
+    assert list(swept) == [("epic", 0), ("epic", 1)]
+    assert all(type(k) is int for _, k in swept)
+
+
 def _forbid_encode(monkeypatch):
     """Fail the test if either clock encodes a slice."""
     def encode_called(*args, **kwargs):
@@ -566,6 +598,39 @@ class TestRobustnessSweep:
     def test_excessive_drop_rejected(self, weights):
         with pytest.raises(ConfigError):
             run_robustness_sweep(tiny_waves(1), weights, tiny_infra(), drop_counts=[9])
+
+    def test_count_above_devices_rejected_before_any_encode(self, weights, monkeypatch):
+        # the k = 0 runs must not go first
+        _forbid_encode(monkeypatch)
+        with pytest.raises(ConfigError, match=r"drop count 4 outside \[0, 3\]"):
+            run_robustness_sweep(tiny_waves(2), weights, tiny_infra(), drop_counts=[0, 4])
+
+    def test_fla_without_its_weights_rejected_before_any_encode(self, weights, monkeypatch):
+        # the EPIC runs must not go first
+        _forbid_encode(monkeypatch)
+        with pytest.raises(ConfigError, match="needs fla_weights"):
+            run_robustness_sweep(tiny_waves(2), weights, tiny_infra(), drop_counts=[0, 1],
+                                 modes=(PipelineMode.EPIC, PipelineMode.FLA))
+
+
+def test_run_many_checks_every_run_before_the_first(weights, monkeypatch):
+    _forbid_encode(monkeypatch)
+    infra = tiny_infra()
+    other = init_weights(dataclasses.replace(TINY, n_devices=2), seed=11)
+    runs = [(PipelineMode.EPIC, weights, infra, None), (PipelineMode.SLA, weights, infra, [1]),
+            (PipelineMode.CENTRALIZED, other, infra, None)]
+    with pytest.raises(ConfigError, match="weights built for 2 devices, infra has 3"):
+        runtime.run_many(tiny_waves(2), runs)
+
+
+def test_run_many_equals_separate_runs(weights):
+    waves, infra = tiny_waves(2), tiny_infra(network=FOUR_G, deadline_s=5.0)
+    runs = [(PipelineMode.EPIC, weights, infra, [1]), (PipelineMode.SLA, weights, infra, None),
+            (PipelineMode.CENTRALIZED, weights, infra, [0])]
+    reports = runtime.run_many(waves, runs)
+    separate = [run_baseline(mode, waves, w, i, drop_devices=drops)[1]
+                for mode, w, i, drops in runs]
+    assert [r.rows for r in reports] == [r.rows for r in separate]
 
 
 class TestProfiling:

@@ -205,6 +205,40 @@ class TestSocketPipeline:
         # one edge worker and one reader per device
         assert len(started) == 2 * TINY.n_devices
 
+    def test_ipv6_loopback_run_matches_reference(self, weights):
+        # the listener takes the family that its host resolves to; the test
+        # skips only on a host that cannot bind the IPv6 loopback at all
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError:
+            pytest.skip("this host cannot bind ::1")
+        rng = np.random.default_rng(11)
+        waves = [rng.normal(size=(5, 40, 70)).astype(np.float32) for _ in range(2)]
+        infra = InfraConfig(n_devices=TINY.n_devices, deadline_s=30.0, transport="socket",
+                            socket_host="::1")
+        maps, report = run_epic_socket(waves, weights, infra)
+        assert report.profile_label.startswith("socket:::1:")
+        for wave, vmap in zip(waves, maps, strict=True):
+            ref = forward_full(wave, weights, infra.partition)
+            np.testing.assert_array_equal(vmap.values, ref.values)
+
+    def test_port_out_of_range_rejected(self):
+        # it used to reach the listener's bind as a bare OverflowError
+        with pytest.raises(ConfigError, match=r"socket_port must be in \[0, 65535\], got 70000"):
+            InfraConfig(n_devices=TINY.n_devices, transport="socket", socket_port=70000)
+
+    def test_address_in_use_rejected_before_any_thread(self, weights, monkeypatch):
+        def start(thread):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        rng = np.random.default_rng(4)
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            infra = InfraConfig(n_devices=TINY.n_devices, transport="socket", socket_port=port)
+            with pytest.raises(ConfigError, match=f"host '127.0.0.1' port {port}: "):
+                run_epic_socket([rng.normal(size=(5, 40, 70)).astype(np.float32)], weights, infra)
+
     def test_stranger_cannot_deliver_frames(self, weights, monkeypatch):
         # a stranger connects to the run's listener before any edge does and
         # sends a CRC-valid zero latent for sample 1, device 0; its
