@@ -72,9 +72,8 @@ def _cmd_run(args) -> int:
     write_per_sample_csv([report], out / "run_samples.csv")
     write_summary_csv([report], out / "run_summary.csv")
     write_report_json([report], out / "run_report.json")
-    ok = sum(1 for r in report.rows if r.status == "ok")
     print(
-        f"{mode.value}: {ok}/{len(report.rows)} samples ok, "
+        f"{mode.value}: {len(report.ok_rows)}/{len(report.rows)} samples ok, "
         f"mean L_total {report.mean('l_total_s') * 1e3:.2f} ms, "
         f"energy {report.total_energy_j:.4f} J -> {out}"
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,8 +49,7 @@ def _resolve(params: SsimParams | None, dynamic_range: float | None) -> SsimPara
     if params is None:
         params = SsimParams()
     if dynamic_range is not None:
-        params = SsimParams(window=params.window, k1=params.k1, k2=params.k2,
-                            dynamic_range=dynamic_range)
+        params = replace(params, dynamic_range=dynamic_range)
     return params
 
 

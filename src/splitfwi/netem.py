@@ -149,10 +149,8 @@ def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, se
     sizes = np.full(n_full + (1 if rem else 0), profile.mtu_bytes, dtype=np.float64)
     if rem:
         sizes[-1] = rem
-    if profile.loss_rate > 0.0:
-        attempts = rng.geometric(1.0 - profile.loss_rate, size=sizes.shape[0])
-    else:
-        attempts = np.ones(sizes.shape[0], dtype=np.int64)
+    # at loss_rate 0 every packet takes exactly one attempt
+    attempts = rng.geometric(1.0 - profile.loss_rate, size=sizes.shape[0])
     airtime = float((attempts * sizes * 8.0).sum() / profile.bandwidth_bps)
     return airtime, int(attempts.sum() - sizes.shape[0])
 
@@ -203,13 +201,8 @@ def transmit_group(
             completion = channel_free + profile.base_latency_s
         else:
             completion = start + duration + profile.base_latency_s
-        results.append(
-            UplinkResult(
-                completion_s=completion,
-                energy_j=energy.tx_power_w * airtime + energy.per_byte_j * size,
-                retransmissions=retries,
-            )
-        )
+        energy_j = energy.tx_power_w * airtime + energy.per_byte_j * size
+        results.append(UplinkResult(completion, energy_j, retries))
     return results
 
 

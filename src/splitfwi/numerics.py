@@ -277,10 +277,11 @@ def nearest_resize(grid, target) -> np.ndarray:
     th, tw = int(target[0]), int(target[1])
     if th < 1 or tw < 1:
         raise ShapeError(f"nearest_resize target {target!r} must have positive extents")
-    _, h, w = grid.shape
+    c, h, w = grid.shape
     ry = (np.arange(th) * h) // th
     rx = (np.arange(tw) * w) // tw
-    return grid[:, ry][:, :, rx].copy()
+    # one gather over each flat channel plane, which comes back C-contiguous
+    return grid.reshape(c, h * w).take(ry[:, None] * w + rx, axis=1)
 
 
 def leaky_relu(x, slope: float = 0.1) -> np.ndarray:

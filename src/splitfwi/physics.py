@@ -14,10 +14,11 @@ contiguous passes into buffers allocated once. Sources are injected and
 receivers gathered through precomputed flat indices. A record is
 bit-identical to stepping each shot alone: every cell is computed from
 the same operands in the same order, (up + down) + left + right - 4 *
-centre, then 2 * cur - prev + coef * lap, then the source, then damping,
-and the Laplacian's border ring of each shot, which the shifted passes
-would otherwise fill across row and shot boundaries, is reset to zero
-every step.
+centre, then 2 * cur - prev + coef * lap, then the source, then damping.
+The shifted passes also fill the Laplacian on each shot's border ring,
+across row and shot boundaries, but that ring has a zero coefficient and
+is never a source, so its field stays +0: (2 * +0 - +0) + 0 * lap is +0
+for any finite lap, and damping keeps it so.
 
 The module also hosts the root-cause analysis tools built on wave
 superposition: differential records that isolate a region of interest by
@@ -172,9 +173,9 @@ def simulate(vm: VelocityModel, geom: AcquisitionGeometry) -> WaveformRecord:
     pad = SPONGE_CELLS
     vp = np.pad(grid, pad, mode="edge")
     coef = (vp * geom.dt / vm.dx) ** 2
-    taper = _sponge_taper(rows + 2 * pad, pad)
-    taper_c = _sponge_taper(cols + 2 * pad, pad)
-    damp = np.outer(taper, taper_c)
+    # the border ring's field stays zero (see the module docstring)
+    coef[[0, -1]] = coef[:, [0, -1]] = 0.0
+    damp = np.outer(_sponge_taper(rows + 2 * pad, pad), _sponge_taper(cols + 2 * pad, pad))
     wavelet = geom.amplitude * ricker_wavelet(geom.f0, geom.n_t, geom.dt) * geom.dt**2
 
     # one flat [shot, row, col] buffer: stencil neighbours are shifts by 1 and width
@@ -193,20 +194,11 @@ def simulate(vm: VelocityModel, geom: AcquisitionGeometry) -> WaveformRecord:
     # coef and damp stay one shot's plane, broadcast over the shots, which
     # keeps the step's working set small enough to stay in cache
     shots = (n_src, plane)
-    coef = coef.ravel()
-    damp = damp.ravel()
+    coef, damp = coef.ravel(), damp.ravel()
 
-    cur = np.zeros(size)
-    prev = np.zeros(size)
+    prev, cur, lap = np.zeros((3, size))
     nxt = np.empty(size)
-    lap = np.zeros(size)
-    sample = np.empty(rcv_idx.shape)
     records = np.empty((n_src, geom.n_t, len(geom.receiver_cols)), dtype=np.float32)
-    # The shifted slices also reach across each shot's border ring (a row's
-    # end wraps into the next row, an edge row into the neighbouring shot).
-    # The Laplacian is zero on that ring, so the ring is cleared every step.
-    lap_edge_rows = lap.reshape(n_src, height, width)[:, :: height - 1]
-    lap_edge_cols = lap.reshape(n_src * height, width)[:, :: width - 1]
     lap_shots = lap.reshape(shots)
     for t in range(geom.n_t):
         # lap = (up + down) + left + right - 4 * centre, staging 4 * centre in nxt
@@ -215,18 +207,15 @@ def simulate(vm: VelocityModel, geom: AcquisitionGeometry) -> WaveformRecord:
         np.add(lap[inner], cur[right], out=lap[inner])
         np.multiply(cur[inner], 4.0, out=nxt[inner])
         np.subtract(lap[inner], nxt[inner], out=lap[inner])
-        lap_edge_rows[...] = 0.0
-        lap_edge_cols[...] = 0.0
         # nxt = 2 * cur - prev + coef * lap, then the sources, then damping
         np.multiply(cur, 2.0, out=nxt)
         np.subtract(nxt, prev, out=nxt)
         np.multiply(coef, lap_shots, out=lap_shots)
         np.add(nxt, lap, out=nxt)
-        np.add.at(nxt, src_idx, wavelet[t])
+        nxt[src_idx] += wavelet[t]  # one source per shot: distinct indices
         np.multiply(nxt.reshape(shots), damp, out=nxt.reshape(shots))
         np.multiply(cur.reshape(shots), damp, out=cur.reshape(shots))
-        np.take(nxt, rcv_idx, out=sample)
-        records[:, t] = sample
+        records[:, t] = nxt[rcv_idx]
         prev, cur, nxt = cur, nxt, prev
     return WaveformRecord(data=records)
 

@@ -29,6 +29,7 @@ from .runtime import (
     PipelineMode,
     RunReport,
     SampleResult,
+    check_runs,
     partition_receivers,
     run_many,
 )
@@ -242,12 +243,12 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
     """Execute the sweep; optionally write the three report files.
 
     Reports come in (profile, device count, mode) order. Every run is
-    built before the weights and the dataset, so an invalid device count
-    or deadline fails before any work. Simulated clock throughout, so
-    repeated runs with the same spec give byte-identical CSVs. The runs
-    share their edge outputs (see runtime.run_many): profiles and modes
-    that share a device count share latents, and FLA's map spans serve
-    every profile.
+    checked before the dataset, and its infra built before the weights,
+    so no invalid device count, deadline or decode budget costs a
+    simulation. Simulated clock throughout, so repeated runs with the
+    same spec give byte-identical CSVs. The runs share their edge outputs
+    (see runtime.run_many): profiles and modes that share a device count
+    share latents, and FLA's map spans serve every profile.
     """
     n_receivers = spec.model.output_dims[1]
     infras = [InfraConfig(n_devices=n, partition=partition_receivers(n_receivers, n),
@@ -259,8 +260,8 @@ def run_benchmark(spec: BenchmarkSpec, out_dir=None) -> list[RunReport]:
     single = None
     if PipelineMode.FLA in spec.modes:
         single = init_weights(replace(spec.model, n_devices=1), spec.weights_seed)
-    runs = [(mode, single if mode == PipelineMode.FLA else weights_by_n[infra.n_devices],
-             infra, None) for infra in infras for mode in spec.modes]
+    runs = check_runs((mode, single if mode == PipelineMode.FLA else weights_by_n[infra.n_devices],
+                       infra, None) for infra in infras for mode in spec.modes)
     dataset = generate_dataset(spec.data_seed, spec.n_samples, spec.family,
                                rows=spec.model.output_dims[0], cols=n_receivers,
                                geometry=default_geometry(n_receivers=n_receivers))

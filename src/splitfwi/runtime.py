@@ -59,6 +59,7 @@ step, late-frame counting and the report rows are the same code for both.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import statistics
 import threading
@@ -127,13 +128,8 @@ def partition_receivers(n_receivers: int = 70, n_devices: int = 5) -> tuple[tupl
             f"n_devices must be in [1, {n_receivers}], got {n_devices}"
         )
     base, extra = divmod(n_receivers, n_devices)
-    slices = []
-    start = 0
-    for i in range(n_devices):
-        width = base + (1 if i < extra else 0)
-        slices.append((start, start + width))
-        start += width
-    return tuple(slices)
+    starts = [i * base + min(i, extra) for i in range(n_devices + 1)]
+    return tuple(zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)
@@ -308,9 +304,7 @@ class RunReport:
 
     def mean(self, attr: str) -> float:
         rows = self.ok_rows
-        if not rows:
-            return 0.0
-        return sum(getattr(r, attr) for r in rows) / len(rows)
+        return sum(getattr(r, attr) for r in rows) / len(rows) if rows else 0.0
 
     def mean_ssim(self) -> float | None:
         vals = [r.ssim for r in self.ok_rows if r.ssim is not None]
@@ -347,7 +341,11 @@ def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[froz
 
 def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
     try:
-        delays = {operator.index(d): float(v) for d, v in dict(extra_delay_s or {}).items()}
+        items = dict(extra_delay_s or {}).items()
+        # float() would also read "0.25" and True as seconds
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for _, v in items):
+            raise TypeError("a delay is not a real number")
+        delays = {operator.index(d): float(v) for d, v in items}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"extra_delay_s must map device ids to seconds, "
                           f"got {extra_delay_s!r}") from exc
@@ -459,9 +457,7 @@ def _central(samples, kind: str, weights: ModelWeights, idx: int, latents: dict,
 
 def _reference(truth, dynamic_range: float) -> SsimReference:
     """The SSIM reference of a ground-truth map, or of its `grid` or `values`."""
-    gt = getattr(truth, "grid", None)
-    if gt is None:
-        gt = getattr(truth, "values", truth)
+    gt = getattr(truth, "grid", getattr(truth, "values", truth))
     return ssim_reference(gt, dynamic_range=dynamic_range)
 
 
@@ -558,9 +554,6 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
     both clocks, and never decoded.
     """
     n = infra.n_devices
-    if plan.timeout and plan.t_d >= infra.deadline_s:
-        raise ConfigError(f"decode budget T_d={plan.t_d:.6g}s must be below the deadline "
-                          f"T={infra.deadline_s:.6g}s")
     drops = _per_sample_drops(drop_devices, len(samples), n)
     if ground_truth is not None and len(ground_truth) != len(samples):
         raise ConfigError(f"{len(ground_truth)} ground truth maps for {len(samples)} samples")
@@ -616,8 +609,21 @@ def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, samples) -> _P
                         lambda: _fuse_decode(weights, latents))
         return vmap, decoder_flops(cfg, len(latents)) / infra.compute.central_flops_per_s
 
-    t_d = decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
-    return _Plan(_encode_step(weights, infra, delays, samples), central, t_d, timeout=True)
+    return _Plan(_encode_step(weights, infra, delays, samples), central,
+                 _epic_budget(weights, infra), timeout=True)
+
+
+def _epic_budget(weights: ModelWeights, infra: InfraConfig) -> float:
+    """EPIC's declared T_d: a full-mask fuse + decode on the central node."""
+    cfg = weights.config
+    return decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
+
+
+def _check_budget(t_d: float, infra: InfraConfig) -> None:
+    """Raise ConfigError unless a timeout at T - T_d leaves time to collect."""
+    if t_d >= infra.deadline_s:
+        raise ConfigError(f"decode budget T_d={t_d:.6g}s must be below the deadline "
+                          f"T={infra.deadline_s:.6g}s")
 
 
 def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
@@ -706,6 +712,9 @@ def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig) ->
     elif weights.config.n_devices != infra.n_devices:
         raise ConfigError(f"weights built for {weights.config.n_devices} devices, "
                           f"infra has {infra.n_devices}")
+    # the socket twin measures its T_d, so run_epic_socket checks that one
+    if mode == PipelineMode.EPIC and infra.transport == "simulated":
+        _check_budget(_epic_budget(weights, infra), infra)
 
 
 def run_epic(
@@ -756,14 +765,20 @@ def run_baseline(
     return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
 
 
+def check_runs(runs) -> list:
+    """Check every (mode, weights, infra, drop_devices) run; return a list."""
+    runs = list(runs)
+    for mode, weights, infra, _ in runs:
+        _check_run(mode, weights, infra)
+    return runs
+
+
 def run_many(samples, runs, ground_truth=None) -> list[RunReport]:
     """The reports of runs, each (mode, weights, infra, drop_devices), over
     the same samples, in order. Every run is checked before the first
     starts; they share one _Shared sample list (see the module docstring).
     """
-    runs = list(runs)
-    for mode, weights, infra, _ in runs:
-        _check_run(mode, weights, infra)
+    runs = check_runs(runs)
     samples = _Shared(samples)
     return [run_baseline(mode, samples, weights, infra, drop_devices=drops,
                          ground_truth=ground_truth)[1]

@@ -39,6 +39,7 @@ from .runtime import (
     InfraConfig,
     PipelineMode,
     RunReport,
+    _check_budget,
     _check_run,
     _Collected,
     _Link,
@@ -264,6 +265,7 @@ def run_epic_socket(
     cfg = weights.config
     delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
     t_d = _decode_budget(weights)
+    _check_budget(t_d, infra)
 
     latent_bytes = cfg.latent_dim * 4
     (host, port), edges, centrals = _connect_edges(infra.socket_host, infra.socket_port,

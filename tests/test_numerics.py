@@ -194,3 +194,18 @@ class TestSmallKernels:
         out = nearest_resize(g, (4, 4))
         np.testing.assert_array_equal(out[0, :2, :2], np.full((2, 2), 0.0))
         np.testing.assert_array_equal(out[0, 2:, 2:], np.full((2, 2), 3.0))
+
+    @pytest.mark.parametrize("source, target", [
+        ((5, 5), (9, 9)), ((9, 9), (18, 18)), ((18, 18), (35, 35)), ((35, 35), (70, 70)),
+        ((70, 70), (18, 18)), ((7, 12), (20, 5)),
+    ], ids=["5-9", "9-18", "18-35", "35-70", "down-70-18", "non-square"])
+    def test_nearest_resize_is_the_floor_index_map(self, source, target):
+        (h, w), (th, tw) = source, target
+        g = np.random.default_rng(0).normal(size=(3, h, w)).astype(np.float32)
+        out = nearest_resize(g, target)
+        want = np.empty((3, th, tw), np.float32)
+        for i in range(th):
+            for j in range(tw):
+                want[:, i, j] = g[:, i * h // th, j * w // tw]
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, want)

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON, TINY, put, reads_or_points
-from splitfwi import reporting
+from splitfwi import reporting, runtime
 from splitfwi.errors import ConfigError, ReportError
-from splitfwi.model import ModelConfig, init_weights
+from splitfwi.model import ModelConfig, decoder_flops, init_weights
 from splitfwi.netem import FOUR_G, NetworkProfile
 from splitfwi.reporting import (
     PER_SAMPLE_HEADER,
@@ -24,6 +24,7 @@ from splitfwi.reporting import (
     write_summary_csv,
 )
 from splitfwi.runtime import (
+    ComputeModel,
     InfraConfig,
     PipelineMode,
     RunReport,
@@ -203,3 +204,18 @@ class TestBenchmark:
         monkeypatch.setattr(reporting, "init_weights", work_started)
         with pytest.raises(ConfigError, match=match):
             run_benchmark(dataclasses.replace(self._tiny_spec(), **change))
+
+    def test_deadline_below_decode_budget_rejected_before_the_dataset(self, monkeypatch):
+        # CENTRALIZED, which has no timeout, must not run before EPIC fails
+        def work_started(*args, **kwargs):
+            raise AssertionError("work started before every run was checked")
+
+        monkeypatch.setattr(reporting, "generate_dataset", work_started)
+        monkeypatch.setattr(runtime, "encode", work_started)
+        slow = ComputeModel(central_flops_per_s=1e3)
+        t_d = decoder_flops(TINY, TINY.n_devices) / slow.central_flops_per_s
+        spec = dataclasses.replace(self._tiny_spec(), device_counts=(TINY.n_devices,),
+                                   modes=(PipelineMode.CENTRALIZED, PipelineMode.EPIC),
+                                   compute=slow, deadline_s=0.9 * t_d)
+        with pytest.raises(ConfigError, match="decode budget"):
+            run_benchmark(spec)

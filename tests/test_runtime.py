@@ -362,6 +362,15 @@ class TestRunEpic:
         with pytest.raises(ConfigError, match="decode budget"):
             run_epic(tiny_waves(1), weights, tiny_infra(compute=slow, deadline_s=0.5))
 
+    def test_measured_budget_must_fit_deadline_before_any_thread(self, monkeypatch):
+        # the socket twin's T_d is measured, on weights it has not profiled yet
+        _forbid_encode(monkeypatch)
+        monkeypatch.setattr(transport, "profile_decoder", lambda weights: 20.0)
+        monkeypatch.setattr(transport, "_connect_edges", _work_started)
+        with pytest.raises(ConfigError, match="decode budget T_d=20s must be below the deadline"):
+            run_epic(tiny_waves(1), init_weights(TINY, seed=11),
+                     tiny_infra(transport="socket", deadline_s=10.0))
+
     def test_stochastic_mode_deterministic(self, weights):
         infra = tiny_infra(network=FOUR_G, deadline_s=2.0, netem_mode="stochastic", seed=5)
         _, a = run_epic(tiny_waves(2), weights, infra)
@@ -377,6 +386,8 @@ class TestRunEpic:
         ({"extra_delay_s": {0: float("nan")}}, "must be finite and >= 0, got nan"),
         ({"extra_delay_s": {2: float("inf")}}, "must be finite and >= 0, got inf"),
         ({"extra_delay_s": {0: "x"}}, "extra_delay_s must map device ids to seconds"),
+        ({"extra_delay_s": {0: "0.25"}}, "extra_delay_s must map device ids to seconds"),
+        ({"extra_delay_s": {0: True}}, "extra_delay_s must map device ids to seconds"),
         ({"drop_devices": ["a"]}, "drop_devices must be device ids or one set of them"),
         ({"drop_devices": 5}, "drop_devices must be device ids or one set of them"),
         ({"drop_devices": [{0}, 1]}, "drop_devices must be device ids or one set of them"),
@@ -620,6 +631,17 @@ def test_run_many_checks_every_run_before_the_first(weights, monkeypatch):
     runs = [(PipelineMode.EPIC, weights, infra, None), (PipelineMode.SLA, weights, infra, [1]),
             (PipelineMode.CENTRALIZED, other, infra, None)]
     with pytest.raises(ConfigError, match="weights built for 2 devices, infra has 3"):
+        runtime.run_many(tiny_waves(2), runs)
+
+
+def test_run_many_checks_every_decode_budget_before_the_first(weights, monkeypatch):
+    _forbid_encode(monkeypatch)
+    slow = ComputeModel(central_flops_per_s=1e3)
+    t_d = decoder_flops(TINY, TINY.n_devices) / slow.central_flops_per_s
+    infra = tiny_infra(compute=slow, deadline_s=0.9 * t_d)
+    runs = [(PipelineMode.CENTRALIZED, weights, infra, None),
+            (PipelineMode.EPIC, weights, infra, None)]
+    with pytest.raises(ConfigError, match="decode budget"):
         runtime.run_many(tiny_waves(2), runs)
 
 
