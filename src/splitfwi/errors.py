@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks of a
+config dataclass's numeric fields."""
+
+import numbers
+import operator
 
 
 class SplitFwiError(Exception):
@@ -51,3 +55,22 @@ class WorkerError(SplitFwiError):
 
 class ZeroEnergyError(SplitFwiError):
     """Energy fractions are undefined for an all-zero record."""
+
+
+def int_field(name: str, value, error: type[SplitFwiError] = ConfigError) -> int:
+    """value as an int, read through operator.index so that numpy ints
+    pass; a bool, a float or a str raises error naming the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def real_field(name: str, value):
+    """value, unless it is not a real number: a bool or a str raises
+    ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value

@@ -52,6 +52,7 @@ from .errors import (
     PartitionError,
     ShapeError,
     SplitFwiError,
+    int_field,
 )
 from .numerics import (
     as_f32,
@@ -543,8 +544,12 @@ def _decoder_trunk(global_latent, weights: ModelWeights, latents: LatentSet | No
 
 
 def validate_partition(partition, n_receivers: int, n_devices: int) -> tuple[tuple[int, int], ...]:
-    """Check slices are contiguous, disjoint and cover [0, n_receivers)."""
-    slices = tuple((int(a), int(b)) for a, b in partition)
+    """Check slices are contiguous, disjoint and cover [0, n_receivers);
+    return them as int pairs. A bound that is not an integer (a float, a
+    bool) is a PartitionError too."""
+    slices = tuple((int_field(f"partition slice {i} start", a, PartitionError),
+                    int_field(f"partition slice {i} stop", b, PartitionError))
+                   for i, (a, b) in enumerate(partition))
     if len(slices) != n_devices:
         raise PartitionError(
             f"partition has {len(slices)} slices for {n_devices} devices"

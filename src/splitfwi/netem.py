@@ -27,7 +27,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, int_field, real_field
 
 FRAME_MAGIC = b"EP"
 FRAME_VERSION = 1
@@ -99,6 +99,9 @@ class NetworkProfile:
     mtu_bytes: int = 1500
 
     def __post_init__(self):
+        for name in ("bandwidth_bps", "base_latency_s", "loss_rate"):
+            real_field(name, getattr(self, name))
+        object.__setattr__(self, "mtu_bytes", int_field("mtu_bytes", self.mtu_bytes))
         if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
             raise ConfigError(f"bandwidth_bps must be finite and > 0, got {self.bandwidth_bps}")
         if not (math.isfinite(self.base_latency_s) and self.base_latency_s >= 0):
@@ -132,7 +135,7 @@ class EnergyModel:
 
     def __post_init__(self):
         for name in ("tx_power_w", "per_byte_j"):
-            value = getattr(self, name)
+            value = real_field(name, getattr(self, name))
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
@@ -177,13 +180,15 @@ def transmit_group(
     Expected mode folds loss into the serialization term; stochastic mode
     additionally charges one round trip per retransmission, and device d
     draws from the stream [*seed, d], so it is reproducible for a given
-    seed. ``start_times`` gives when each device's payload becomes ready.
-    On a dedicated medium uplinks run in parallel; on a shared medium the
-    channel grants airtime in device-id order and each transfer waits for
-    the channel to free up.
+    seed, which it needs: an integer >= 0 or a list or tuple of them
+    (expected mode ignores the seed). ``start_times`` gives when each
+    device's payload becomes ready. On a dedicated medium uplinks run in
+    parallel; on a shared medium the channel grants airtime in device-id
+    order and each transfer waits for the channel to free up.
     """
     if mode not in ("expected", "stochastic"):
         raise ConfigError(f"transmit mode must be 'expected' or 'stochastic', got {mode!r}")
+    stream = _seed_stream(seed) if mode == "stochastic" else []
     sizes = [int(s) for s in sizes]
     if min(sizes, default=0) < 0:
         raise ConfigError(f"transfer sizes must be >= 0, got {min(sizes)}")
@@ -193,8 +198,7 @@ def transmit_group(
     results = []
     channel_free = 0.0
     for dev, (size, start) in enumerate(zip(sizes, starts)):
-        dev_seed = None if seed is None else _derive_seed(seed, dev)
-        airtime, retries = _airtime_and_retries(size, profile, mode, dev_seed)
+        airtime, retries = _airtime_and_retries(size, profile, mode, stream + [dev])
         duration = airtime + retries * 2.0 * profile.base_latency_s
         if profile.medium == "shared":
             channel_free = max(channel_free, start) + duration
@@ -206,10 +210,14 @@ def transmit_group(
     return results
 
 
-def _derive_seed(seed, device: int):
-    if isinstance(seed, (list, tuple)):
-        return list(seed) + [device]
-    return [int(seed), device]
+def _seed_stream(seed) -> list[int]:
+    """The stochastic mode's seed, an int >= 0 or a list or tuple of
+    them, as a list; anything else, None included, is a ConfigError."""
+    parts = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    stream = [int_field("seed", part) for part in parts]
+    if min(stream, default=0) < 0:
+        raise ConfigError(f"seed must be integers >= 0, got {seed!r}")
+    return stream
 
 
 # ---------------------------------------------------------------------------

@@ -52,14 +52,15 @@ timestamp from the network emulator plus a declared parametric compute
 model: the flop counts that model.py derives from each layer's weight
 shape, over configured device rates. That makes full runs
 bit-reproducible. The wall link (see transport.py) runs EPIC's edges as
-threads that send frames over TCP, on wall time. Validation, the central
-step, late-frame counting and the report rows are the same code for both.
+threads that send frames over TCP, on wall time. On both, `_check_run`
+checks every run argument, sample widths included, before any work (on
+the wall clock, after profiling T_d and before any connection); the
+central step, late-frame counting and the report rows are the same code.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import statistics
 import threading
@@ -70,7 +71,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, PartitionError
+from .errors import ConfigError, PartitionError, ShapeError, int_field, real_field
 from .metrics import SsimReference, ssim, ssim_reference
 from .model import (
     LatentSet,
@@ -112,7 +113,7 @@ class ComputeModel:
 
     def __post_init__(self):
         for name in ("edge_flops_per_s", "central_flops_per_s"):
-            rate = getattr(self, name)
+            rate = real_field(name, getattr(self, name))
             if not (math.isfinite(rate) and rate > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {rate}")
 
@@ -150,7 +151,9 @@ class InfraConfig:
     socket_port: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.deadline_s) and self.deadline_s > 0):
+        for name in ("n_devices", "seed", "socket_port"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
+        if not (math.isfinite(real_field("deadline_s", self.deadline_s)) and self.deadline_s > 0):
             raise ConfigError(f"deadline must be finite and > 0, got {self.deadline_s}")
         if self.transport not in ("simulated", "socket"):
             raise ConfigError(f"transport must be 'simulated' or 'socket', got {self.transport!r}")
@@ -163,9 +166,10 @@ class InfraConfig:
         if not self.partition:
             object.__setattr__(self, "partition", partition_receivers(70, self.n_devices))
         try:
-            validate_partition(self.partition, self.partition[-1][1], self.n_devices)
+            slices = validate_partition(self.partition, self.partition[-1][1], self.n_devices)
         except PartitionError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "partition", slices)
 
 
 # ---------------------------------------------------------------------------
@@ -319,44 +323,6 @@ def _as_wave(sample) -> np.ndarray:
     return as_f32(getattr(sample, "data", sample))
 
 
-def _per_sample_drops(drop_devices, n_samples: int, n_devices: int) -> list[frozenset[int]]:
-    if drop_devices is None:
-        return [frozenset()] * n_samples
-    try:
-        items = list(drop_devices)
-        if items and isinstance(items[0], (list, tuple, set, frozenset)):
-            drops = [frozenset(operator.index(d) for d in s) for s in items]
-        else:
-            drops = [frozenset(operator.index(d) for d in items)] * n_samples
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"drop_devices must be device ids or one set of them per sample, "
-                          f"got {drop_devices!r}") from exc
-    if len(drops) != n_samples:
-        raise ConfigError(f"{len(drops)} drop sets for {n_samples} samples")
-    outside = sorted({d for s in drops for d in s if not 0 <= d < n_devices})
-    if outside:
-        raise ConfigError(f"drop device ids {outside} outside [0, {n_devices})")
-    return drops
-
-
-def _per_sample_delays(extra_delay_s, n_devices: int) -> dict[int, float]:
-    try:
-        items = dict(extra_delay_s or {}).items()
-        # float() would also read "0.25" and True as seconds
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for _, v in items):
-            raise TypeError("a delay is not a real number")
-        delays = {operator.index(d): float(v) for d, v in items}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"extra_delay_s must map device ids to seconds, "
-                          f"got {extra_delay_s!r}") from exc
-    for d, v in delays.items():
-        if not 0 <= d < n_devices:
-            raise ConfigError(f"extra delay for device {d} outside [0, {n_devices})")
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ConfigError(f"extra delay of device {d} must be finite and >= 0, got {v}")
-    return delays
-
-
 # profile_decoder's trials and the seed of its dummy latents
 _PROFILE_TRIALS = 3
 _PROFILE_SEED = 1234
@@ -481,7 +447,7 @@ class _Plan:
     """One mode's steps in the per-sample loop (see the module table).
 
     edge(wave, sample_id, device, (a, b)) -> (output, payload bytes, edge s)
-    central(outputs by present device, wave, sample_id, slices)
+    central(outputs by present device, wave, sample_id)
     -> (map, central s), or None when nothing can be decoded.
     Only the virtual link runs edge; the wall link's edges are threads.
     """
@@ -505,7 +471,7 @@ class _Collected(NamedTuple):
 
 class _Link(NamedTuple):
     """How edge outputs reach the central step, on one clock:
-    collect(sample_id, wave, slices, online device ids) -> _Collected."""
+    collect(sample_id, wave, online device ids) -> _Collected."""
 
     collect: Callable
     label: str
@@ -518,10 +484,10 @@ def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
     deadline = infra.deadline_s - plan.t_d
     buffer = HashBuffer()
 
-    def collect(idx, wave, slices, online):
+    def collect(idx, wave, online):
         outputs, sizes, edge_t = {}, [], {}
         for d in online:
-            outputs[d], size, edge_t[d] = plan.edge(wave, idx, d, slices[d])
+            outputs[d], size, edge_t[d] = plan.edge(wave, idx, d, infra.partition[d])
             sizes.append(size)
 
         uplinks = transmit_group(
@@ -545,18 +511,15 @@ def _virtual_link(plan: _Plan, infra: InfraConfig) -> _Link:
 
 
 def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
-              infra: InfraConfig, drop_devices, ground_truth, link: _Link | None = None):
-    """The per-sample loop of every mode and both clocks; link defaults
-    to the virtual one.
+              infra: InfraConfig, drops, ground_truth, link: _Link | None = None):
+    """The per-sample loop of every mode and both clocks, over the drop
+    sets that _check_run returned; link defaults to the virtual one.
 
     A late frame is an online device's output that was not present when
     its sample's collection closed; it is counted here, the same way on
     both clocks, and never decoded.
     """
     n = infra.n_devices
-    drops = _per_sample_drops(drop_devices, len(samples), n)
-    if ground_truth is not None and len(ground_truth) != len(samples):
-        raise ConfigError(f"{len(ground_truth)} ground truth maps for {len(samples)} samples")
     link = link or _virtual_link(plan, infra)
     v_min, v_max = weights.config.velocity_range
     maps: list[VelocityMap | None] = []
@@ -565,10 +528,9 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
 
     for idx, sample in enumerate(samples):
         wave = _as_wave(sample)
-        slices = validate_partition(infra.partition, wave.shape[2], n)
         online = [d for d in range(n) if d not in drops[idx]]
-        got = link.collect(idx, wave, slices, online)
-        result = plan.central(got.outputs, wave, idx, slices)
+        got = link.collect(idx, wave, online)
+        result = plan.central(got.outputs, wave, idx)
         late = len(online) - len(got.outputs)
         score = None
         if result is not None and ground_truth is not None:
@@ -602,7 +564,7 @@ def _fuse_decode(weights: ModelWeights, latents: dict) -> VelocityMap:
 def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, samples) -> _Plan:
     cfg = weights.config
 
-    def central(latents, wave, idx, slices):
+    def central(latents, wave, idx):
         if not latents:
             return None
         vmap = _central(samples, "fuse+decode", weights, idx, latents,
@@ -619,13 +581,6 @@ def _epic_budget(weights: ModelWeights, infra: InfraConfig) -> float:
     return decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
 
 
-def _check_budget(t_d: float, infra: InfraConfig) -> None:
-    """Raise ConfigError unless a timeout at T - T_d leaves time to collect."""
-    if t_d >= infra.deadline_s:
-        raise ConfigError(f"decode budget T_d={t_d:.6g}s must be below the deadline "
-                          f"T={infra.deadline_s:.6g}s")
-
-
 def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
 
@@ -638,7 +593,7 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
         )
         return decode_without_attention(merged, weights)
 
-    def central(latents, wave, idx, slices):
+    def central(latents, wave, idx):
         if not latents:
             return None
         return _central(samples, "plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
@@ -649,27 +604,27 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
 def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     cfg = weights.config
 
-    def model_s(n_t, slices):
-        flops = sum(encoder_flops(cfg, n_t, b - a) for a, b in slices)
-        return (flops + decoder_flops(cfg, len(slices))) / infra.compute.central_flops_per_s
+    def model_s(n_t):
+        flops = sum(encoder_flops(cfg, n_t, b - a) for a, b in infra.partition)
+        return (flops + decoder_flops(cfg, infra.n_devices)) / infra.compute.central_flops_per_s
 
     def edge(wave, idx, d, span):
         raw = wave[:, :, span[0] : span[1]]
         return raw, raw.size * 4, 0.0
 
-    def central(raws, wave, idx, slices):
+    def central(raws, wave, idx):
         # the whole model on the wave with offline slices zero-filled, as
         # forward_full computes it: one latent per slice, fused and decoded
         latents = {
             d: _latent(samples, weights, d, idx, (a, b), raws[d]) if d in raws
             else _zero_latent(weights, d, (*wave.shape[:2], b - a))
-            for d, (a, b) in enumerate(slices)
+            for d, (a, b) in enumerate(infra.partition)
         }
         vmap = _central(samples, "fuse+decode", weights, idx, latents,
                         lambda: _fuse_decode(weights, latents))
-        return vmap, model_s(wave.shape[1], slices)
+        return vmap, model_s(wave.shape[1])
 
-    t_d = model_s(_as_wave(samples[0]).shape[1], infra.partition) if len(samples) else 0.0
+    t_d = model_s(_as_wave(samples[0]).shape[1]) if len(samples) else 0.0
     return _Plan(edge, central, t_d)
 
 
@@ -686,10 +641,10 @@ def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
         flops = encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1)
         return cols, cols.size * 4, flops / infra.compute.edge_flops_per_s
 
-    def central(spans, wave, idx, slices):
+    def central(spans, wave, idx):
         stitched = np.full((ho, wo), cfg.velocity_range[0], dtype=np.float32)
         for d, cols in spans.items():
-            lo, hi = _span_columns(wo, wave.shape[2], *slices[d])
+            lo, hi = _span_columns(wo, wave.shape[2], *infra.partition[d])
             stitched[:, lo:hi] = cols
         return VelocityMap(values=stitched), 0.0
 
@@ -701,8 +656,12 @@ def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
     return a * out_w // n_rcv, b * out_w // n_rcv
 
 
-def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig) -> None:
-    """Raise ConfigError if mode cannot run with these weights on this infra."""
+def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, samples=(),
+               drop_devices=None, ground_truth=None, extra_delay_s=None, t_d=None):
+    """The one check of a run's arguments, before any work: raise a
+    SplitFwiError unless the run can go through every sample; return each
+    sample's drop set and each device's extra delay. t_d is the socket
+    twin's measured T_d; a simulated EPIC run checks its declared one."""
     # only EPIC has a wall-clock twin; another mode would run simulated under a socket config
     if infra.transport == "socket" and mode != PipelineMode.EPIC:
         raise ConfigError(f"transport 'socket' runs EPIC only, not {mode.value}")
@@ -712,9 +671,49 @@ def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig) ->
     elif weights.config.n_devices != infra.n_devices:
         raise ConfigError(f"weights built for {weights.config.n_devices} devices, "
                           f"infra has {infra.n_devices}")
-    # the socket twin measures its T_d, so run_epic_socket checks that one
-    if mode == PipelineMode.EPIC and infra.transport == "simulated":
-        _check_budget(_epic_budget(weights, infra), infra)
+    if t_d is None and mode == PipelineMode.EPIC and infra.transport == "simulated":
+        t_d = _epic_budget(weights, infra)
+    # a timeout at T - T_d must leave time to collect
+    if t_d is not None and t_d >= infra.deadline_s:
+        raise ConfigError(f"decode budget T_d={t_d:.6g}s must be below the deadline "
+                          f"T={infra.deadline_s:.6g}s")
+    n, n_samples = infra.n_devices, len(samples)
+    try:
+        items = [] if drop_devices is None else list(drop_devices)
+        if items and isinstance(items[0], (list, tuple, set, frozenset)):
+            drops = [frozenset(operator.index(d) for d in s) for s in items]
+        else:
+            drops = [frozenset(operator.index(d) for d in items)] * n_samples
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"drop_devices must be device ids or one set of them per sample, "
+                          f"got {drop_devices!r}") from exc
+    if len(drops) != n_samples:
+        raise ConfigError(f"{len(drops)} drop sets for {n_samples} samples")
+    outside = sorted({d for s in drops for d in s if not 0 <= d < n})
+    if outside:
+        raise ConfigError(f"drop device ids {outside} outside [0, {n})")
+    try:
+        # real_field rejects "0.25" and True, which float() would read as seconds
+        delays = {operator.index(d): float(real_field("delay", v))
+                  for d, v in dict(extra_delay_s or {}).items()}
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"extra_delay_s must map device ids to seconds, "
+                          f"got {extra_delay_s!r}") from exc
+    for d, v in delays.items():
+        if not 0 <= d < n:
+            raise ConfigError(f"extra delay for device {d} outside [0, {n})")
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ConfigError(f"extra delay of device {d} must be finite and >= 0, got {v}")
+    if ground_truth is not None and len(ground_truth) != n_samples:
+        raise ConfigError(f"{len(ground_truth)} ground truth maps for {n_samples} samples")
+    for idx, sample in enumerate(samples):
+        shape = np.shape(getattr(sample, "data", sample))  # read without converting it
+        if len(shape) != 3:
+            raise ShapeError(f"sample {idx} must be [n_src, n_t, n_rcv], got shape {shape}")
+        if shape[2] != infra.partition[-1][1]:
+            raise PartitionError(f"sample {idx} has {shape[2]} receivers, but the partition "
+                                 f"covers [0,{infra.partition[-1][1]})")
+    return drops, delays
 
 
 def run_epic(
@@ -729,16 +728,19 @@ def run_epic(
 
     extra_delay_s maps device_id to an added edge-side delay (fault
     injection); drop_devices marks devices offline, either one set for all
-    samples or one set per sample. A sample with no latents by the
-    deadline is marked failed and the run continues.
+    samples or one set per sample. Every argument, sample widths
+    included, is checked before any work (by run_epic_socket on a socket
+    infra). A sample with no latents by the deadline is marked failed
+    and the run continues.
     """
-    _check_run(PipelineMode.EPIC, weights, infra)
     if infra.transport == "socket":
         from .transport import run_epic_socket
 
         return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
-    plan = _epic_plan(weights, infra, _per_sample_delays(extra_delay_s, infra.n_devices), samples)
-    return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drop_devices, ground_truth)
+    drops, delays = _check_run(PipelineMode.EPIC, weights, infra, samples, drop_devices,
+                               ground_truth, extra_delay_s)
+    plan = _epic_plan(weights, infra, delays, samples)
+    return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drops, ground_truth)
 
 
 def run_baseline(
@@ -759,27 +761,29 @@ def run_baseline(
     if mode == PipelineMode.EPIC:
         return run_epic(samples, weights, infra, drop_devices=drop_devices,
                         ground_truth=ground_truth)
-    _check_run(mode, weights, infra)
+    drops, _ = _check_run(mode, weights, infra, samples, drop_devices, ground_truth)
     plan = {PipelineMode.SLA: _sla_plan, PipelineMode.CENTRALIZED: _centralized_plan,
             PipelineMode.FLA: _fla_plan}[mode](weights, infra, samples)
-    return _run_plan(mode, plan, samples, weights, infra, drop_devices, ground_truth)
+    return _run_plan(mode, plan, samples, weights, infra, drops, ground_truth)
 
 
-def check_runs(runs) -> list:
-    """Check every (mode, weights, infra, drop_devices) run; return a list."""
+def check_runs(runs, samples=(), ground_truth=None) -> list:
+    """Check every (mode, weights, infra, drop_devices) run over samples
+    and their ground truth; return the runs as a list."""
     runs = list(runs)
-    for mode, weights, infra, _ in runs:
-        _check_run(mode, weights, infra)
+    for mode, weights, infra, drops in runs:
+        _check_run(mode, weights, infra, samples, drops, ground_truth)
     return runs
 
 
 def run_many(samples, runs, ground_truth=None) -> list[RunReport]:
     """The reports of runs, each (mode, weights, infra, drop_devices), over
-    the same samples, in order. Every run is checked before the first
-    starts; they share one _Shared sample list (see the module docstring).
+    the same samples, in order. Every argument of every run, sample widths
+    included, is checked before the first starts; they share one _Shared
+    sample list (see the module docstring).
     """
-    runs = check_runs(runs)
     samples = _Shared(samples)
+    runs = check_runs(runs, samples, ground_truth)
     return [run_baseline(mode, samples, weights, infra, drop_devices=drops,
                          ground_truth=ground_truth)[1]
             for mode, weights, infra, drops in runs]

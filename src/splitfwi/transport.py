@@ -9,11 +9,12 @@ closes, and one reader thread funnels its latents into the shared
 hash-map buffer under wall-clock timestamps.
 
 This module is the wall link of EPIC's per-sample loop, `_run_plan` in
-runtime.py, which also drives the simulated twin: the loop validates each
-sample, collects, decodes, counts late frames and builds the row the same
-way on both clocks. Here collection puts each online device's slice of
-the sample on that device's job queue, so edge threads never see the
-input sequence, and waits on the buffer until every device reported or
+runtime.py, which also drives the simulated twin: `_check_run` checks
+every run argument, each sample's width included, before any work, and
+the loop collects, decodes, counts late frames and builds the row the
+same way on both clocks. Here collection puts each online device's
+slice of the sample on that device's job queue, so edge threads never
+see the input sequence, and waits on the buffer until every device reported or
 T - T_d of wall time passed; a frame that lands after that is stale in
 the buffer and counted late by the loop, and an edge thread skips the
 job of a sample that has already closed. The central step fuses and
@@ -39,11 +40,9 @@ from .runtime import (
     InfraConfig,
     PipelineMode,
     RunReport,
-    _check_budget,
     _check_run,
     _Collected,
     _Link,
-    _per_sample_delays,
     _Plan,
     _run_plan,
     profile_decoder,
@@ -259,14 +258,14 @@ def run_epic_socket(
     device's extra delay ends when the run returns, so a straggler does
     not hold the return past the deadline. The first exception raised in
     an edge or reader thread ends the run: it is re-raised after cleanup,
-    a SplitFwiError as is and anything else as a WorkerError.
+    a SplitFwiError as is and anything else as a WorkerError. Every
+    argument, each sample's width and the measured T_d included, is
+    checked after profiling and before any connection or thread.
     """
-    _check_run(PipelineMode.EPIC, weights, infra)
-    cfg = weights.config
-    delays = _per_sample_delays(extra_delay_s, cfg.n_devices)
     t_d = _decode_budget(weights)
-    _check_budget(t_d, infra)
-
+    drops, delays = _check_run(PipelineMode.EPIC, weights, infra, samples, drop_devices,
+                               ground_truth, extra_delay_s, t_d)
+    cfg = weights.config
     latent_bytes = cfg.latent_dim * 4
     (host, port), edges, centrals = _connect_edges(infra.socket_host, infra.socket_port,
                                                    cfg.n_devices)
@@ -283,19 +282,18 @@ def run_epic_socket(
                              args=(centrals[d], buffer, cfg.n_devices, latent_bytes, stop)),
         ]
 
-    def collect(idx, wave, slices, online):
+    def collect(idx, wave, online):
         t0 = time.monotonic()
         edge_s: dict[int, float] = {}
         for d in online:
-            a, b = slices[d]
-            jobs[d].put((idx, wave[:, :, a:b], edge_s))
+            jobs[d].put((idx, wave[:, :, slice(*infra.partition[d])], edge_s))
         latents, released = buffer.collect_blocking(idx, cfg.n_devices, t0 + infra.deadline_s - t_d)
         failure.reraise()
         # a worker records its edge seconds before it sends the frame
         return _Collected(latents, {d: edge_s[d] for d in latents},
                           time.monotonic() - t0, released, 0.0, latent_bytes * len(online))
 
-    def central(latents, wave, idx, slices):
+    def central(latents, wave, idx):
         if not latents:
             return None
         t0 = time.monotonic()
@@ -310,7 +308,7 @@ def run_epic_socket(
         for t in threads:
             t.start()
         result = _run_plan(PipelineMode.EPIC, _Plan(None, central, t_d, timeout=True), samples,
-                           weights, infra, drop_devices, ground_truth,
+                           weights, infra, drops, ground_truth,
                            _Link(collect, f"socket:{host}:{port}"))
     finally:
         stop.set()

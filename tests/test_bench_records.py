@@ -82,3 +82,26 @@ def test_verdict_applies_bound_and_gain_rule():
     # unless every new run beats every reference run
     assert not verdict(ref, _summary([v + 10.0 for v in base]), "higher", 0.25)["unresolved"]
     assert verdict(ref, _summary([v + 9.0 for v in base]), "higher", 0.25)["unresolved"]
+
+
+def _check_counts():
+    spec = importlib.util.spec_from_file_location("check_counts", ROOT / "scripts" / "check_counts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_counts_pin_every_count_metric():
+    check = _check_counts()
+    pinned = json.loads(check.COUNTS.read_text())
+    assert set(pinned) == {w["name"] for w in SPEC["workloads"]}
+    names = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"} | set(check.EXTRA)
+    for workload, entry in pinned.items():
+        assert set(entry["counts"]) | set(entry["varies"]) == names, workload
+        metrics = {n: {"value": v, "unit": "count"} for n, v in entry["counts"].items()}
+        assert check.mismatches(workload, metrics, pinned) == []
+        # a moved count and a missing one are both named
+        moved = dict(metrics, **{"model.encode.calls": {"value": -1, "unit": "count"}})
+        del moved["physics.simulate.calls"]
+        assert [line.split(":")[0] for line in check.mismatches(workload, moved, pinned)] == [
+            "model.encode.calls", "physics.simulate.calls"]

@@ -128,6 +128,24 @@ class TestTransmit:
             with pytest.raises(ConfigError, match="sizes must be >= 0"):
                 transmit_group(sizes, FOUR_G, mode=mode, seed=[3, 0])
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.7, True, "3", [1, -1], [1, 1.5], (2, None)])
+    def test_stochastic_mode_needs_a_seed_of_integers(self, seed):
+        # None drew fresh entropy on every call, -1 leaked numpy's
+        # ValueError, and 1.7 was truncated to 1
+        with pytest.raises(ConfigError, match="seed must be"):
+            transmit_group([2048, 0], FOUR_G, mode="stochastic", seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, [3, 0], (3, 0), [np.int64(3), 0]])
+    def test_stochastic_mode_is_a_function_of_its_seed(self, seed):
+        calls = [transmit_group([280000] * 2, FOUR_G, mode="stochastic", seed=seed)
+                 for _ in range(3)]
+        assert calls[0] == calls[1] == calls[2]
+
+    def test_expected_mode_ignores_the_seed(self):
+        want = transmit_group([2048], FOUR_G)
+        for seed in (None, -1, 1.7):
+            assert transmit_group([2048], FOUR_G, seed=seed) == want
+
     @pytest.mark.parametrize("sizes", [[0, 0], [], [10]])
     def test_unknown_mode_rejected_whatever_the_sizes(self, sizes):
         # the zero-size shortcut charges nothing, but the mode is checked first

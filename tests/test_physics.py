@@ -403,6 +403,8 @@ class TestManifestErrors:
         (lambda doc: json.dumps(dict(doc, dx=10 ** 400)), "/dx: must be finite, got inf"),
         (lambda doc: json.dumps(dict(doc, dx=float("nan"))), "/dx: must be finite, got nan"),
         (lambda doc: dict(doc, files=[doc["files"][0], 3]), "/files/1: expected an object, got int"),
+        (lambda doc: dict(doc, files=doc["files"][:1]), "/n_samples: says 2 samples, but files lists 1"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "n_samples"}, "/n_samples: missing"),
         (lambda doc: dict(doc, files=[{"velocity": doc["files"][0]["velocity"]}]),
          "/files/0/waveform: missing"),
         (lambda doc: dict(doc, files=[dict(doc["files"][0], velocity=7)]),

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import TINY
 from splitfwi import runtime
-from splitfwi.errors import ConfigError, PartitionError
+from splitfwi.errors import ConfigError, InputValidationError
 from splitfwi.model import forward_full, init_weights
 from splitfwi.netem import NetworkProfile
 from splitfwi.reporting import (
@@ -231,10 +231,12 @@ def test_sweeps_share_no_state(monkeypatch, fla_weights):
         run_robustness_sweep(waves, weights, infra, drop_counts=(0,),
                              modes=(PipelineMode.EPIC, PipelineMode.FLA))
     assert not encodes.args
-    # a sweep that fails partway, at a second sample of the wrong width
-    # once sample 0 has encoded, leaves no state either
-    with pytest.raises(PartitionError):
-        run_robustness_sweep([waves[0], waves[1][:, :, :60]], weights, infra,
+    # a sweep that fails partway, at a second sample holding a NaN, which
+    # encode rejects once sample 0 has encoded, leaves no state either
+    nan = waves[1].copy()
+    nan[0, 0, 0] = np.nan
+    with pytest.raises(InputValidationError):
+        run_robustness_sweep([waves[0], nan], weights, infra,
                              drop_counts=(0,), modes=(PipelineMode.EPIC,))
     assert encodes.args
     assert sweep() == first - zero

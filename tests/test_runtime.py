@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import sys
 import threading
@@ -5,13 +6,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import TINY, make_latents
 from splitfwi import runtime, transport
-from splitfwi.errors import ConfigError
+from splitfwi.errors import ConfigError, PartitionError, SplitFwiError
 from splitfwi.model import (
     LatentVector,
     ModelConfig,
@@ -424,6 +425,47 @@ def test_non_finite_config_value_rejected(config, field, value):
         config(**{field: value})
 
 
+@pytest.mark.parametrize("config, field, value", [
+    (InfraConfig, "n_devices", True),
+    (InfraConfig, "n_devices", 2.5),
+    (InfraConfig, "seed", 1.5),
+    (InfraConfig, "seed", "3"),
+    (InfraConfig, "socket_port", 80.5),
+    (InfraConfig, "deadline_s", "0.5"),
+    (InfraConfig, "deadline_s", True),
+    (ComputeModel, "edge_flops_per_s", True),
+    (ComputeModel, "central_flops_per_s", "1e10"),
+    (NetworkProfile, "mtu_bytes", 1.5),
+    (NetworkProfile, "mtu_bytes", True),
+    (NetworkProfile, "bandwidth_bps", "15e6"),
+    (NetworkProfile, "base_latency_s", False),
+    (NetworkProfile, "loss_rate", "0"),
+    (EnergyModel, "tx_power_w", "0.8"),
+    (EnergyModel, "per_byte_j", True),
+])
+def test_mistyped_config_number_rejected(config, field, value):
+    # each was accepted, run with a bool as 1, or leaked a bare TypeError
+    with pytest.raises(ConfigError, match=f"{field} must be a"):
+        config(**{field: value})
+
+
+def test_fractional_partition_bound_rejected():
+    # it was stored as given, and the loop truncated 34.5 to 34
+    with pytest.raises(ConfigError, match="partition slice 0 stop must be an integer, got 34.5"):
+        InfraConfig(n_devices=2, partition=((0, 34.5), (34.5, 70)))
+
+
+def test_config_integers_stored_as_ints():
+    infra = InfraConfig(n_devices=np.int64(2), seed=np.int32(4), socket_port=np.uint16(80),
+                        partition=[[np.int64(0), 35], (35, np.int64(70))],
+                        network=NetworkProfile(mtu_bytes=np.int64(1000)))
+    assert (infra.n_devices, infra.seed, infra.socket_port) == (2, 4, 80)
+    assert infra.partition == ((0, 35), (35, 70))
+    numbers = [infra.n_devices, infra.seed, infra.socket_port, infra.network.mtu_bytes,
+               *(b for pair in infra.partition for b in pair)]
+    assert all(type(n) is int for n in numbers)
+
+
 def test_negative_seeds_rejected_typed():
     # numpy's own ValueError used to surface once a stochastic run or a
     # drop schedule drew from the seed
@@ -653,6 +695,104 @@ def test_run_many_equals_separate_runs(weights):
     separate = [run_baseline(mode, waves, w, i, drop_devices=drops)[1]
                 for mode, w, i, drops in runs]
     assert [r.rows for r in reports] == [r.rows for r in separate]
+
+
+def _count_work(mp):
+    """Count, through mp, the encodes of either clock, the socket twin's
+    edge connections and thread starts."""
+    counts = collections.Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    mp.setattr(runtime, "encode", counting("encode", runtime.encode))
+    mp.setattr(transport, "encode", counting("encode", transport.encode))
+    mp.setattr(transport, "_connect_edges", counting("connect", transport._connect_edges))
+    mp.setattr(threading.Thread, "start", counting("start", threading.Thread.start))
+    return counts
+
+
+@st.composite
+def invalid_run_argument(draw):
+    """One invalid argument of a two-sample run on TINY weights: (fault,
+    samples, run_epic keyword arguments, T as a share of T_d or None)."""
+    fault = draw(st.sampled_from(["drop id", "drop sets", "truths", "width", "delay", "T"]))
+    samples, kwargs, share = tiny_waves(2), {}, None
+    if fault == "drop id":
+        bad = draw(st.integers(max_value=-1) | st.integers(min_value=TINY.n_devices))
+        kwargs["drop_devices"] = draw(st.sampled_from([[bad], [set(), {0, bad}]]))
+    elif fault == "drop sets":
+        kwargs["drop_devices"] = [{0}] * draw(st.sampled_from([1, 3]))
+    elif fault == "truths":
+        truth = np.full((70, 70), 3000.0, np.float32)
+        kwargs["ground_truth"] = [truth] * draw(st.sampled_from([0, 1, 3]))
+    elif fault == "width":
+        width = draw(st.integers(1, 69) | st.integers(71, 90))
+        samples[draw(st.integers(0, 1))] = np.zeros((5, 40, width), np.float32)
+    elif fault == "delay":
+        delay = draw(st.floats(max_value=-1e-9) | st.sampled_from(
+            [float("nan"), float("inf"), "0.25", True, None]))
+        kwargs["extra_delay_s"] = {draw(st.integers(0, TINY.n_devices - 1)): delay}
+    else:
+        share = draw(st.floats(min_value=1e-3, max_value=1.0))
+    return fault, samples, kwargs, share
+
+
+@pytest.mark.parametrize("clock", ["simulated", "socket"])
+@given(case=invalid_run_argument())
+@settings(max_examples=30, deadline=None)
+def test_invalid_run_argument_rejected_before_any_work(weights, clock, case):
+    fault, samples, kwargs, share = case
+    t_d = (transport._decode_budget(weights) if clock == "socket"
+           else runtime._epic_budget(weights, tiny_infra()))
+    infra = tiny_infra(network=FOUR_G, transport=clock,
+                       deadline_s=10.0 if share is None else share * t_d)
+    drops, truths = kwargs.get("drop_devices"), kwargs.get("ground_truth")
+    calls = [lambda: run_epic(samples, weights, infra, **kwargs)]
+    if fault != "delay":  # only run_epic takes delays
+        # only EPIC checks T against T_d, and only EPIC runs on a socket infra
+        mode = PipelineMode.EPIC if fault == "T" or clock == "socket" else PipelineMode.SLA
+        valid = (PipelineMode.EPIC if clock == "socket" else PipelineMode.CENTRALIZED,
+                 weights, tiny_infra(network=FOUR_G, transport=clock), None)
+        # a valid run goes first, except where only the socket run measures its T_d
+        first = [] if (clock, fault) == ("socket", "T") else [valid]
+        calls += [lambda: run_baseline(mode, samples, weights, infra, drops, truths),
+                  lambda: runtime.run_many(samples, first + [(mode, weights, infra, drops)],
+                                           truths)]
+    for call in calls:
+        with pytest.MonkeyPatch.context() as mp:
+            work = _count_work(mp)
+            with pytest.raises(SplitFwiError):
+                call()
+        assert not work, (fault, dict(work))
+
+
+def test_run_many_checks_every_drop_set_before_the_first(weights, monkeypatch):
+    # the EPIC run used to encode both samples before the SLA run's drop set failed
+    work = _count_work(monkeypatch)
+    infra = tiny_infra()
+    runs = [(PipelineMode.EPIC, weights, infra, None), (PipelineMode.SLA, weights, infra, [7])]
+    with pytest.raises(ConfigError, match=r"drop device ids \[7\] outside \[0, 3\)"):
+        runtime.run_many(tiny_waves(2), runs)
+    assert not work
+
+
+@pytest.mark.parametrize("faults, error", [
+    ({"drop_devices": [7]}, ConfigError),
+    ({"ground_truth": [np.full((70, 70), 3000.0, np.float32)]}, ConfigError),
+    ({"samples": [tiny_waves(1)[0], np.zeros((5, 40, 60), np.float32)]}, PartitionError),
+])
+def test_socket_run_rejected_before_any_connection(weights, monkeypatch, faults, error):
+    # each used to connect the edges and start 2 threads per device first
+    faults = dict(faults)
+    samples = faults.pop("samples", tiny_waves(2))
+    work = _count_work(monkeypatch)
+    with pytest.raises(error):
+        run_epic(samples, weights, tiny_infra(transport="socket"), **faults)
+    assert not work
 
 
 class TestProfiling:
