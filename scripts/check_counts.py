@@ -8,8 +8,7 @@ every metric whose unit is ``count``, plus ``transport.wire_bytes``, with
 the values that traced_counts.json records for the workload at seed 3.
 Exits 1, naming each metric, if a value differs or a metric is missing
 from either side; a change that moves a count updates the file and says
-why. A count that varies between two runs on one machine is listed under
-the workload's ``varies`` key instead, and is not compared.
+why.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ def counted(metrics: dict) -> dict:
 
 def mismatches(workload: str, metrics: dict, pinned: dict) -> list[str]:
     want = pinned[workload]
-    got = {k: v for k, v in counted(metrics).items() if k not in want.get("varies", ())}
-    out = [f"{name}: expected {want['counts'][name]}, got {got.get(name, 'no value')}"
-           for name in want["counts"] if got.get(name) != want["counts"][name]]
-    out += [f"{name}: {got[name]} is not in {COUNTS.name}"
-            for name in got if name not in want["counts"]]
+    got = counted(metrics)
+    out = [f"{name}: expected {want[name]}, got {got.get(name, 'no value')}"
+           for name in want if got.get(name) != want[name]]
+    out += [f"{name}: {got[name]} is not in {COUNTS.name}" for name in got if name not in want]
     return out
 
 

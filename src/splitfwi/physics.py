@@ -357,8 +357,7 @@ def save_dataset(samples, out_dir, *, seed: int, family: str, geometry: Acquisit
 def load_dataset(in_dir) -> tuple[list[tuple[VelocityModel, WaveformRecord]], dict]:
     """Read a dataset written by save_dataset.
 
-    The whole manifest is checked before any tensor file is read, except
-    that its n_samples must equal the number of samples that loaded. A
+    The whole manifest is checked before any tensor file is read. A
     malformed manifest, or a tensor file that does not load as its sample,
     raises DatasetError naming the manifest and the JSON pointer of the
     offending field; a missing file raises OSError.
@@ -382,11 +381,11 @@ def load_dataset(in_dir) -> tuple[list[tuple[VelocityModel, WaveformRecord]], di
                         {"velocity": str, "waveform": str}, {})
                  for i, entry in enumerate(get(manifest, "", "files", list))]
         n_samples = get(manifest, "", "n_samples", int)
+        if n_samples != len(files):
+            fail("/n_samples", f"says {n_samples} samples, but files lists {len(files)}")
         samples = []
         for i, entry in enumerate(files):
             vm = tensor(f"/files/{i}/velocity", entry["velocity"], partial(VelocityModel, dx=dx))
             rec = tensor(f"/files/{i}/waveform", entry["waveform"], WaveformRecord)
             samples.append((vm, rec))
-        if n_samples != len(files):
-            fail("/n_samples", f"says {n_samples} samples, but files lists {len(files)}")
     return samples, manifest

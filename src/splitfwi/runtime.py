@@ -65,6 +65,7 @@ import operator
 import statistics
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -769,8 +770,10 @@ def run_baseline(
 
 def check_runs(runs, samples=(), ground_truth=None) -> list:
     """Check every (mode, weights, infra, drop_devices) run over samples
-    and their ground truth; return the runs as a list."""
-    runs = list(runs)
+    and their ground truth; return them with each iterable drop_devices
+    read into a list once, so a generator is not used up by the check."""
+    runs = [(mode, weights, infra, list(drops) if isinstance(drops, Iterable) else drops)
+            for mode, weights, infra, drops in runs]
     for mode, weights, infra, drops in runs:
         _check_run(mode, weights, infra, samples, drops, ground_truth)
     return runs

@@ -96,9 +96,9 @@ def test_traced_counts_pin_every_count_metric():
     pinned = json.loads(check.COUNTS.read_text())
     assert set(pinned) == {w["name"] for w in SPEC["workloads"]}
     names = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"} | set(check.EXTRA)
-    for workload, entry in pinned.items():
-        assert set(entry["counts"]) | set(entry["varies"]) == names, workload
-        metrics = {n: {"value": v, "unit": "count"} for n, v in entry["counts"].items()}
+    for workload, counts in pinned.items():
+        assert set(counts) == names, workload
+        metrics = {n: {"value": v, "unit": "count"} for n, v in counts.items()}
         assert check.mismatches(workload, metrics, pinned) == []
         # a moved count and a missing one are both named
         moved = dict(metrics, **{"model.encode.calls": {"value": -1, "unit": "count"}})

@@ -409,9 +409,10 @@ class TestManifestErrors:
          "/files/0/waveform: missing"),
         (lambda doc: dict(doc, files=[dict(doc["files"][0], velocity=7)]),
          "/files/0/velocity: expected str, got int"),
-        (lambda doc: dict(doc, files=[dict(doc["files"][0], velocity=doc["files"][0]["waveform"])]),
+        (lambda doc: dict(doc, n_samples=1,
+                          files=[dict(doc["files"][0], velocity=doc["files"][0]["waveform"])]),
          "/files/0/velocity: sample_0000_waveform.tnsr: velocity grid must be 2-D"),
-        (lambda doc: dict(doc, files=[dict(doc["files"][0], waveform="manifest.json")]),
+        (lambda doc: dict(doc, n_samples=1, files=[dict(doc["files"][0], waveform="manifest.json")]),
          "/files/0/waveform: manifest.json: "),
     ])
     def test_pointer_names_the_field(self, dataset, tmp_path, edit, pointer):

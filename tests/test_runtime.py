@@ -780,6 +780,14 @@ def test_run_many_checks_every_drop_set_before_the_first(weights, monkeypatch):
     assert not work
 
 
+@pytest.mark.parametrize("mode", [PipelineMode.EPIC, PipelineMode.SLA])
+def test_run_many_reads_one_pass_drop_sets_once(weights, mode):
+    # a generator checked once and read again would be empty, so run with nothing dropped
+    runs = [(mode, weights, tiny_infra(deadline_s=30.0), (s for s in ({0}, {1, 2})))]
+    [report] = runtime.run_many(tiny_waves(2), runs)
+    assert [row.mask for row in report.rows] == [(False, True, True), (True, False, False)]
+
+
 @pytest.mark.parametrize("faults, error", [
     ({"drop_devices": [7]}, ConfigError),
     ({"ground_truth": [np.full((70, 70), 3000.0, np.float32)]}, ConfigError),
