@@ -33,6 +33,7 @@ cost share the rest of the geometry: one walk of the encoder blocks
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -64,7 +65,7 @@ from .numerics import (
     nearest_resize,
     softmax,
 )
-from .tensorio import tensor_from_bytes, tensor_to_bytes
+from .tensorio import Crc32Writer, record_array, tensor_from_bytes, write_tensor
 
 LEAKY_SLOPE = 0.1
 
@@ -263,12 +264,19 @@ def _build(config: ModelConfig, tensor) -> dict:
     )
 
 
+# doubles that init_weights draws at a time (64 Ki, 512 KiB)
+_DRAW_BLOCK = 1 << 16
+
+
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Sample weights uniformly in +-sqrt(1/fan_in).
 
     Each tensor draws from its own counter-based stream keyed on
     (seed, tensor index), so the result is a pure function of
-    (config, seed) regardless of evaluation order.
+    (config, seed) regardless of evaluation order. A tensor is filled
+    from _DRAW_BLOCK doubles of its stream at a time; the stream and each
+    value's rounding to float32 are those of one whole-tensor draw, so
+    the weights are too, and init holds the weights plus one block.
     """
     if seed < 0 or seed >= 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
@@ -277,7 +285,12 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     def draw(name, shape, fan_in):
         rng = np.random.Generator(np.random.Philox(key=(seed << 64) | next(index)))
         bound = math.sqrt(1.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        flat = out.reshape(-1)
+        for at in range(0, flat.size, _DRAW_BLOCK):
+            block = flat[at : at + _DRAW_BLOCK]
+            block[...] = rng.uniform(-bound, bound, size=block.size)
+        return out
 
     return ModelWeights(config, **_build(config, draw))
 
@@ -638,20 +651,27 @@ def decoder_flops(config: ModelConfig, k: int) -> int:
 # weight file io
 
 
-def weights_to_bytes(weights: ModelWeights) -> bytes:
-    """Serialize weights: magic, length-prefixed config JSON, named tensor
-    records, trailing CRC32 over everything before it."""
+def write_weights(f, weights: ModelWeights) -> None:
+    """Stream a weight file to the binary file object f: magic,
+    length-prefixed config JSON, named tensor records, trailing CRC32 over
+    everything before it. Every tensor is checked before the first byte
+    is written, and none is copied."""
     cfg_json = weights.config.to_json().encode("utf-8")
-    parts = [WEIGHTS_MAGIC, struct.pack("<I", len(cfg_json)), cfg_json]
-    named = list(weights.named_tensors())
-    parts.append(struct.pack("<I", len(named)))
-    for name, arr in named:
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(tensor_to_bytes(arr))
-    blob = b"".join(parts)
-    return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    named = [(name.encode("utf-8"), record_array(arr)) for name, arr in weights.named_tensors()]
+    out = Crc32Writer(f)
+    out.write(WEIGHTS_MAGIC + struct.pack("<I", len(cfg_json)) + cfg_json
+              + struct.pack("<I", len(named)))
+    for nb, arr in named:
+        out.write(struct.pack("<H", len(nb)) + nb)
+        write_tensor(out, arr)
+    out.seal()
+
+
+def weights_to_bytes(weights: ModelWeights) -> bytes:
+    """The bytes of the weight file that write_weights writes."""
+    buf = io.BytesIO()
+    write_weights(buf, weights)
+    return buf.getvalue()
 
 
 @contextmanager
@@ -677,7 +697,8 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     """
     if len(buf) < len(WEIGHTS_MAGIC) + 8:
         raise CorruptFileError("weight file truncated")
-    body, stored = buf[:-4], struct.unpack("<I", buf[-4:])[0]
+    body = memoryview(buf)[:-4]  # the tensors are views of buf, not copies
+    (stored,) = struct.unpack_from("<I", buf, len(body))
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:
         raise CorruptFileError(
@@ -713,7 +734,9 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
         pos += name_len
         with _parsing(f"tensor {name}", pos):
             arr, end = tensor_from_bytes(body, pos)
-        if not np.isfinite(arr).all():
+        # a float64 sum of finite float32 values cannot overflow, and a NaN
+        # or an inf makes it non-finite; np.isfinite would hold a flag per value
+        if not math.isfinite(arr.sum(dtype=np.float64)):
             raise CorruptFileError(f"weight file tensor {name} at byte {pos} is not finite")
         records.append((name, arr, pos))
         pos = end
@@ -741,7 +764,8 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    Path(path).write_bytes(weights_to_bytes(weights))
+    with open(path, "wb") as f:
+        write_weights(f, weights)
 
 
 def load_weights(path) -> ModelWeights:

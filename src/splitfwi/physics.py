@@ -237,15 +237,40 @@ def differential_waveform(
     return WaveformRecord(data=a.data - b.data)
 
 
+# rows of the [n_src * n_t, n_rcv] record that energy_distribution squares at a time
+_ENERGY_ROWS = 256
+
+
 def energy_distribution(rec: WaveformRecord, groups) -> EnergyDistribution:
     """Sum squared amplitudes per receiver and fraction them over groups.
 
     ``groups`` is a sequence of (start, stop) receiver ranges that must
     partition the receiver line, as validate_partition checks.
+
+    The sums run over the [n_src * n_t, n_rcv] rows in blocks of
+    _ENERGY_ROWS: each block's rows are squared in float64 below a first
+    row that holds the running total, and the block is summed down its
+    columns into that row. numpy adds the rows of such a sum one after
+    another, as it did over the whole float64 record, so every bit is the
+    same and the work memory is one block, whatever n_t is.
     """
     groups = tuple(groups)
-    ranges = validate_partition(groups, rec.data.shape[2], len(groups))
-    per_receiver = (rec.data.astype(np.float64) ** 2).sum(axis=(0, 1))
+    n_rcv = rec.data.shape[2]
+    ranges = validate_partition(groups, n_rcv, len(groups))
+    rows = rec.data.reshape(-1, n_rcv)
+    if n_rcv == 1:
+        # one column is one contiguous reduction, which numpy sums
+        # pairwise over the whole column, not row after row
+        per_receiver = (rows.astype(np.float64) ** 2).sum(axis=0)
+    else:
+        block = np.zeros((_ENERGY_ROWS + 1, n_rcv))
+        for at in range(0, len(rows), _ENERGY_ROWS):
+            chunk = rows[at : at + _ENERGY_ROWS]
+            part = block[: 1 + len(chunk)]
+            part[1:] = chunk
+            np.square(part[1:], out=part[1:])
+            part.sum(axis=0, out=block[0])
+        per_receiver = block[0].copy()
     total = per_receiver.sum()
     if total == 0.0:
         raise ZeroEnergyError("all-zero record: energy fractions are undefined")

@@ -54,7 +54,8 @@ shape, over configured device rates. That makes full runs
 bit-reproducible. The wall link (see transport.py) runs EPIC's edges as
 threads that send frames over TCP, on wall time. On both, `_check_run`
 checks every run argument, sample widths included, before any work (on
-the wall clock, after profiling T_d and before any connection); the
+the wall clock, it profiles T_d once per weights object, before any
+connection, so `check_runs` checks a socket run's T_d too); the
 central step, late-frame counting and the report rows are the same code.
 """
 
@@ -347,6 +348,15 @@ def profile_decoder(weights: ModelWeights) -> float:
         _fuse_decode(weights, latents)
         durations.append(time.perf_counter() - t0)
     return statistics.median(durations)
+
+
+def _decode_budget(weights: ModelWeights) -> float:
+    """The socket twin's T_d: profile_decoder's measurement, kept on the
+    weights object it was measured for, so it lives and dies with that
+    object and a stream of runs with the same weights profiles once."""
+    if "_decode_budget" not in vars(weights):
+        vars(weights)["_decode_budget"] = profile_decoder(weights)
+    return vars(weights)["_decode_budget"]
 
 
 def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late: int,
@@ -658,11 +668,12 @@ def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
 
 
 def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, samples=(),
-               drop_devices=None, ground_truth=None, extra_delay_s=None, t_d=None):
+               drop_devices=None, ground_truth=None, extra_delay_s=None):
     """The one check of a run's arguments, before any work: raise a
     SplitFwiError unless the run can go through every sample; return each
-    sample's drop set and each device's extra delay. t_d is the socket
-    twin's measured T_d; a simulated EPIC run checks its declared one."""
+    sample's drop set and each device's extra delay. An EPIC run's T_d
+    is its declared one on the simulated clock and its measured one
+    (_decode_budget) on a socket."""
     # only EPIC has a wall-clock twin; another mode would run simulated under a socket config
     if infra.transport == "socket" and mode != PipelineMode.EPIC:
         raise ConfigError(f"transport 'socket' runs EPIC only, not {mode.value}")
@@ -672,12 +683,13 @@ def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, sa
     elif weights.config.n_devices != infra.n_devices:
         raise ConfigError(f"weights built for {weights.config.n_devices} devices, "
                           f"infra has {infra.n_devices}")
-    if t_d is None and mode == PipelineMode.EPIC and infra.transport == "simulated":
-        t_d = _epic_budget(weights, infra)
-    # a timeout at T - T_d must leave time to collect
-    if t_d is not None and t_d >= infra.deadline_s:
-        raise ConfigError(f"decode budget T_d={t_d:.6g}s must be below the deadline "
-                          f"T={infra.deadline_s:.6g}s")
+    if mode == PipelineMode.EPIC:
+        t_d = (_decode_budget(weights) if infra.transport == "socket"
+               else _epic_budget(weights, infra))
+        # a timeout at T - T_d must leave time to collect
+        if t_d >= infra.deadline_s:
+            raise ConfigError(f"decode budget T_d={t_d:.6g}s must be below the deadline "
+                              f"T={infra.deadline_s:.6g}s")
     n, n_samples = infra.n_devices, len(samples)
     try:
         items = [] if drop_devices is None else list(drop_devices)

@@ -4,10 +4,17 @@ File layout (little-endian throughout): 8-byte magic ``EPICTNSR``, version
 u8 (=1), dtype code u8 (0 = float32), ndim u8 (at least 1), one u32
 extent per dimension, the raw float32 payload in row-major order, and a
 trailing u32 CRC32 over all preceding bytes.
+
+One writer, `write_tensor`, streams a record to a binary file object:
+the header, then the array's own buffer, with the CRC computed as the
+bytes go out. A float32 C-order array is written without a copy, so
+`save_tensor` allocates only the header, whatever the payload size.
+`tensor_to_bytes` runs the same writer into a BytesIO.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from pathlib import Path
@@ -24,20 +31,51 @@ _HEAD = struct.Struct("<BBB")
 _CRC = struct.Struct("<I")
 
 
-def tensor_to_bytes(x: np.ndarray) -> bytes:
-    """Serialize a float32 array to the binary record format."""
+class Crc32Writer:
+    """Pass writes through to a binary file object, keeping the CRC32 of
+    every byte written; `seal` appends that CRC as a u32."""
+
+    def __init__(self, f):
+        self.f = f
+        self.crc = 0
+
+    def write(self, data) -> None:
+        self.f.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+    def seal(self) -> None:
+        self.write(_CRC.pack(self.crc))
+
+
+def record_array(x) -> np.ndarray:
+    """x as the little-endian float32 C-order array a record holds, or
+    ShapeError if no record can hold it. Makes no copy of a float32
+    C-order array."""
     x = np.asarray(x, dtype=np.float32)
     if x.ndim < 1:
         raise ShapeError("tensor records need at least one dimension")
-    x = np.ascontiguousarray(x)
     if x.ndim > 255:
         raise ShapeError(f"tensor rank {x.ndim} exceeds the format limit of 255")
     if any(d < 1 for d in x.shape):
         raise ShapeError(f"tensor extents must be positive, got {x.shape}")
-    blob = MAGIC + _HEAD.pack(VERSION, DTYPE_F32, x.ndim)
-    blob += struct.pack(f"<{x.ndim}I", *x.shape)
-    blob += x.astype("<f4").tobytes()
-    return blob + _CRC.pack(zlib.crc32(blob) & 0xFFFFFFFF)
+    return np.ascontiguousarray(x, "<f4")
+
+
+def write_tensor(f, x) -> None:
+    """Stream one tensor record of x to the binary file object f."""
+    x = record_array(x)
+    out = Crc32Writer(f)
+    out.write(MAGIC + _HEAD.pack(VERSION, DTYPE_F32, x.ndim)
+              + struct.pack(f"<{x.ndim}I", *x.shape))
+    out.write(memoryview(x).cast("B"))
+    out.seal()
+
+
+def tensor_to_bytes(x: np.ndarray) -> bytes:
+    """Serialize a float32 array to the binary record format."""
+    buf = io.BytesIO()
+    write_tensor(buf, x)
+    return buf.getvalue()
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -79,7 +117,11 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def save_tensor(x: np.ndarray, path) -> None:
-    Path(path).write_bytes(tensor_to_bytes(x))
+    """Write one tensor record to path. x is checked before the file is
+    opened, so an array that no record can hold leaves no file."""
+    x = record_array(x)
+    with open(path, "wb") as f:
+        write_tensor(f, x)
 
 
 def load_tensor(path) -> np.ndarray:

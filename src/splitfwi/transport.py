@@ -19,7 +19,8 @@ T - T_d of wall time passed; a frame that lands after that is stale in
 the buffer and counted late by the loop, and an edge thread skips the
 job of a sample that has already closed. The central step fuses and
 decodes what arrived, timed on the wall clock. T_d is measured by
-profile_decoder once per weights object in a process, so a stream of
+runtime.profile_decoder once per weights object in a process, when
+`_check_run` first checks a socket run of those weights, so a stream of
 calls with the same weights profiles only once.
 """
 
@@ -42,10 +43,10 @@ from .runtime import (
     RunReport,
     _check_run,
     _Collected,
+    _decode_budget,
     _Link,
     _Plan,
     _run_plan,
-    profile_decoder,
 )
 
 __all__ = ["read_frame", "send_frame", "latent_from_frame", "latent_to_frame", "run_epic_socket"]
@@ -230,14 +231,6 @@ def _edge_worker(device_id: int, sock: socket.socket, weights, jobs: queue.Simpl
             send_frame(sock, latent_to_frame(latent))
 
 
-def _decode_budget(weights) -> float:
-    # Socket T_d, kept on the weights object it was measured for, so it
-    # lives and dies with that object.
-    if "_decode_budget" not in vars(weights):
-        vars(weights)["_decode_budget"] = profile_decoder(weights)
-    return vars(weights)["_decode_budget"]
-
-
 def run_epic_socket(
     samples,
     weights,
@@ -260,11 +253,11 @@ def run_epic_socket(
     an edge or reader thread ends the run: it is re-raised after cleanup,
     a SplitFwiError as is and anything else as a WorkerError. Every
     argument, each sample's width and the measured T_d included, is
-    checked after profiling and before any connection or thread.
+    checked before any connection or thread.
     """
-    t_d = _decode_budget(weights)
     drops, delays = _check_run(PipelineMode.EPIC, weights, infra, samples, drop_devices,
-                               ground_truth, extra_delay_s, t_d)
+                               ground_truth, extra_delay_s)
+    t_d = _decode_budget(weights)
     cfg = weights.config
     latent_bytes = cfg.latent_dim * 4
     (host, port), edges, centrals = _connect_edges(infra.socket_host, infra.socket_port,

@@ -1,5 +1,6 @@
 import copy
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -106,3 +107,20 @@ def resealed_tensor_edit(draw, record):
     else:
         body[head + ("version", "dtype", "ndim").index(kind)] = draw(st.integers(0, 255))
     return sealed(bytes(body))
+
+
+def traced_peak(fn) -> int:
+    """The most bytes that fn()'s own allocations held at once, after a
+    warm-up call; what was allocated before the call does not count."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

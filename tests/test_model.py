@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TINY, make_latents
+from conftest import TINY, make_latents, traced_peak
 from splitfwi.errors import (
     ConfigError,
     CorruptFileError,
@@ -563,6 +563,19 @@ class TestWeightFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptFileError):
             load_weights(path)
+
+    def test_init_save_and_load_hold_the_weights_and_one_block(self, tmp_path):
+        # full-size tensors (the largest is 6.5 MB); 4 position channels keep
+        # the derived position grids, which __post_init__ builds in float64,
+        # far below the 1 MiB slack
+        weights = init_weights(ModelConfig(n_devices=5, d_pos=4), 1)
+        held = sum(arr.nbytes for _, arr in weights.named_tensors())
+        path = tmp_path / "w.bin"
+        assert traced_peak(lambda: init_weights(weights.config, 1)) <= held + (1 << 20)
+        assert traced_peak(lambda: save_weights(weights, path)) <= 1 << 20
+        assert path.read_bytes() == weights_to_bytes(weights)
+        # the loaded tensors are views of the file's bytes, not copies
+        assert traced_peak(lambda: load_weights(path)) <= path.stat().st_size + (1 << 20)
 
 
 class TestConfigValidation:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON, put, reads_or_points, resealed_tensor_edit
+from conftest import JSON, put, reads_or_points, resealed_tensor_edit, traced_peak
 from splitfwi import physics
 from splitfwi.errors import (
     DatasetError,
@@ -33,6 +33,7 @@ from splitfwi.physics import (
     save_dataset,
     simulate,
 )
+from splitfwi.runtime import partition_receivers
 from splitfwi.tensorio import tensor_to_bytes
 
 DT_FAST = 0.4 * 10.0 / 4500.0
@@ -200,6 +201,38 @@ class TestEnergyDistribution:
         rec = WaveformRecord(data=np.ones((1, 2, 70), np.float32))
         ed = energy_distribution(rec, ((a, a + 35) for a in (0, 35)))
         assert ed.group_fractions == (0.5, 0.5)
+
+    @staticmethod
+    def _whole_record(data, ranges):
+        """The sums over one float64 copy of the whole record, as
+        energy_distribution computed them before it summed in blocks."""
+        per_receiver = (data.astype(np.float64) ** 2).sum(axis=(0, 1))
+        total = per_receiver.sum()
+        return per_receiver, tuple(float(per_receiver[a:b].sum() / total) for a, b in ranges)
+
+    @given(n_src=st.integers(1, 5),
+           n_t=st.integers(1, 3 * physics._ENERGY_ROWS + 7) | st.sampled_from([256, 1000]),
+           n_rcv=st.integers(1, 80), n_groups=st.integers(1, 5),
+           log_scale=st.floats(-8, 8), seed=st.integers(0, 2**32 - 1))
+    # a single receiver, whose one column numpy sums pairwise
+    @example(n_src=3, n_t=700, n_rcv=1, n_groups=1, log_scale=0.0, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_block_sums_equal_whole_record_sums(self, n_src, n_t, n_rcv, n_groups, log_scale,
+                                                seed):
+        # rows = n_src * n_t, which is rarely a multiple of the block
+        rng = np.random.default_rng(seed)
+        data = (rng.normal(size=(n_src, n_t, n_rcv)) * 10.0**log_scale).astype(np.float32)
+        groups = partition_receivers(n_rcv, min(n_groups, n_rcv))
+        ed = energy_distribution(WaveformRecord(data=data), groups)
+        per_receiver, fractions = self._whole_record(data, groups)
+        assert ed.per_receiver.tobytes() == per_receiver.tobytes()
+        assert np.array(ed.group_fractions).tobytes() == np.array(fractions).tobytes()
+
+    @pytest.mark.parametrize("n_t", [1000, 4000])
+    def test_work_memory_is_one_block(self, n_t):
+        rec = WaveformRecord(data=np.random.default_rng(3).normal(size=(5, n_t, 70)).astype(np.float32))
+        groups = partition_receivers(70, 5)
+        assert traced_peak(lambda: energy_distribution(rec, groups)) <= (1 << 20) // 4
 
 
 class TestGenerateDataset:

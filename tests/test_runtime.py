@@ -366,7 +366,7 @@ class TestRunEpic:
     def test_measured_budget_must_fit_deadline_before_any_thread(self, monkeypatch):
         # the socket twin's T_d is measured, on weights it has not profiled yet
         _forbid_encode(monkeypatch)
-        monkeypatch.setattr(transport, "profile_decoder", lambda weights: 20.0)
+        monkeypatch.setattr(runtime, "profile_decoder", lambda weights: 20.0)
         monkeypatch.setattr(transport, "_connect_edges", _work_started)
         with pytest.raises(ConfigError, match="decode budget T_d=20s must be below the deadline"):
             run_epic(tiny_waves(1), init_weights(TINY, seed=11),
@@ -531,7 +531,7 @@ class TestBaselines:
 
     def test_socket_sweep_over_other_modes_rejected_before_any_run(self, weights, monkeypatch):
         _forbid_encode(monkeypatch)
-        monkeypatch.setattr(transport, "profile_decoder", _work_started)  # a socket run's first
+        monkeypatch.setattr(runtime, "profile_decoder", _work_started)  # a socket run's first
         with pytest.raises(ConfigError, match="runs EPIC only, not sla"):
             run_robustness_sweep(tiny_waves(2), weights, tiny_infra(transport="socket"), [0],
                                  modes=(PipelineMode.EPIC, PipelineMode.SLA))
@@ -687,6 +687,17 @@ def test_run_many_checks_every_decode_budget_before_the_first(weights, monkeypat
         runtime.run_many(tiny_waves(2), runs)
 
 
+def test_run_many_checks_a_measured_decode_budget_before_the_first(weights, monkeypatch):
+    # the first socket run used to connect its edges before the second's T_d failed
+    t_d = runtime._decode_budget(weights)
+    work = _count_work(monkeypatch)
+    runs = [(PipelineMode.EPIC, weights, tiny_infra(transport="socket", deadline_s=30.0), None),
+            (PipelineMode.EPIC, weights, tiny_infra(transport="socket", deadline_s=t_d / 2), None)]
+    with pytest.raises(ConfigError, match="decode budget"):
+        runtime.run_many(tiny_waves(2), runs)
+    assert work["connect"] == 0 and not work
+
+
 def test_run_many_equals_separate_runs(weights):
     waves, infra = tiny_waves(2), tiny_infra(network=FOUR_G, deadline_s=5.0)
     runs = [(PipelineMode.EPIC, weights, infra, [1]), (PipelineMode.SLA, weights, infra, None),
@@ -746,7 +757,7 @@ def invalid_run_argument(draw):
 @settings(max_examples=30, deadline=None)
 def test_invalid_run_argument_rejected_before_any_work(weights, clock, case):
     fault, samples, kwargs, share = case
-    t_d = (transport._decode_budget(weights) if clock == "socket"
+    t_d = (runtime._decode_budget(weights) if clock == "socket"
            else runtime._epic_budget(weights, tiny_infra()))
     infra = tiny_infra(network=FOUR_G, transport=clock,
                        deadline_s=10.0 if share is None else share * t_d)
@@ -757,10 +768,9 @@ def test_invalid_run_argument_rejected_before_any_work(weights, clock, case):
         mode = PipelineMode.EPIC if fault == "T" or clock == "socket" else PipelineMode.SLA
         valid = (PipelineMode.EPIC if clock == "socket" else PipelineMode.CENTRALIZED,
                  weights, tiny_infra(network=FOUR_G, transport=clock), None)
-        # a valid run goes first, except where only the socket run measures its T_d
-        first = [] if (clock, fault) == ("socket", "T") else [valid]
+        # a valid run goes first
         calls += [lambda: run_baseline(mode, samples, weights, infra, drops, truths),
-                  lambda: runtime.run_many(samples, first + [(mode, weights, infra, drops)],
+                  lambda: runtime.run_many(samples, [valid, (mode, weights, infra, drops)],
                                            truths)]
     for call in calls:
         with pytest.MonkeyPatch.context() as mp:

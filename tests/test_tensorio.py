@@ -1,13 +1,14 @@
 import re
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import resealed_tensor_edit, sealed
+from conftest import resealed_tensor_edit, sealed, traced_peak
 from splitfwi.errors import CorruptFileError, ShapeError
 from splitfwi.tensorio import (
     MAGIC,
@@ -113,3 +114,46 @@ def test_resealed_edits_load_exactly_or_fail_typed(blob):
     else:
         assert tensor_to_bytes(arr) == blob
     assert time.perf_counter() - t0 < 1.0
+
+
+def _whole_record(x) -> bytes:
+    """A record built whole in memory, as tensor_to_bytes built it before
+    the streaming writer."""
+    x = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
+    blob = MAGIC + struct.pack("<BBB", 1, 0, x.ndim)
+    blob += struct.pack(f"<{x.ndim}I", *x.shape)
+    blob += x.astype("<f4").tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       dtype=st.sampled_from([np.float32, np.float64, np.int16, ">f4"]),
+       layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_streamed_record_equals_whole_record(tmp_path_factory, shape, dtype, layout, seed):
+    x = (np.random.default_rng(seed).normal(size=shape) * 100).astype(dtype)
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        x = x[..., ::2]
+    path = tmp_path_factory.mktemp("rec") / "t.tnsr"
+    save_tensor(x, path)
+    want = _whole_record(x)
+    assert path.read_bytes() == want
+    assert tensor_to_bytes(x) == want
+
+
+def test_save_tensor_streams_the_payload(tmp_path):
+    x = np.random.default_rng(2).normal(size=(5, 1000, 70)).astype(np.float32)
+    path = tmp_path / "t.tnsr"
+    # the payload is 1.4 MB; the writer holds only the header
+    assert traced_peak(lambda: save_tensor(x, path)) <= 1 << 20
+    assert path.read_bytes() == _whole_record(x)
+
+
+@pytest.mark.parametrize("bad", [np.float32(1.0), np.zeros((2, 0), np.float32)])
+def test_rejected_tensor_leaves_no_file(tmp_path, bad):
+    path = tmp_path / "t.tnsr"
+    with pytest.raises(ShapeError):
+        save_tensor(bad, path)
+    assert not path.exists()

@@ -312,12 +312,13 @@ class TestSocketPipeline:
 
     def test_decoder_profiled_once_per_weights(self, monkeypatch):
         profiled = []
+        real = runtime.profile_decoder
 
         def counting(weights):
             profiled.append(id(weights))
-            return runtime.profile_decoder(weights)
+            return real(weights)
 
-        monkeypatch.setattr(transport, "profile_decoder", counting)
+        monkeypatch.setattr(runtime, "profile_decoder", counting)
         rng = np.random.default_rng(5)
         waves = [rng.normal(size=(5, 40, 70)).astype(np.float32)]
         infra = self._infra()
