@@ -693,11 +693,13 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     its canonical JSON, and the records in serialization order. So a file
     that loads re-serializes to the same bytes, and checking the records
     against the config's tensors takes time bounded by the file, however
-    many tensors the config declares.
+    many tensors the config declares. The tensors are views of buf, not
+    copies, so a buffer that can change (a bytearray) must not while the
+    weights are in use.
     """
     if len(buf) < len(WEIGHTS_MAGIC) + 8:
         raise CorruptFileError("weight file truncated")
-    body = memoryview(buf)[:-4]  # the tensors are views of buf, not copies
+    body = memoryview(buf)[:-4]
     (stored,) = struct.unpack_from("<I", buf, len(body))
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if stored != actual:

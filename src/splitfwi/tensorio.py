@@ -67,7 +67,7 @@ def write_tensor(f, x) -> None:
     out = Crc32Writer(f)
     out.write(MAGIC + _HEAD.pack(VERSION, DTYPE_F32, x.ndim)
               + struct.pack(f"<{x.ndim}I", *x.shape))
-    out.write(memoryview(x).cast("B"))
+    out.write(x.data)
     out.seal()
 
 

@@ -768,7 +768,7 @@ def test_invalid_run_argument_rejected_before_any_work(weights, clock, case):
         mode = PipelineMode.EPIC if fault == "T" or clock == "socket" else PipelineMode.SLA
         valid = (PipelineMode.EPIC if clock == "socket" else PipelineMode.CENTRALIZED,
                  weights, tiny_infra(network=FOUR_G, transport=clock), None)
-        # a valid run goes first
+        # a valid run goes first, so a check made only when its turn came would show as work
         calls += [lambda: run_baseline(mode, samples, weights, infra, drops, truths),
                   lambda: runtime.run_many(samples, [valid, (mode, weights, infra, drops)],
                                            truths)]
