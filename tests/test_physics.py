@@ -230,7 +230,8 @@ class TestEnergyDistribution:
 
     @pytest.mark.parametrize("n_t", [1000, 4000])
     def test_work_memory_is_one_block(self, n_t):
-        rec = WaveformRecord(data=np.random.default_rng(3).normal(size=(5, n_t, 70)).astype(np.float32))
+        data = np.random.default_rng(3).normal(size=(5, n_t, 70)).astype(np.float32)
+        rec = WaveformRecord(data=data)
         groups = partition_receivers(70, 5)
         assert traced_peak(lambda: energy_distribution(rec, groups)) <= (1 << 20) // 4
 
