@@ -264,19 +264,12 @@ def _build(config: ModelConfig, tensor) -> dict:
     )
 
 
-# doubles that init_weights draws at a time (64 Ki, 512 KiB)
-_DRAW_BLOCK = 1 << 16
-
-
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Sample weights uniformly in +-sqrt(1/fan_in).
 
     Each tensor draws from its own counter-based stream keyed on
     (seed, tensor index), so the result is a pure function of
-    (config, seed) regardless of evaluation order. A tensor is filled
-    from _DRAW_BLOCK doubles of its stream at a time; the stream and each
-    value's rounding to float32 are those of one whole-tensor draw, so
-    the weights are too, and init holds the weights plus one block.
+    (config, seed) regardless of evaluation order.
     """
     if seed < 0 or seed >= 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
@@ -285,12 +278,7 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     def draw(name, shape, fan_in):
         rng = np.random.Generator(np.random.Philox(key=(seed << 64) | next(index)))
         bound = math.sqrt(1.0 / fan_in)
-        out = np.empty(shape, dtype=np.float32)
-        flat = out.reshape(-1)
-        for at in range(0, flat.size, _DRAW_BLOCK):
-            block = flat[at : at + _DRAW_BLOCK]
-            block[...] = rng.uniform(-bound, bound, size=block.size)
-        return out
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
     return ModelWeights(config, **_build(config, draw))
 
@@ -651,17 +639,22 @@ def decoder_flops(config: ModelConfig, k: int) -> int:
 # weight file io
 
 
-def write_weights(f, weights: ModelWeights) -> None:
-    """Stream a weight file to the binary file object f: magic,
-    length-prefixed config JSON, named tensor records, trailing CRC32 over
-    everything before it. Every tensor is checked before the first byte
-    is written, and none is copied."""
-    cfg_json = weights.config.to_json().encode("utf-8")
-    named = [(name.encode("utf-8"), record_array(arr)) for name, arr in weights.named_tensors()]
+def weight_records(weights: ModelWeights) -> list[tuple[bytes, np.ndarray]]:
+    """(name, record array) of every tensor in file order, each checked
+    by record_array, so a tensor that no record can hold raises here,
+    before any writing starts."""
+    return [(name.encode("utf-8"), record_array(arr)) for name, arr in weights.named_tensors()]
+
+
+def write_weights(f, config: ModelConfig, records) -> None:
+    """Stream a weight file of weight_records' records to the binary file
+    object f: magic, length-prefixed config JSON, named tensor records,
+    trailing CRC32 over everything before it. No tensor is copied."""
+    cfg_json = config.to_json().encode("utf-8")
     out = Crc32Writer(f)
     out.write(WEIGHTS_MAGIC + struct.pack("<I", len(cfg_json)) + cfg_json
-              + struct.pack("<I", len(named)))
-    for nb, arr in named:
+              + struct.pack("<I", len(records)))
+    for nb, arr in records:
         out.write(struct.pack("<H", len(nb)) + nb)
         write_tensor(out, arr)
     out.seal()
@@ -670,7 +663,7 @@ def write_weights(f, weights: ModelWeights) -> None:
 def weights_to_bytes(weights: ModelWeights) -> bytes:
     """The bytes of the weight file that write_weights writes."""
     buf = io.BytesIO()
-    write_weights(buf, weights)
+    write_weights(buf, weights.config, weight_records(weights))
     return buf.getvalue()
 
 
@@ -766,8 +759,11 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
 
 
 def save_weights(weights: ModelWeights, path) -> None:
+    """Stream the weight file to path. Every tensor is checked before the
+    file is opened, so weights that no file can hold leave path as it was."""
+    records = weight_records(weights)
     with open(path, "wb") as f:
-        write_weights(f, weights)
+        write_weights(f, weights.config, records)
 
 
 def load_weights(path) -> ModelWeights:

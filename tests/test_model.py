@@ -564,14 +564,12 @@ class TestWeightFiles:
         with pytest.raises(CorruptFileError):
             load_weights(path)
 
-    def test_init_save_and_load_hold_the_weights_and_one_block(self, tmp_path):
+    def test_save_and_load_hold_at_most_the_file(self, tmp_path):
         # full-size tensors (the largest is 6.5 MB); 4 position channels keep
         # the derived position grids, which __post_init__ builds in float64,
         # far below the 1 MiB slack
         weights = init_weights(ModelConfig(n_devices=5, d_pos=4), 1)
-        held = sum(arr.nbytes for _, arr in weights.named_tensors())
         path = tmp_path / "w.bin"
-        assert traced_peak(lambda: init_weights(weights.config, 1)) <= held + (1 << 20)
         assert traced_peak(lambda: save_weights(weights, path)) <= 1 << 20
         assert path.read_bytes() == weights_to_bytes(weights)
         # the loaded tensors are views of the file's bytes, not copies

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import struct
 import time
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import resealed_tensor_edit, sealed, traced_peak
+from conftest import TINY, resealed_tensor_edit, sealed, traced_peak
 from splitfwi.errors import CorruptFileError, ShapeError
+from splitfwi.model import ConvParams, init_weights, save_weights
 from splitfwi.tensorio import (
     MAGIC,
     load_tensor,
@@ -151,9 +153,23 @@ def test_save_tensor_streams_the_payload(tmp_path):
     assert path.read_bytes() == _whole_record(x)
 
 
-@pytest.mark.parametrize("bad", [np.float32(1.0), np.zeros((2, 0), np.float32)])
+@pytest.mark.parametrize("bad", [np.array(1.0, np.float32), np.zeros((2, 0), np.float32)])
 def test_rejected_tensor_leaves_no_file(tmp_path, bad):
     path = tmp_path / "t.tnsr"
     with pytest.raises(ShapeError):
         save_tensor(bad, path)
     assert not path.exists()
+    # weights holding that tensor as their last one: save_weights checks
+    # every tensor before it opens the file, so it neither makes a new
+    # file nor truncates an existing one
+    good = init_weights(TINY, 0)
+    weights = dataclasses.replace(good, head=ConvParams(good.head.kernel, bad))
+    with pytest.raises(ShapeError):
+        save_weights(weights, tmp_path / "new.bin")
+    assert not (tmp_path / "new.bin").exists()
+    old = tmp_path / "old.bin"
+    save_weights(good, old)
+    before = old.read_bytes()
+    with pytest.raises(ShapeError):
+        save_weights(weights, old)
+    assert old.read_bytes() == before
