@@ -34,12 +34,10 @@ from .model import (
 )
 from .netem import (
     FOUR_G,
-    CommReduction,
     EnergyModel,
     Frame,
     FrameKind,
     NetworkProfile,
-    comm_reduction_report,
     frame_decode,
     frame_encode,
     transmit_group,

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, int_field
 from .numerics import as_f32
 
 
@@ -21,12 +23,14 @@ class SsimParams:
     dynamic_range: float = 3000.0
 
     def __post_init__(self):
+        object.__setattr__(self, "window", int_field("window", self.window, ShapeError))
         if self.window < 1 or self.window % 2 == 0:
             raise ShapeError(f"window must be odd and positive, got {self.window}")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ShapeError("k1 and k2 must be positive")
-        if self.dynamic_range <= 0:
-            raise ShapeError(f"dynamic_range must be positive, got {self.dynamic_range}")
+        for name in ("k1", "k2", "dynamic_range"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0):
+                raise ShapeError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -219,53 +219,3 @@ def _seed_stream(seed) -> list[int]:
         raise ConfigError(f"seed must be integers >= 0, got {seed!r}")
     return stream
 
-
-# ---------------------------------------------------------------------------
-# payload accounting
-
-
-@dataclass(frozen=True)
-class CommReduction:
-    payload_ratio: float
-    raw_latency_dedicated_s: float
-    latent_latency_dedicated_s: float
-    dedicated_latency_ratio: float
-    raw_latency_shared_s: float
-    latent_latency_shared_s: float
-    shared_latency_ratio: float
-
-
-def comm_reduction_report(
-    raw_bytes: int,
-    latent_bytes: int,
-    profile: NetworkProfile,
-    n_devices: int = 5,
-) -> CommReduction:
-    """Expected-mode latency ratios of raw-slice vs latent uplinks.
-
-    Dedicated compares single parallel transfers; shared serializes all
-    n_devices uplinks on one channel before the propagation delay.
-    """
-    if raw_bytes <= 0 or latent_bytes <= 0:
-        raise ConfigError("payload sizes must be positive")
-
-    shared = replace(profile, medium="shared")
-
-    def one(size):
-        return transmit_group([size], profile)[0].completion_s
-
-    def all_shared(size):
-        ups = transmit_group([size] * n_devices, shared)
-        return max(u.completion_s for u in ups)
-
-    raw_ded, lat_ded = one(raw_bytes), one(latent_bytes)
-    raw_sh, lat_sh = all_shared(raw_bytes), all_shared(latent_bytes)
-    return CommReduction(
-        payload_ratio=raw_bytes / latent_bytes,
-        raw_latency_dedicated_s=raw_ded,
-        latent_latency_dedicated_s=lat_ded,
-        dedicated_latency_ratio=raw_ded / lat_ded,
-        raw_latency_shared_s=raw_sh,
-        latent_latency_shared_s=lat_sh,
-        shared_latency_ratio=raw_sh / lat_sh,
-    )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError, SplitFwiError, WorkerError
 from .model import LatentSet, LatentVector, VelocityMap, decode, encode, fuse
-from .netem import HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
+from .netem import FRAME_MAGIC, HEADER, HEADER_SIZE, Frame, FrameKind, frame_decode, frame_encode
 from .runtime import (
     HashBuffer,
     InfraConfig,
@@ -82,7 +82,7 @@ def read_frame(sock: socket.socket, max_payload: int = MAX_PAYLOAD) -> Frame | N
     if head is None:
         return None
     magic, version, _, _, _, payload_len = HEADER.unpack(head)
-    if magic != b"EP":
+    if magic != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r} on stream")
     if payload_len > max_payload:
         raise ProtocolError(

@@ -5,6 +5,7 @@ criterion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from splitfwi.netem import (
     FOUR_G,
     FrameKind,
     NetworkProfile,
-    comm_reduction_report,
     frame_decode,
     frame_encode,
     transmit_group,
@@ -41,8 +41,8 @@ from splitfwi.runtime import (
     InfraConfig,
     PipelineMode,
     partition_receivers,
-    run_baseline,
     run_epic,
+    run_many,
 )
 
 PERFECT = NetworkProfile(bandwidth_bps=1e12, base_latency_s=0.0, loss_rate=0.0)
@@ -136,28 +136,32 @@ def test_criterion_3_timeout_semantics(weights5):
 
 
 def test_criterion_4_communication_reduction(weights5):
-    """Payload ratio exact; emulated latency ratios beat 3x / 10x on 4G."""
+    """From run rows on 4G: payload ratio exact, latency ratios beat
+    3x (dedicated) / 10x (shared), energy ratio equal to payload ratio."""
     assert RAW_SLICE_BYTES == 280000
     assert LATENT_BYTES == 2048
     ratio = RAW_SLICE_BYTES / LATENT_BYTES
     assert ratio == 280000 / 2048
     assert round(ratio, 1) == 136.7
 
-    rep = comm_reduction_report(RAW_SLICE_BYTES, LATENT_BYTES, FOUR_G, n_devices=5)
-    assert rep.payload_ratio == ratio
-    assert rep.dedicated_latency_ratio >= 3.0
-    assert rep.shared_latency_ratio >= 10.0
-
-    # the runs really move those payloads
     wave = [np.zeros((5, 1000, 70), np.float32)]
-    infra = InfraConfig(n_devices=5, network=PERFECT, deadline_s=30.0)
-    _, central = run_baseline(PipelineMode.CENTRALIZED, wave, weights5, infra)
-    _, epic = run_epic(wave, weights5, infra)
-    assert central.rows[0].comm_bytes == 5 * RAW_SLICE_BYTES
-    assert epic.rows[0].comm_bytes == 5 * LATENT_BYTES
+    media = {"dedicated": 3.0, "shared": 10.0}
+    runs = [(mode, weights5, InfraConfig(n_devices=5, network=replace(FOUR_G, medium=medium),
+                                         deadline_s=30.0), None)
+            for medium in media for mode in (PipelineMode.CENTRALIZED, PipelineMode.EPIC)]
+    reports = run_many(wave, runs)
+    latency_ratios = {}
+    for (medium, min_ratio), central, epic in zip(media.items(), reports[::2], reports[1::2]):
+        c, e = central.rows[0], epic.rows[0]
+        assert (c.status, e.status) == ("ok", "ok")
+        assert c.comm_bytes == 5 * RAW_SLICE_BYTES
+        assert e.comm_bytes == 5 * LATENT_BYTES
+        latency_ratios[medium] = c.l_comm_s / e.l_comm_s
+        assert latency_ratios[medium] >= min_ratio
+        assert c.energy_j / e.energy_j == pytest.approx(ratio, rel=1e-12)
     print(f"\nPASS criterion 4: payload ratio {ratio:.4g}x; latency ratios "
-          f"dedicated {rep.dedicated_latency_ratio:.2f}x, "
-          f"shared {rep.shared_latency_ratio:.2f}x")
+          f"dedicated {latency_ratios['dedicated']:.2f}x, "
+          f"shared {latency_ratios['shared']:.2f}x")
 
 
 def test_criterion_5_physics_checks():

@@ -58,6 +58,14 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((5, 5), np.float32), np.zeros((5, 5), np.float32))  # window 7 > 5
 
+    @pytest.mark.parametrize("field, value", [
+        ("dynamic_range", float("nan")), ("dynamic_range", float("inf")),
+        ("k1", float("nan")), ("k2", float("inf")), ("k1", True), ("window", True),
+    ])
+    def test_non_finite_or_bool_params_rejected(self, field, value):
+        with pytest.raises(ShapeError, match=f"^{field} must be"):
+            SsimParams(**{field: value})
+
 
 class TestLoss:
     def test_identity_zero(self, rng):

@@ -440,6 +440,8 @@ class TestWeightFiles:
         ("non-finite encoder", "encoder0.conv0.kernel at byte .* is not finite"),
         ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
         ("config not canonical", "config at byte 12 is not in canonical form"),
+        ("infinite velocity range", "config at byte 12 is invalid: velocity range must be "
+                                    "two finite numbers"),
         ("records swapped", "record at byte .* is 'encoder1.conv0.kernel', "
                             "expected tensor encoder0.conv0.kernel"),
     ]
@@ -466,6 +468,9 @@ class TestWeightFiles:
             name_len = 0xFFFF
         elif case == "config not canonical":
             cfg = self._config_edit(cfg, n_devices=3.0)
+        elif case == "infinite velocity range":
+            # canonical: json writes the float as Infinity, and reads it back
+            cfg = self._config_edit(cfg, velocity_range=[1500.0, math.inf])
         elif case == "records swapped":
             # two kernels of one shape: every record parses, in the wrong order
             i = [n.decode() for n, _ in records].index("encoder1.conv0.kernel")
@@ -588,6 +593,11 @@ class TestConfigValidation:
     def test_heads_divide_dk(self):
         with pytest.raises(ShapeError):
             ModelConfig(n_heads=3)
+
+    @pytest.mark.parametrize("n_devices", [2.5, True])
+    def test_non_integer_device_count_rejected_typed(self, n_devices):
+        with pytest.raises(ShapeError, match="n_devices must be an integer"):
+            ModelConfig(n_devices=n_devices)
 
     def test_multi_head_runs(self):
         cfg = ModelConfig(

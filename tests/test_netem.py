@@ -10,7 +10,6 @@ from splitfwi.netem import (
     EnergyModel,
     FrameKind,
     NetworkProfile,
-    comm_reduction_report,
     frame_decode,
     frame_encode,
     transmit_group,
@@ -173,28 +172,6 @@ class TestTransmitGroup:
         # device 0 is granted first even though device 1 was ready earlier
         assert ups[0].completion_s == pytest.approx(1.0 + 0.008)
         assert ups[1].completion_s == pytest.approx(1.008 + 0.008)
-
-
-class TestCommReduction:
-    def test_payload_ratio_exact(self):
-        rep = comm_reduction_report(280000, 2048, FOUR_G)
-        assert rep.payload_ratio == 280000 / 2048
-        assert round(rep.payload_ratio, 1) == 136.7
-
-    def test_shared_ratio_example(self):
-        rep = comm_reduction_report(280000, 2048, NO_LOSS_4G, n_devices=5)
-        assert rep.raw_latency_shared_s * 1e3 == pytest.approx(796.7, abs=0.1)
-        assert rep.latent_latency_shared_s * 1e3 == pytest.approx(55.5, abs=0.1)
-        assert rep.shared_latency_ratio == pytest.approx(14.4, abs=0.1)
-
-    def test_equal_payloads_ratio_one(self):
-        rep = comm_reduction_report(4096, 4096, FOUR_G)
-        assert rep.payload_ratio == 1.0
-        assert rep.dedicated_latency_ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_positive_sizes_required(self):
-        with pytest.raises(ConfigError):
-            comm_reduction_report(0, 2048, FOUR_G)
 
 
 class TestProfileValidation:
