@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,14 +22,11 @@ class SsimParams:
     dynamic_range: float = 3000.0
 
     def __post_init__(self):
-        object.__setattr__(self, "window", int_field("window", self.window, ShapeError))
-        if self.window < 1 or self.window % 2 == 0:
+        if int_field("window", self.window, ShapeError) < 1 or self.window % 2 == 0:
             raise ShapeError(f"window must be odd and positive, got {self.window}")
-        for name in ("k1", "k2", "dynamic_range"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0):
-                raise ShapeError(f"{name} must be finite and positive, got {value!r}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.k1, self.k2, self.dynamic_range)):
+            raise ShapeError(f"k1, k2 and dynamic_range must be finite and positive, got "
+                             f"{self.k1}, {self.k2}, {self.dynamic_range}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,7 +37,6 @@ import io
 import itertools
 import json
 import math
-import numbers
 import struct
 import zlib
 from contextlib import contextmanager
@@ -77,18 +76,6 @@ WEIGHTS_MAGIC = b"EPICWGT1"
 # configuration
 
 
-def _int_tuple(name: str, values, size: int | None = None) -> tuple[int, ...]:
-    """values as a non-empty tuple of ints >= 1, of size entries if given;
-    anything else raises ShapeError naming the field."""
-    try:
-        items = tuple(int_field(name, v, ShapeError) for v in values)
-    except TypeError:  # values is not iterable
-        items = ()
-    if not items or min(items) < 1 or size not in (None, len(items)):
-        raise ShapeError(f"{name} must hold {size or 'one or more'} integers >= 1, got {values!r}")
-    return items
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyper-parameters; everything the weights depend on."""
@@ -111,15 +98,13 @@ class ModelConfig:
     velocity_range: tuple[float, float] = (1500.0, 4500.0)
 
     def __post_init__(self):
+        ints = lambda name, values: tuple(int_field(name, v, ShapeError) for v in values)
         for name in ("n_devices", "latent_dim", "d_k", "d_pos", "n_heads"):
             object.__setattr__(self, name, int_field(name, getattr(self, name), ShapeError))
         for name in ("encoder_channels", "decoder_channels", "output_dims"):
-            object.__setattr__(self, name, _int_tuple(name, getattr(self, name)))
-        res = self.decoder_resolutions
-        if not (isinstance(res, (tuple, list)) and res):
-            raise ShapeError(f"decoder_resolutions must be (height, width) pairs, got {res!r}")
+            object.__setattr__(self, name, ints(name, getattr(self, name)))
         object.__setattr__(self, "decoder_resolutions",
-                           tuple(_int_tuple("decoder_resolutions", r, 2) for r in res))
+                           tuple(ints("decoder_resolutions", r) for r in self.decoder_resolutions))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -141,12 +126,9 @@ class ModelConfig:
             raise ShapeError(
                 f"last decoder resolution {res[-1]} must equal output dims {self.output_dims}"
             )
-        vr = self.velocity_range
-        if not (isinstance(vr, (tuple, list)) and len(vr) == 2
-                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        and math.isfinite(v) for v in vr)
-                and vr[0] < vr[1]):
-            raise ShapeError(f"velocity range must be two finite numbers, low < high, got {vr!r}")
+        lo, hi = self.velocity_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ShapeError(f"velocity range must be finite with low < high, got {(lo, hi)}")
 
     @property
     def n_encoder_blocks(self) -> int:

@@ -218,4 +218,3 @@ def _seed_stream(seed) -> list[int]:
     if min(stream, default=0) < 0:
         raise ConfigError(f"seed must be integers >= 0, got {seed!r}")
     return stream
-

@@ -440,8 +440,7 @@ class TestWeightFiles:
         ("non-finite encoder", "encoder0.conv0.kernel at byte .* is not finite"),
         ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
         ("config not canonical", "config at byte 12 is not in canonical form"),
-        ("infinite velocity range", "config at byte 12 is invalid: velocity range must be "
-                                    "two finite numbers"),
+        ("infinite velocity range", "config at byte 12 is invalid: velocity range must be finite"),
         ("records swapped", "record at byte .* is 'encoder1.conv0.kernel', "
                             "expected tensor encoder0.conv0.kernel"),
     ]
