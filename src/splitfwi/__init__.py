@@ -15,7 +15,7 @@ from .errors import (
     WorkerError,
     ZeroEnergyError,
 )
-from .metrics import SsimParams, loss_mae_mse, ssim
+from .metrics import ssim
 from .model import (
     LatentSet,
     LatentVector,

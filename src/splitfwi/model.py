@@ -67,8 +67,6 @@ from .numerics import (
 )
 from .tensorio import Crc32Writer, record_array, tensor_from_bytes, write_tensor
 
-LEAKY_SLOPE = 0.1
-
 WEIGHTS_MAGIC = b"EPICWGT1"
 
 
@@ -391,7 +389,7 @@ def encode(wave_slice, encoder: list[ConvParams], device_id: int = 0, sample_id:
         raise InputValidationError("encoder input contains non-finite values")
     for conv, stride, _ in _encoder_layers(encoder, x.shape[1], x.shape[2]):
         x = conv2d(x, conv.kernel, conv.bias, stride=stride, padding=(1, 1))
-        x = leaky_relu(x, LEAKY_SLOPE)
+        x = leaky_relu(x)
     pooled = global_avg_pool(x).reshape(-1)
     return LatentVector(values=pooled, device_id=device_id, sample_id=sample_id)
 
@@ -538,7 +536,7 @@ def _decoder_trunk(global_latent, weights: ModelWeights, latents: LatentSet | No
     for j, block in enumerate(weights.blocks):
         x = nearest_resize(x, cfg.decoder_resolutions[j + 1])
         x = conv2d(x, block.conv.kernel, block.conv.bias, stride=(1, 1), padding=(1, 1))
-        x = leaky_relu(x, LEAKY_SLOPE)
+        x = leaky_relu(x)
         if latents is not None:
             x = cross_attention(
                 x,

@@ -36,6 +36,8 @@ __all__ = [
     "global_avg_pool",
 ]
 
+LEAKY_SLOPE = 0.1  # the model's one activation slope
+
 
 def as_f32(x) -> np.ndarray:
     """Coerce to a contiguous float32 array."""
@@ -284,12 +286,10 @@ def nearest_resize(grid, target) -> np.ndarray:
     return grid.reshape(c, h * w).take(ry[:, None] * w + rx, axis=1)
 
 
-def leaky_relu(x, slope: float = 0.1) -> np.ndarray:
-    """Elementwise max(x, slope * x) for slope in [0, 1)."""
-    if not 0.0 <= slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in [0, 1), got {slope}")
+def leaky_relu(x) -> np.ndarray:
+    """Elementwise max(x, LEAKY_SLOPE * x)."""
     x = as_f32(x)
-    return np.maximum(x, np.float32(slope) * x)
+    return np.maximum(x, np.float32(LEAKY_SLOPE) * x)
 
 
 def global_avg_pool(x) -> np.ndarray:

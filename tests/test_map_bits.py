@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import splitfwi.model as model_module
 from conftest import make_latents
 from splitfwi.model import (
-    LEAKY_SLOPE,
     LatentSet,
     LatentVector,
     ModelConfig,
@@ -71,7 +70,7 @@ def encode_rows(wave_slice, encoder, device_id):
     for conv in encoder:
         stride_w = 2 if x.shape[2] > 4 else 1
         x = conv2d_rows(x, conv.kernel, conv.bias, stride=(2, stride_w), padding=(1, 1))
-        x = leaky_relu(x, LEAKY_SLOPE)
+        x = leaky_relu(x)
     return LatentVector(values=global_avg_pool(x).reshape(-1), device_id=device_id)
 
 
@@ -84,7 +83,7 @@ def decode_rows(global_latent, latents, weights, attention_out=None):
     for j, block in enumerate(weights.blocks):
         x = nearest_resize(x, cfg.decoder_resolutions[j + 1])
         x = conv2d_rows(x, block.conv.kernel, block.conv.bias, stride=(1, 1), padding=(1, 1))
-        x = leaky_relu(x, LEAKY_SLOPE)
+        x = leaky_relu(x)
         grid = bilinear_resize(weights.position_embeddings, cfg.decoder_resolutions[j + 1])
         x = cross_attention(x, grid, latents, block.attention, cfg.n_heads,
                             attention_out=attention_out)

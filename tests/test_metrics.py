@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitfwi.errors import ShapeError
-from splitfwi.metrics import SsimParams, loss_mae_mse, ssim, ssim_reference
+from splitfwi.metrics import ssim, ssim_reference
 
 
 class TestSsim:
@@ -50,63 +50,27 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((10, 10), np.float32), np.zeros((10, 11), np.float32))
 
-    def test_params_validated(self):
-        with pytest.raises(ShapeError):
-            SsimParams(window=8)
-        with pytest.raises(ShapeError):
-            SsimParams(k1=0.0)
+    def test_window_larger_than_map_rejected(self):
         with pytest.raises(ShapeError):
             ssim(np.zeros((5, 5), np.float32), np.zeros((5, 5), np.float32))  # window 7 > 5
 
-    @pytest.mark.parametrize("field, value, match", [
-        ("dynamic_range", float("nan"), "must be finite"),
-        ("dynamic_range", float("inf"), "must be finite"),
-        ("k1", float("nan"), "must be finite"),
-        ("k2", float("inf"), "must be finite"),
-        ("window", True, "window must be an integer"),
-    ])
-    def test_non_finite_or_bool_params_rejected(self, field, value, match):
-        with pytest.raises(ShapeError, match=match):
-            SsimParams(**{field: value})
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_dynamic_range_rejected(self, value):
+        x = np.zeros((8, 8), np.float32)
+        with pytest.raises(ShapeError, match="must be finite and positive"):
+            ssim_reference(x, dynamic_range=value)
+        with pytest.raises(ShapeError, match="must be finite and positive"):
+            ssim(x, x, dynamic_range=value)
 
 
-class TestLoss:
-    def test_identity_zero(self, rng):
-        x = rng.uniform(1500, 4500, size=(70, 70)).astype(np.float32)
-        assert loss_mae_mse(x, x) == 0.0
-
-    def test_unit_offset_in_normalized_units(self):
-        gt = np.zeros((8, 8), np.float32)
-        pred = np.ones((8, 8), np.float32)
-        assert loss_mae_mse(pred, gt, value_range=(0.0, 1.0)) == pytest.approx(1.0)
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(2)
-        pred = rng.uniform(1500, 4500, size=(12, 12)).astype(np.float32)
-        gt = rng.uniform(1500, 4500, size=(12, 12)).astype(np.float32)
-        span = 3000.0
-        acc_mae = 0.0
-        acc_mse = 0.0
-        for i in range(12):
-            for j in range(12):
-                d = (float(pred[i, j]) - 1500.0) / span - (float(gt[i, j]) - 1500.0) / span
-                acc_mae += abs(d)
-                acc_mse += d * d
-        want = 0.5 * acc_mae / 144 + 0.5 * acc_mse / 144
-        assert loss_mae_mse(pred, gt) == pytest.approx(want, abs=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            loss_mae_mse(np.zeros((4, 4), np.float32), np.zeros((4, 5), np.float32))
-
-
-def ssim_two_maps(a, b, params):
-    """The two-map formula that ssim used before it took references."""
+def ssim_two_maps(a, b, dynamic_range):
+    """The two-map formula that ssim used before it took references, with
+    its 7 × 7 window and constants 0.01 and 0.03."""
     x = np.ascontiguousarray(a, dtype=np.float32).astype(np.float64)
     y = np.ascontiguousarray(b, dtype=np.float32).astype(np.float64)
-    win = params.window
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    win = 7
+    c1 = (0.01 * dynamic_range) ** 2
+    c2 = (0.03 * dynamic_range) ** 2
     wx = np.lib.stride_tricks.sliding_window_view(x, (win, win))
     wy = np.lib.stride_tricks.sliding_window_view(y, (win, win))
     mu_x = wx.mean(axis=(-2, -1))
@@ -124,8 +88,7 @@ def ssim_two_maps(a, b, params):
 @st.composite
 def map_pairs(draw):
     """Two maps of one shape: random, constant or identical."""
-    window = draw(st.sampled_from([1, 3, 7]))
-    h, w = draw(st.integers(window, 40)), draw(st.integers(window, 40))
+    h, w = draw(st.integers(7, 40)), draw(st.integers(7, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def one(kind):
@@ -136,20 +99,20 @@ def map_pairs(draw):
     a = one(draw(st.sampled_from(["random", "constant"])))
     b = a.copy() if draw(st.booleans()) else one(draw(st.sampled_from(["random", "constant"])))
     span = draw(st.sampled_from([1.0, 3000.0]))
-    return a, b, SsimParams(window=window, dynamic_range=span)
+    return a, b, span
 
 
 class TestSsimReference:
     @given(map_pairs())
     @settings(max_examples=200, deadline=None)
     def test_matches_two_map_formula(self, case):
-        a, b, params = case
-        want = ssim_two_maps(a, b, params)
-        assert ssim(a, b, params) == want
-        assert ssim(b, a, params) == want == ssim_two_maps(b, a, params)
-        assert ssim(a, ssim_reference(b, params)) == want
-        assert ssim(b, ssim_reference(a, params)) == want
-        assert ssim(a, ssim_reference(b, params), params) == want
+        a, b, span = case
+        want = ssim_two_maps(a, b, span)
+        assert ssim(a, b, span) == want
+        assert ssim(b, a, span) == want == ssim_two_maps(b, a, span)
+        assert ssim(a, ssim_reference(b, span)) == want
+        assert ssim(b, ssim_reference(a, span)) == want
+        assert ssim(a, ssim_reference(b, span), span) == want
 
     def test_identical_map_scores_one(self, rng):
         x = rng.uniform(1500, 4500, size=(70, 70)).astype(np.float32)
@@ -161,13 +124,11 @@ class TestSsimReference:
         ref = ssim_reference(b, dynamic_range=1.0)
         assert ssim(a, ref) == ssim(a, b, dynamic_range=1.0) == ssim(a, ref, dynamic_range=1.0)
 
-    def test_other_params_rejected(self, rng):
+    def test_other_dynamic_range_rejected(self, rng):
         a = rng.uniform(0, 1, size=(20, 20)).astype(np.float32)
         ref = ssim_reference(a, dynamic_range=1.0)
         with pytest.raises(ShapeError, match="reference"):
             ssim(a, ref, dynamic_range=2.0)
-        with pytest.raises(ShapeError, match="reference"):
-            ssim(a, ref, SsimParams(window=3, dynamic_range=1.0))
 
     def test_shapes_checked(self):
         ref = ssim_reference(np.zeros((10, 10), np.float32))

@@ -144,7 +144,7 @@ class TestEncode:
         for conv in tiny_weights.encoders[1]:
             sw = 2 if h.shape[2] > 4 else 1
             h = conv2d(h, conv.kernel, conv.bias, stride=(2, sw), padding=(1, 1))
-            h = leaky_relu(h, 0.1)
+            h = leaky_relu(h)
         want = global_avg_pool(h).reshape(-1)
         np.testing.assert_array_equal(got.values, want)
 
