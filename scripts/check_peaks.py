@@ -7,7 +7,8 @@ Each stage runs once to warm up, then once under tracemalloc, with BLAS
 at one thread. Its peak is the most bytes that the stage's own Python
 and numpy allocations held at once, its result included; memory that
 was allocated before the stage, such as its inputs, does not count. The
-model stages also list their declared flops, so work and memory move
+model stages and one simulated EPIC sample (every device's encode, then
+fuse and decode) also list their declared flops, so work and memory move
 together in one file.
 
 The check compares every peak with the file's last entry and exits 1,
@@ -72,6 +73,7 @@ def measure(tmp: Path) -> dict[str, dict[str, int]]:
     vm = physics.VelocityModel(np.linspace(1500, 4500, 70, dtype=np.float32)[:, None].repeat(70, 1))
     geom = physics.default_geometry()
     record = physics.WaveformRecord(wave)
+    infra = runtime.InfraConfig(n_devices=N_DEVICES)
     tensor_file, weight_file = tmp / "record.tnsr", tmp / "weights.bin"
     model.save_weights(weights, weight_file)
 
@@ -87,6 +89,10 @@ def measure(tmp: Path) -> dict[str, dict[str, int]]:
         "model.encode": (lambda: model.encode(slice0, weights.encoders[0]),
                          model.encoder_flops(cfg, SHAPE[1], b - a)),
         "model.fuse_decode": (fuse_decode, model.decoder_flops(cfg, N_DEVICES)),
+        "runtime.epic_sample": (
+            lambda: runtime.run_epic([wave], weights, infra),
+            N_DEVICES * model.encoder_flops(cfg, SHAPE[1], b - a)
+            + model.decoder_flops(cfg, N_DEVICES)),
         "physics.simulate": (lambda: physics.simulate(vm, geom), None),
         "tensorio.save_load": (round_trip, None),
         "physics.energy_distribution": (

@@ -68,10 +68,27 @@ from .numerics import (
 from .tensorio import Crc32Writer, record_array, tensor_from_bytes, write_tensor
 
 WEIGHTS_MAGIC = b"EPICWGT1"
+# position-grid channels resized at once: at full size a block of 8 holds
+# 0.14 MB of float64 temporaries, and one channel at a time took about
+# three times as long to resize
+_GRID_CHANNELS = 8
 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+def _entries(name: str, value, count: int, exact: bool = True) -> tuple:
+    """value as a tuple of exactly count entries, or of at least count
+    unless exact; anything else raises ShapeError naming the field."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) < count or (exact and len(entries) > count):
+        want = count if exact else f"{count} or more"
+        raise ShapeError(f"{name} must hold {want} entries, got {value!r}")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -96,13 +113,20 @@ class ModelConfig:
     velocity_range: tuple[float, float] = (1500.0, 4500.0)
 
     def __post_init__(self):
-        ints = lambda name, values: tuple(int_field(name, v, ShapeError) for v in values)
+        def ints(name, values, count, exact=True):
+            return tuple(int_field(name, v, ShapeError) for v in _entries(name, values, count, exact))
+
         for name in ("n_devices", "latent_dim", "d_k", "d_pos", "n_heads"):
             object.__setattr__(self, name, int_field(name, getattr(self, name), ShapeError))
-        for name in ("encoder_channels", "decoder_channels", "output_dims"):
-            object.__setattr__(self, name, ints(name, getattr(self, name)))
-        object.__setattr__(self, "decoder_resolutions",
-                           tuple(ints("decoder_resolutions", r) for r in self.decoder_resolutions))
+        object.__setattr__(self, "encoder_channels",
+                           ints("encoder_channels", self.encoder_channels, 2, exact=False))
+        object.__setattr__(self, "decoder_channels",
+                           ints("decoder_channels", self.decoder_channels, 1, exact=False))
+        object.__setattr__(self, "output_dims", ints("output_dims", self.output_dims, 2))
+        object.__setattr__(self, "decoder_resolutions", tuple(
+            ints("decoder_resolutions", r, 2)
+            for r in _entries("decoder_resolutions", self.decoder_resolutions, 1, exact=False)))
+        object.__setattr__(self, "velocity_range", _entries("velocity_range", self.velocity_range, 2))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -200,10 +224,16 @@ class ModelWeights:
         # Block j's position grid at its resolution, resized once here
         # instead of in every decode. An attribute, not a field: weight
         # files, repr and == ignore it, and dataclasses.replace rebuilds it.
-        self.position_grids = tuple(
-            bilinear_resize(self.position_embeddings, res)
-            for res in self.config.decoder_resolutions[1:]
-        )
+        # The channels are resized _GRID_CHANNELS at a time into the float32
+        # grid, so bilinear_resize's float64 temporaries never span them all.
+        emb = as_f32(self.position_embeddings)
+        grids = []
+        for res in self.config.decoder_resolutions[1:]:
+            grid = np.empty((len(emb), *res), np.float32)
+            for k in range(0, len(emb), _GRID_CHANNELS):
+                grid[k : k + _GRID_CHANNELS] = bilinear_resize(emb[k : k + _GRID_CHANNELS], res)
+            grids.append(grid)
+        self.position_grids = tuple(grids)
 
     def named_tensors(self):
         """Yield (name, array) in the canonical serialization order: the

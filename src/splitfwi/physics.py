@@ -33,6 +33,7 @@ malformed one raises DatasetError naming its JSON pointer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -46,6 +47,7 @@ from .errors import (
     SplitFwiError,
     StabilityError,
     ZeroEnergyError,
+    int_field,
 )
 from .jsondoc import fail, fields, get, load, positive, reading, typed
 from .model import validate_partition
@@ -94,10 +96,14 @@ class AcquisitionGeometry:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_t", int_field("n_t", self.n_t, InputValidationError))
         if self.n_t < 1:
             raise InputValidationError(f"n_t must be >= 1, got {self.n_t}")
-        if self.dt <= 0 or self.f0 <= 0:
-            raise InputValidationError("dt and f0 must be positive")
+        for name, value in (("dt", self.dt), ("f0", self.f0)):
+            if not (math.isfinite(value) and value > 0):
+                raise InputValidationError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.amplitude):
+            raise InputValidationError(f"amplitude must be finite, got {self.amplitude}")
         if len(self.source_cols) < 1 or len(self.receiver_cols) < 1:
             raise InputValidationError("need at least one source and one receiver")
 

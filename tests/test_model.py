@@ -441,6 +441,7 @@ class TestWeightFiles:
         ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
         ("config not canonical", "config at byte 12 is not in canonical form"),
         ("infinite velocity range", "config at byte 12 is invalid: velocity range must be finite"),
+        ("one-entry resolution", "config at byte 12 is invalid: decoder_resolutions must hold 2"),
         ("records swapped", "record at byte .* is 'encoder1.conv0.kernel', "
                             "expected tensor encoder0.conv0.kernel"),
     ]
@@ -470,6 +471,9 @@ class TestWeightFiles:
         elif case == "infinite velocity range":
             # canonical: json writes the float as Infinity, and reads it back
             cfg = self._config_edit(cfg, velocity_range=[1500.0, math.inf])
+        elif case == "one-entry resolution":
+            res = json.loads(cfg)["decoder_resolutions"]
+            cfg = self._config_edit(cfg, decoder_resolutions=[res[0][:1]] + res[1:])
         elif case == "records swapped":
             # two kernels of one shape: every record parses, in the wrong order
             i = [n.decode() for n, _ in records].index("encoder1.conv0.kernel")
@@ -579,6 +583,18 @@ class TestWeightFiles:
         # the loaded tensors are views of the file's bytes, not copies
         assert traced_peak(lambda: load_weights(path)) <= path.stat().st_size + (1 << 20)
 
+    def test_position_grids_built_without_whole_grid_temporaries(self):
+        # the default 64 position channels, resized to 9, 18, 35 and 70 pixels
+        weights = init_weights(ModelConfig(n_devices=1), 1)
+        emb = weights.position_embeddings
+        for grid, res in zip(weights.position_grids, weights.config.decoder_resolutions[1:]):
+            assert grid.dtype == np.float32 and grid.flags.c_contiguous
+            assert grid.tobytes() == bilinear_resize(emb, res).tobytes()
+        # rebuilding holds the grids and one channel block's temporaries,
+        # not float64 copies of all 64 channels (about 6 MB)
+        kept = sum(grid.nbytes for grid in weights.position_grids)
+        assert traced_peak(lambda: dataclasses.replace(weights)) <= kept + (1 << 18)
+
 
 class TestConfigValidation:
     def test_resolutions_must_increase(self):
@@ -597,6 +613,21 @@ class TestConfigValidation:
     def test_non_integer_device_count_rejected_typed(self, n_devices):
         with pytest.raises(ShapeError, match="n_devices must be an integer"):
             ModelConfig(n_devices=n_devices)
+
+    @pytest.mark.parametrize("field, value", [
+        ("encoder_channels", ()),
+        ("encoder_channels", (512,)),
+        ("decoder_channels", 5),
+        ("decoder_resolutions", ((5,), (9, 9), (18, 18), (35, 35), (70, 70))),
+        ("decoder_resolutions", 5),
+        ("decoder_resolutions", ()),
+        ("output_dims", (70,)),
+        ("velocity_range", (1500.0, 3000.0, 4500.0)),
+        ("velocity_range", 4500.0),
+    ])
+    def test_badly_shaped_tuple_rejected_typed(self, field, value):
+        with pytest.raises(ShapeError, match=f"{field} must hold"):
+            ModelConfig(**{field: value})
 
     def test_multi_head_runs(self):
         cfg = ModelConfig(

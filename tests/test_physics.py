@@ -61,6 +61,23 @@ def test_cfl_violation_names_admissible_dt():
         simulate(vm, bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_t", True), ("n_t", 2.5), ("n_t", "10"), ("n_t", 0),
+    ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0),
+    ("f0", float("inf")), ("f0", float("nan")), ("f0", -15.0),
+    ("amplitude", float("inf")), ("amplitude", float("nan")),
+])
+def test_invalid_geometry_field_rejected_typed(field, value):
+    good = dict(source_cols=(10,), receiver_cols=(0,), n_t=10, dt=1e-3, f0=15.0, amplitude=1.0)
+    with pytest.raises(InputValidationError, match=field):
+        AcquisitionGeometry(**dict(good, **{field: value}))
+
+
+def test_geometry_stores_n_t_as_int():
+    geom = AcquisitionGeometry(source_cols=(10,), receiver_cols=(0,), n_t=np.int64(10), dt=1e-3)
+    assert type(geom.n_t) is int
+
+
 def test_zero_amplitude_source_gives_zero_record():
     geom = AcquisitionGeometry(
         source_cols=(10, 30), receiver_cols=tuple(range(70)),
