@@ -224,8 +224,8 @@ class ModelWeights:
         # Block j's position grid at its resolution, resized once here
         # instead of in every decode. An attribute, not a field: weight
         # files, repr and == ignore it, and dataclasses.replace rebuilds it.
-        # The channels are resized _GRID_CHANNELS at a time into the float32
-        # grid, so bilinear_resize's float64 temporaries never span them all.
+        # Resizing _GRID_CHANNELS channels at a time into the float32 grid
+        # keeps bilinear_resize's float64 temporaries off the whole grid.
         emb = as_f32(self.position_embeddings)
         grids = []
         for res in self.config.decoder_resolutions[1:]:
