@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the two checks of a
-config dataclass's numeric fields."""
+"""Exception types shared across the package, and the two readers of a
+numeric field: every config and input number is typed by one of them."""
 
+import math
 import numbers
 import operator
 
@@ -68,9 +69,22 @@ def int_field(name: str, value, error: type[SplitFwiError] = ConfigError) -> int
     raise error(f"{name} must be an integer, got {value!r}")
 
 
-def real_field(name: str, value):
-    """value, unless it is not a real number: a bool or a str raises
-    ConfigError naming the field."""
+def real_field(name: str, value, error: type[SplitFwiError] = ConfigError, *,
+               above: float | None = None, at_least: float | None = None) -> float:
+    """value as a float; a bool, a str, a NaN or an inf raises error naming
+    the field, as does a value not above `above` or below `at_least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past float's range
+        value = math.inf if value > 0 else -math.inf
+    if above is not None:
+        ok, rule = value > above, f" and > {above:g}"
+    elif at_least is not None:
+        ok, rule = value >= at_least, f" and >= {at_least:g}"
+    else:
+        ok, rule = True, ""
+    if not (ok and math.isfinite(value)):
+        raise error(f"{name} must be finite{rule}, got {value}")
     return value

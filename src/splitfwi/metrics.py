@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, real_field
 from .numerics import as_f32
 
 # SSIM's uniform window and its usual stabilizing constants
@@ -50,10 +49,8 @@ def ssim_reference(b, dynamic_range: float | None = None) -> SsimReference:
     dynamic_range is the span of the compared values, 3000 (the velocity
     span in m/s) unless given.
     """
-    if dynamic_range is None:
-        dynamic_range = 3000.0
-    if not (math.isfinite(dynamic_range) and dynamic_range > 0):
-        raise ShapeError(f"dynamic_range must be finite and positive, got {dynamic_range}")
+    dynamic_range = real_field("dynamic_range", 3000.0 if dynamic_range is None else dynamic_range,
+                               ShapeError, above=0)
     y = as_f32(b).astype(np.float64)
     if y.ndim != 2:
         raise ShapeError(f"ssim expects 2-D maps, got {y.shape}")

@@ -54,6 +54,7 @@ from .errors import (
     ShapeError,
     SplitFwiError,
     int_field,
+    real_field,
 )
 from .numerics import (
     as_f32,
@@ -126,7 +127,9 @@ class ModelConfig:
         object.__setattr__(self, "decoder_resolutions", tuple(
             ints("decoder_resolutions", r, 2)
             for r in _entries("decoder_resolutions", self.decoder_resolutions, 1, exact=False)))
-        object.__setattr__(self, "velocity_range", _entries("velocity_range", self.velocity_range, 2))
+        object.__setattr__(self, "velocity_range", tuple(
+            real_field("velocity range", v, ShapeError)
+            for v in _entries("velocity_range", self.velocity_range, 2)))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -149,8 +152,8 @@ class ModelConfig:
                 f"last decoder resolution {res[-1]} must equal output dims {self.output_dims}"
             )
         lo, hi = self.velocity_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ShapeError(f"velocity range must be finite with low < high, got {(lo, hi)}")
+        if not lo < hi:
+            raise ShapeError(f"velocity range must have low < high, got {(lo, hi)}")
 
     @property
     def n_encoder_blocks(self) -> int:
@@ -162,22 +165,6 @@ class ModelConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        raw = json.loads(text)
-        return cls(
-            n_devices=int(raw["n_devices"]),
-            latent_dim=int(raw["latent_dim"]),
-            d_k=int(raw["d_k"]),
-            d_pos=int(raw["d_pos"]),
-            n_heads=int(raw["n_heads"]),
-            encoder_channels=tuple(int(c) for c in raw["encoder_channels"]),
-            decoder_channels=tuple(int(c) for c in raw["decoder_channels"]),
-            decoder_resolutions=tuple(tuple(int(v) for v in r) for r in raw["decoder_resolutions"]),
-            output_dims=tuple(int(v) for v in raw["output_dims"]),
-            velocity_range=tuple(float(v) for v in raw["velocity_range"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +324,8 @@ class LatentVector:
             raise ShapeError(f"latent values must be 1-D, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise InputValidationError("latent values must be finite")
+        for name in ("device_id", "sample_id"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name), ShapeError))
         if self.device_id < 0:
             raise ShapeError(f"device_id must be non-negative, got {self.device_id}")
 
@@ -743,7 +732,11 @@ def weights_from_bytes(buf: bytes) -> ModelWeights:
     if pos + cfg_len > len(body):
         raise CorruptFileError("weight file truncated inside config")
     with _parsing("config", pos):
-        config = ModelConfig.from_json(buf[pos : pos + cfg_len].decode("utf-8"))
+        raw = json.loads(buf[pos : pos + cfg_len].decode("utf-8"))
+        missing = [f.name for f in fields(ModelConfig) if f.name not in raw]
+        if missing:
+            raise ShapeError(f"missing keys {missing}")
+        config = ModelConfig(**raw)
     if config.to_json().encode("utf-8") != buf[pos : pos + cfg_len]:
         raise CorruptFileError(f"weight file config at byte {pos} is not in canonical form")
     pos += cfg_len

@@ -19,7 +19,6 @@ them in parallel.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -99,13 +98,10 @@ class NetworkProfile:
     mtu_bytes: int = 1500
 
     def __post_init__(self):
-        for name in ("bandwidth_bps", "base_latency_s", "loss_rate"):
-            real_field(name, getattr(self, name))
+        real_field("bandwidth_bps", self.bandwidth_bps, above=0)
+        real_field("base_latency_s", self.base_latency_s, at_least=0)
+        real_field("loss_rate", self.loss_rate)
         object.__setattr__(self, "mtu_bytes", int_field("mtu_bytes", self.mtu_bytes))
-        if not (math.isfinite(self.bandwidth_bps) and self.bandwidth_bps > 0):
-            raise ConfigError(f"bandwidth_bps must be finite and > 0, got {self.bandwidth_bps}")
-        if not (math.isfinite(self.base_latency_s) and self.base_latency_s >= 0):
-            raise ConfigError(f"base_latency_s must be finite and >= 0, got {self.base_latency_s}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.medium not in ("dedicated", "shared"):
@@ -135,9 +131,7 @@ class EnergyModel:
 
     def __post_init__(self):
         for name in ("tx_power_w", "per_byte_j"):
-            value = real_field(name, getattr(self, name))
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+            real_field(name, getattr(self, name), at_least=0)
 
 
 def _airtime_and_retries(size_bytes: int, profile: NetworkProfile, mode: str, seed):

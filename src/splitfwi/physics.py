@@ -33,7 +33,6 @@ malformed one raises DatasetError naming its JSON pointer.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -48,6 +47,7 @@ from .errors import (
     StabilityError,
     ZeroEnergyError,
     int_field,
+    real_field,
 )
 from .jsondoc import fail, fields, get, load, positive, reading, typed
 from .model import validate_partition
@@ -78,8 +78,7 @@ class VelocityModel:
         object.__setattr__(self, "grid", as_f32(self.grid))
         if self.grid.ndim != 2:
             raise ShapeError(f"velocity grid must be 2-D, got {self.grid.shape}")
-        if self.dx <= 0:
-            raise InputValidationError(f"dx must be positive, got {self.dx}")
+        real_field("dx", self.dx, InputValidationError, above=0)
         if not np.isfinite(self.grid).all() or (self.grid <= 0).any():
             raise InputValidationError("velocity grid must be finite and positive")
 
@@ -99,11 +98,12 @@ class AcquisitionGeometry:
         object.__setattr__(self, "n_t", int_field("n_t", self.n_t, InputValidationError))
         if self.n_t < 1:
             raise InputValidationError(f"n_t must be >= 1, got {self.n_t}")
-        for name, value in (("dt", self.dt), ("f0", self.f0)):
-            if not (math.isfinite(value) and value > 0):
-                raise InputValidationError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.amplitude):
-            raise InputValidationError(f"amplitude must be finite, got {self.amplitude}")
+        for name in ("source_cols", "receiver_cols"):
+            object.__setattr__(self, name, tuple(
+                int_field(f"{name} entry", c, InputValidationError) for c in getattr(self, name)))
+        for name in ("dt", "f0"):
+            real_field(name, getattr(self, name), InputValidationError, above=0)
+        real_field("amplitude", self.amplitude, InputValidationError)
         if len(self.source_cols) < 1 or len(self.receiver_cols) < 1:
             raise InputValidationError("need at least one source and one receiver")
 
@@ -137,8 +137,8 @@ def default_geometry(n_receivers: int = 70, n_t: int = 1000, dx: float = 10.0) -
     """
     cols = np.round(np.linspace(0, n_receivers - 1, DEFAULT_SOURCES)).astype(int)
     return AcquisitionGeometry(
-        source_cols=tuple(int(c) for c in cols),
-        receiver_cols=tuple(range(n_receivers)),
+        source_cols=cols,
+        receiver_cols=range(n_receivers),
         n_t=n_t,
         dt=DEFAULT_DT_FACTOR * dx / VELOCITY_RANGE[1],
         f0=DEFAULT_F0,

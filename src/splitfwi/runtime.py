@@ -61,7 +61,6 @@ central step, late-frame counting and the report rows are the same code.
 
 from __future__ import annotations
 
-import math
 import operator
 import statistics
 import threading
@@ -115,9 +114,7 @@ class ComputeModel:
 
     def __post_init__(self):
         for name in ("edge_flops_per_s", "central_flops_per_s"):
-            rate = real_field(name, getattr(self, name))
-            if not (math.isfinite(rate) and rate > 0):
-                raise ConfigError(f"{name} must be finite and > 0, got {rate}")
+            real_field(name, getattr(self, name), above=0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +152,7 @@ class InfraConfig:
     def __post_init__(self):
         for name in ("n_devices", "seed", "socket_port"):
             object.__setattr__(self, name, int_field(name, getattr(self, name)))
-        if not (math.isfinite(real_field("deadline_s", self.deadline_s)) and self.deadline_s > 0):
-            raise ConfigError(f"deadline must be finite and > 0, got {self.deadline_s}")
+        real_field("deadline_s", self.deadline_s, above=0)
         if self.transport not in ("simulated", "socket"):
             raise ConfigError(f"transport must be 'simulated' or 'socket', got {self.transport!r}")
         if self.netem_mode not in ("expected", "stochastic"):
@@ -706,17 +702,14 @@ def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, sa
     if outside:
         raise ConfigError(f"drop device ids {outside} outside [0, {n})")
     try:
-        # real_field rejects "0.25" and True, which float() would read as seconds
-        delays = {operator.index(d): float(real_field("delay", v))
-                  for d, v in dict(extra_delay_s or {}).items()}
-    except (ConfigError, TypeError, ValueError) as exc:
+        delays = {operator.index(d): v for d, v in dict(extra_delay_s or {}).items()}
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"extra_delay_s must map device ids to seconds, "
                           f"got {extra_delay_s!r}") from exc
     for d, v in delays.items():
         if not 0 <= d < n:
             raise ConfigError(f"extra delay for device {d} outside [0, {n})")
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ConfigError(f"extra delay of device {d} must be finite and >= 0, got {v}")
+        delays[d] = real_field(f"extra delay of device {d}", v, at_least=0)
     if ground_truth is not None and len(ground_truth) != n_samples:
         raise ConfigError(f"{len(ground_truth)} ground truth maps for {n_samples} samples")
     for idx, sample in enumerate(samples):
@@ -810,11 +803,8 @@ def run_many(samples, runs, ground_truth=None) -> list[RunReport]:
 
 def random_drop_sets(seed: int, n_devices: int, k: int, n_samples: int) -> list[frozenset[int]]:
     """k seeded-random offline devices per sample, from the stream
-    [seed, 7001, k, sample_id]; k must be an int, Python's or numpy's."""
-    try:
-        k = operator.index(k)
-    except TypeError as exc:
-        raise ConfigError(f"drop count must be an integer, got {k!r}") from exc
+    [seed, 7001, k, sample_id]; seed and k must be ints, Python's or numpy's."""
+    seed, k = int_field("drop seed", seed), int_field("drop count", k)
     if seed < 0:
         raise ConfigError(f"drop seed must be >= 0, got {seed}")
     if not 0 <= k <= n_devices:

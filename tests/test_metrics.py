@@ -57,10 +57,17 @@ class TestSsim:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_dynamic_range_rejected(self, value):
         x = np.zeros((8, 8), np.float32)
-        with pytest.raises(ShapeError, match="must be finite and positive"):
+        with pytest.raises(ShapeError, match="must be finite and > 0"):
             ssim_reference(x, dynamic_range=value)
-        with pytest.raises(ShapeError, match="must be finite and positive"):
+        with pytest.raises(ShapeError, match="must be finite and > 0"):
             ssim(x, x, dynamic_range=value)
+
+    @pytest.mark.parametrize("value", ["3", True, [3.0]])
+    def test_mistyped_dynamic_range_rejected(self, value):
+        # a str or a list leaked a bare TypeError, and True was read as 1
+        x = np.zeros((8, 8), np.float32)
+        with pytest.raises(ShapeError, match="dynamic_range must be a real number"):
+            ssim_reference(x, dynamic_range=value)
 
 
 def ssim_two_maps(a, b, dynamic_range):

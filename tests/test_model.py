@@ -440,6 +440,7 @@ class TestWeightFiles:
         ("non-finite encoder", "encoder0.conv0.kernel at byte .* is not finite"),
         ("non-finite head", "decoder.head.kernel at byte .* is not finite"),
         ("config not canonical", "config at byte 12 is not in canonical form"),
+        ("float device count", "config at byte 12 is invalid: n_devices must be an integer, got 3.0"),
         ("infinite velocity range", "config at byte 12 is invalid: velocity range must be finite"),
         ("one-entry resolution", "config at byte 12 is invalid: decoder_resolutions must hold 2"),
         ("records swapped", "record at byte .* is 'encoder1.conv0.kernel', "
@@ -467,6 +468,10 @@ class TestWeightFiles:
         elif case == "name past the body":
             name_len = 0xFFFF
         elif case == "config not canonical":
+            # a valid config that reads back equal, but writes 1500.0 where this has 1500
+            lo, hi = json.loads(cfg)["velocity_range"]
+            cfg = self._config_edit(cfg, velocity_range=[int(lo), int(hi)])
+        elif case == "float device count":
             cfg = self._config_edit(cfg, n_devices=3.0)
         elif case == "infinite velocity range":
             # canonical: json writes the float as Infinity, and reads it back
@@ -629,6 +634,19 @@ class TestConfigValidation:
         with pytest.raises(ShapeError, match=f"{field} must hold"):
             ModelConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [("1500", "4500"), (True, 4500.0), (math.nan, 4500.0),
+                                       (1500.0, 10**400)])
+    def test_mistyped_or_non_finite_velocity_range_rejected_typed(self, value):
+        # strings leaked a bare TypeError, and True was stored and written as `true`
+        with pytest.raises(ShapeError, match="velocity range must be"):
+            ModelConfig(velocity_range=value)
+
+    def test_velocity_range_stored_as_floats(self):
+        # equal configs must write equal weight-file bytes
+        cfg = ModelConfig(velocity_range=(1500, np.float32(4500)))
+        assert all(type(v) is float for v in cfg.velocity_range)
+        assert cfg.to_json() == ModelConfig().to_json()
+
     def test_multi_head_runs(self):
         cfg = ModelConfig(
             n_devices=2, latent_dim=16, d_k=8, d_pos=6, n_heads=2,
@@ -639,6 +657,23 @@ class TestConfigValidation:
         gl = fuse(lset, w.fusion, cfg.n_heads)
         vmap = decode(gl, lset, w)
         assert vmap.values.shape == (70, 70)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("device_id", 1.5), ("device_id", "1"), ("device_id", True),
+    ("sample_id", 2.5), ("sample_id", "0"),
+])
+def test_mistyped_latent_id_rejected_typed(field, value):
+    # 1.5 was accepted as a device id, and "1" leaked a bare TypeError
+    ids = dict({"device_id": 0, "sample_id": 0}, **{field: value})
+    with pytest.raises(ShapeError, match=f"{field} must be an integer"):
+        LatentVector(values=np.zeros(4, np.float32), **ids)
+
+
+def test_latent_ids_stored_as_ints():
+    latent = LatentVector(values=np.zeros(4, np.float32), device_id=np.int64(2),
+                          sample_id=np.uint8(3))
+    assert (type(latent.device_id), type(latent.sample_id)) == (int, int)
 
 
 class TestDeclaredCosts:

@@ -66,6 +66,8 @@ def test_cfl_violation_names_admissible_dt():
     ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0),
     ("f0", float("inf")), ("f0", float("nan")), ("f0", -15.0),
     ("amplitude", float("inf")), ("amplitude", float("nan")),
+    ("dt", "0.001"), ("f0", "15"), ("amplitude", None), ("dt", True),
+    ("source_cols", (10.7,)), ("receiver_cols", (3.2, 5)), ("source_cols", ("10",)),
 ])
 def test_invalid_geometry_field_rejected_typed(field, value):
     good = dict(source_cols=(10,), receiver_cols=(0,), n_t=10, dt=1e-3, f0=15.0, amplitude=1.0)
@@ -76,6 +78,21 @@ def test_invalid_geometry_field_rejected_typed(field, value):
 def test_geometry_stores_n_t_as_int():
     geom = AcquisitionGeometry(source_cols=(10,), receiver_cols=(0,), n_t=np.int64(10), dt=1e-3)
     assert type(geom.n_t) is int
+
+
+def test_geometry_stores_columns_as_int_tuples():
+    geom = AcquisitionGeometry(source_cols=np.array([3, 10]), receiver_cols=range(4), n_t=10,
+                               dt=1e-3)
+    assert geom.source_cols == (3, 10) and geom.receiver_cols == (0, 1, 2, 3)
+    assert all(type(c) is int for c in geom.source_cols + geom.receiver_cols)
+
+
+@pytest.mark.parametrize("dx", ["10", True, float("inf"), float("nan"), 0.0, -10.0])
+def test_invalid_cell_size_rejected_typed(dx):
+    # "10" leaked a bare TypeError, True was read as 1 m, inf gave an
+    # all-zero record and nan failed only after every time step
+    with pytest.raises(InputValidationError, match="dx must be"):
+        VelocityModel(grid=np.full((20, 20), 2000.0, np.float32), dx=dx)
 
 
 def test_zero_amplitude_source_gives_zero_record():

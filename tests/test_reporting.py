@@ -192,7 +192,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("change, match", [
         ({"device_counts": (2, 71)}, r"n_devices must be in \[1, 70\], got 71"),
-        ({"deadline_s": -1.0}, "deadline must be finite and > 0, got -1.0"),
+        ({"deadline_s": -1.0}, "deadline_s must be finite and > 0, got -1.0"),
     ], ids=["device-count-71", "negative-deadline"])
     def test_invalid_run_rejected_before_any_work(self, monkeypatch, change, match):
         # every run is built before the weights and the dataset, so no run

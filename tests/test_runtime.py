@@ -386,9 +386,9 @@ class TestRunEpic:
         ({"extra_delay_s": {0: -5.0}}, "must be finite and >= 0, got -5.0"),
         ({"extra_delay_s": {0: float("nan")}}, "must be finite and >= 0, got nan"),
         ({"extra_delay_s": {2: float("inf")}}, "must be finite and >= 0, got inf"),
-        ({"extra_delay_s": {0: "x"}}, "extra_delay_s must map device ids to seconds"),
-        ({"extra_delay_s": {0: "0.25"}}, "extra_delay_s must map device ids to seconds"),
-        ({"extra_delay_s": {0: True}}, "extra_delay_s must map device ids to seconds"),
+        ({"extra_delay_s": {0: "x"}}, "extra delay of device 0 must be a real number"),
+        ({"extra_delay_s": {0: "0.25"}}, "extra delay of device 0 must be a real number"),
+        ({"extra_delay_s": {0: True}}, "extra delay of device 0 must be a real number"),
         ({"drop_devices": ["a"]}, "drop_devices must be device ids or one set of them"),
         ({"drop_devices": 5}, "drop_devices must be device ids or one set of them"),
         ({"drop_devices": [{0}, 1]}, "drop_devices must be device ids or one set of them"),
@@ -447,6 +447,25 @@ def test_mistyped_config_number_rejected(config, field, value):
     # each was accepted, run with a bool as 1, or leaked a bare TypeError
     with pytest.raises(ConfigError, match=f"{field} must be a"):
         config(**{field: value})
+
+
+def test_config_number_past_float_range_rejected():
+    # math.isfinite(10**400) leaked a bare OverflowError
+    with pytest.raises(ConfigError, match="deadline_s must be finite and > 0, got inf"):
+        InfraConfig(deadline_s=10**400)
+    with pytest.raises(ConfigError, match="base_latency_s must be finite and >= 0, got -inf"):
+        NetworkProfile(base_latency_s=-(10**400))
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1.5, 5, 1, 2), "drop seed must be an integer, got 1.5"),
+    (("3", 5, 1, 2), "drop seed must be an integer, got '3'"),
+    ((3, 5, True, 2), "drop count must be an integer, got True"),
+])
+def test_mistyped_drop_seed_or_count_rejected(args, match):
+    # a float or a str seed leaked a bare TypeError, and True was read as 1
+    with pytest.raises(ConfigError, match=match):
+        random_drop_sets(*args)
 
 
 def test_fractional_partition_bound_rejected():
