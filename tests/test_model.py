@@ -643,7 +643,7 @@ class TestConfigValidation:
 
     def test_velocity_range_stored_as_floats(self):
         # equal configs must write equal weight-file bytes
-        cfg = ModelConfig(velocity_range=(1500, np.float32(4500)))
+        cfg = ModelConfig(velocity_range=(1500, 4500))
         assert all(type(v) is float for v in cfg.velocity_range)
         assert cfg.to_json() == ModelConfig().to_json()
 
