@@ -9,7 +9,10 @@ and numpy allocations held at once, its result included; memory that
 was allocated before the stage, such as its inputs, does not count. The
 model stages and one simulated EPIC sample (every device's encode, then
 fuse and decode) also list their declared flops, so work and memory move
-together in one file.
+together in one file. One sweep-sim batch, a robustness sweep of the
+same sample over every mode and k in {0, 1, 2}, pins what the sweep's
+shared results (latents, map spans, central maps and the SSIM reference)
+hold at once.
 
 The check compares every peak with the file's last entry and exits 1,
 naming each stage, if one rose by more than SLACK_BYTES, or if a stage or
@@ -30,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -41,7 +45,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splitfwi import model, physics, runtime, tensorio  # noqa: E402
+from splitfwi import model, netem, physics, runtime, tensorio  # noqa: E402
 
 PEAKS = Path(__file__).resolve().parent / "traced_peaks.json"
 SLACK_BYTES = 4096  # a peak may rise this much above its entry
@@ -74,6 +78,11 @@ def measure(tmp: Path) -> dict[str, dict[str, int]]:
     geom = physics.default_geometry()
     record = physics.WaveformRecord(wave)
     infra = runtime.InfraConfig(n_devices=N_DEVICES)
+    # perfbench's sweep-sim batch: stochastic 4G on a shared medium
+    fla_weights = model.init_weights(dataclasses.replace(cfg, n_devices=1), 1)
+    sweep_infra = runtime.InfraConfig(
+        n_devices=N_DEVICES, network=dataclasses.replace(netem.FOUR_G, medium="shared"),
+        netem_mode="stochastic")
     tensor_file, weight_file = tmp / "record.tnsr", tmp / "weights.bin"
     model.save_weights(weights, weight_file)
 
@@ -93,6 +102,10 @@ def measure(tmp: Path) -> dict[str, dict[str, int]]:
             lambda: runtime.run_epic([wave], weights, infra),
             N_DEVICES * model.encoder_flops(cfg, SHAPE[1], b - a)
             + model.decoder_flops(cfg, N_DEVICES)),
+        "runtime.sweep_batch": (
+            lambda: runtime.run_robustness_sweep(
+                [wave], weights, sweep_infra, (0, 1, 2), modes=tuple(runtime.PipelineMode),
+                ground_truth=[vm.grid], fla_weights=fla_weights), None),
         "physics.simulate": (lambda: physics.simulate(vm, geom), None),
         "tensorio.save_load": (round_trip, None),
         "physics.energy_distribution": (
