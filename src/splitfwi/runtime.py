@@ -37,14 +37,14 @@ map span serves every drop set. A zero slice's latent is the same for
 every sample and call, so it is encoded once per (device, slice shape)
 and kept on the weights object, like the socket twin's T_d.
 `run_many`, which runs every sweep and bench, checks all their runs
-before the first, then hands every run the same `_Shared` sample list;
-it is the only maker of one. Its `done` dict keeps what those runs
+before the first, then sets a context variable to a `done` dict that it
+owns until it returns or raises. The dict keeps what those runs
 share, each computed once: latents, FLA map spans, central results keyed
 by (kind, weights, sample, present latents), and each ground truth's
 SSIM reference. A full-mask EPIC sample and its CENTRALIZED k = 0 twin
 fuse the same latents, so they decode once, as do the rows of every
-profile in a bench; each row gets its own copy of the map. The dict dies
-with the call. A single run repeats no work, so it keeps none of it.
+profile in a bench; each row gets its own copy of the map. A run outside
+`run_many` repeats no work, so it keeps none of it.
 
 The loop runs on either of two clocks, through a link that brings the
 edge outputs to the central step. The virtual link derives every
@@ -61,6 +61,7 @@ central step, late-frame counting and the report rows are the same code.
 
 from __future__ import annotations
 
+import contextvars
 import operator
 import statistics
 import threading
@@ -317,10 +318,6 @@ class RunReport:
 # helpers
 
 
-def _as_wave(sample) -> np.ndarray:
-    return as_f32(getattr(sample, "data", sample))
-
-
 # profile_decoder's trials and the seed of its dummy latents
 _PROFILE_TRIALS = 3
 _PROFILE_SEED = 1234
@@ -387,44 +384,37 @@ def _sample_row(report: RunReport, sample_id: int, result, got: _Collected, late
 # results shared by the runs of one sweep or bench
 
 
-class _Shared(list):
-    """The samples of one sweep or bench, and in `done` the results its
-    runs share, each computed once.
-
-    A key holds the id() only of an object that the sweep keeps alive
-    (its weights and ground truth) or that an entry of `done` holds (the
-    latents of a central result), so that no id can be reused while
-    `done` lives; never the id() of an input array, which as_f32 may just
-    have allocated.
-    """
-
-    def __init__(self, samples):
-        super().__init__(samples)
-        self.done: dict[tuple, object] = {}
+# The `done` dict of the run_many call under way, None outside one. A key
+# holds the id() only of an object that the call keeps alive (its weights
+# and ground truth) or that an entry of `done` holds (the latents of a
+# central result), so that no id can be reused while `done` lives; never
+# the id() of an input array, which as_f32 may just have allocated.
+_DONE: contextvars.ContextVar[dict | None] = contextvars.ContextVar("splitfwi_done", default=None)
 
 
-def _once(samples, key, compute):
-    """compute(), once per key over a sweep's or bench's samples; runs
-    over any other samples repeat nothing, so they keep nothing."""
-    if not isinstance(samples, _Shared):
+def _once(key, compute):
+    """compute(), once per key within a run_many call; a run outside one
+    repeats nothing, so it keeps nothing."""
+    done = _DONE.get()
+    if done is None:
         return compute()
-    if key not in samples.done:
-        samples.done[key] = compute()
-    return samples.done[key]
+    if key not in done:
+        done[key] = compute()
+    return done[key]
 
 
-def _latent(samples, weights: ModelWeights, d: int, idx: int, span, wave_slice) -> LatentVector:
+def _latent(weights: ModelWeights, d: int, idx: int, span, wave_slice) -> LatentVector:
     """Device d's latent of sample idx's slice span."""
-    return _once(samples, ("latent", id(weights), d, idx, span), lambda: encode(
+    return _once(("latent", id(weights), d, idx, span), lambda: encode(
         wave_slice, weights.encoders[d], device_id=d, sample_id=idx))
 
 
-def _central(samples, kind: str, weights: ModelWeights, idx: int, latents: dict,
+def _central(kind: str, weights: ModelWeights, idx: int, latents: dict,
              compute: Callable[[], VelocityMap]) -> VelocityMap:
     """compute(), the `kind` of central work on sample idx's latents by
     device; each call gets its own copy of the map."""
     key = (kind, id(weights), idx, tuple((d, id(latents[d])) for d in sorted(latents)))
-    _, values = _once(samples, key, lambda: (tuple(latents.values()), compute().values))
+    _, values = _once(key, lambda: (tuple(latents.values()), compute().values))
     return VelocityMap(values=values.copy())
 
 
@@ -534,7 +524,7 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
                        deadline_s=infra.deadline_s, decode_budget_s=plan.t_d)
 
     for idx, sample in enumerate(samples):
-        wave = _as_wave(sample)
+        wave = as_f32(getattr(sample, "data", sample))
         online = [d for d in range(n) if d not in drops[idx]]
         got = link.collect(idx, wave, online)
         result = plan.central(got.outputs, wave, idx)
@@ -542,19 +532,19 @@ def _run_plan(mode: PipelineMode, plan: _Plan, samples, weights: ModelWeights,
         score = None
         if result is not None and ground_truth is not None:
             score = ssim(result[0].values, _once(
-                samples, ("truth", id(ground_truth), idx, v_max - v_min),
+                ("truth", id(ground_truth), idx, v_max - v_min),
                 lambda: _reference(ground_truth[idx], v_max - v_min)))
         maps.append(None if result is None else result[0])
         report.rows.append(_sample_row(report, idx, result, got, late, score))
     return maps, report
 
 
-def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float], samples):
+def _encode_step(weights: ModelWeights, infra: InfraConfig, delays: dict[int, float]):
     cfg = weights.config
 
     def edge(wave, idx, d, span):
         a, b = span
-        latent = _latent(samples, weights, d, idx, span, wave[:, :, a:b])
+        latent = _latent(weights, d, idx, span, wave[:, :, a:b])
         seconds = encoder_flops(cfg, wave.shape[1], b - a) / infra.compute.edge_flops_per_s
         return latent, cfg.latent_dim * 4, seconds + delays.get(d, 0.0)
 
@@ -568,18 +558,17 @@ def _fuse_decode(weights: ModelWeights, latents: dict) -> VelocityMap:
     return decode(fuse(lset, weights.fusion, cfg.n_heads), lset, weights)
 
 
-def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, samples) -> _Plan:
+def _epic_plan(weights: ModelWeights, infra: InfraConfig, delays, n_t) -> _Plan:
     cfg = weights.config
 
     def central(latents, wave, idx):
         if not latents:
             return None
-        vmap = _central(samples, "fuse+decode", weights, idx, latents,
-                        lambda: _fuse_decode(weights, latents))
+        vmap = _central("fuse+decode", weights, idx, latents, lambda: _fuse_decode(weights, latents))
         return vmap, decoder_flops(cfg, len(latents)) / infra.compute.central_flops_per_s
 
-    return _Plan(_encode_step(weights, infra, delays, samples), central,
-                 _epic_budget(weights, infra), timeout=True)
+    return _Plan(_encode_step(weights, infra, delays), central, _epic_budget(weights, infra),
+                 timeout=True)
 
 
 def _epic_budget(weights: ModelWeights, infra: InfraConfig) -> float:
@@ -588,7 +577,7 @@ def _epic_budget(weights: ModelWeights, infra: InfraConfig) -> float:
     return decoder_flops(cfg, cfg.n_devices) / infra.compute.central_flops_per_s
 
 
-def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
+def _sla_plan(weights: ModelWeights, infra: InfraConfig, delays, n_t) -> _Plan:
     t_d = plain_decoder_flops(weights.config) / infra.compute.central_flops_per_s
 
     def plain_decode(latents):
@@ -603,12 +592,12 @@ def _sla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
     def central(latents, wave, idx):
         if not latents:
             return None
-        return _central(samples, "plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
+        return _central("plain", weights, idx, latents, lambda: plain_decode(latents)), t_d
 
-    return _Plan(_encode_step(weights, infra, {}, samples), central, t_d)
+    return _Plan(_encode_step(weights, infra, delays), central, t_d)
 
 
-def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
+def _centralized_plan(weights: ModelWeights, infra: InfraConfig, delays, n_t) -> _Plan:
     cfg = weights.config
 
     def model_s(n_t):
@@ -623,19 +612,17 @@ def _centralized_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Pl
         # the whole model on the wave with offline slices zero-filled, as
         # forward_full computes it: one latent per slice, fused and decoded
         latents = {
-            d: _latent(samples, weights, d, idx, (a, b), raws[d]) if d in raws
+            d: _latent(weights, d, idx, (a, b), raws[d]) if d in raws
             else _zero_latent(weights, d, (*wave.shape[:2], b - a))
             for d, (a, b) in enumerate(infra.partition)
         }
-        vmap = _central(samples, "fuse+decode", weights, idx, latents,
-                        lambda: _fuse_decode(weights, latents))
+        vmap = _central("fuse+decode", weights, idx, latents, lambda: _fuse_decode(weights, latents))
         return vmap, model_s(wave.shape[1])
 
-    t_d = model_s(_as_wave(samples[0]).shape[1]) if len(samples) else 0.0
-    return _Plan(edge, central, t_d)
+    return _Plan(edge, central, 0.0 if n_t is None else model_s(n_t))
 
 
-def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
+def _fla_plan(weights: ModelWeights, infra: InfraConfig, delays, n_t) -> _Plan:
     cfg = weights.config
     ho, wo = cfg.output_dims
 
@@ -643,7 +630,7 @@ def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
         a, b = span
         lo, hi = _span_columns(wo, wave.shape[2], a, b)
         # a copy, so the rest of the map is not kept
-        cols = _once(samples, ("map", id(weights), idx, span), lambda: forward_full(
+        cols = _once(("map", id(weights), idx, span), lambda: forward_full(
             wave[:, :, a:b], weights, ((0, b - a),)).values[:, lo:hi].copy())
         flops = encoder_flops(cfg, wave.shape[1], b - a) + decoder_flops(cfg, 1)
         return cols, cols.size * 4, flops / infra.compute.edge_flops_per_s
@@ -661,6 +648,10 @@ def _fla_plan(weights: ModelWeights, infra: InfraConfig, samples) -> _Plan:
 def _span_columns(out_w: int, n_rcv: int, a: int, b: int) -> tuple[int, int]:
     """Map a receiver slice [a, b) onto output-map columns."""
     return a * out_w // n_rcv, b * out_w // n_rcv
+
+
+_PLANS = {PipelineMode.EPIC: _epic_plan, PipelineMode.SLA: _sla_plan,
+          PipelineMode.CENTRALIZED: _centralized_plan, PipelineMode.FLA: _fla_plan}
 
 
 def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, samples=(),
@@ -739,14 +730,8 @@ def run_epic(
     infra). A sample with no latents by the deadline is marked failed
     and the run continues.
     """
-    if infra.transport == "socket":
-        from .transport import run_epic_socket
-
-        return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
-    drops, delays = _check_run(PipelineMode.EPIC, weights, infra, samples, drop_devices,
-                               ground_truth, extra_delay_s)
-    plan = _epic_plan(weights, infra, delays, samples)
-    return _run_plan(PipelineMode.EPIC, plan, samples, weights, infra, drops, ground_truth)
+    return _run(PipelineMode.EPIC, samples, weights, infra, drop_devices, ground_truth,
+                extra_delay_s)
 
 
 def run_baseline(
@@ -759,17 +744,26 @@ def run_baseline(
 ) -> tuple[list[VelocityMap | None], RunReport]:
     """Run any mode with the RunReport schema; see the module table.
 
-    EPIC goes through run_epic; the other modes run on the simulated
-    clock only, so a socket infra raises ConfigError for them. CENTRALIZED
-    and SLA take the split pipeline's weights; FLA needs single-device
-    weights (one complete model per edge).
+    EPIC runs as run_epic does, without extra delays; the other modes run
+    on the simulated clock only, so a socket infra raises ConfigError for
+    them. CENTRALIZED and SLA take the split pipeline's weights; FLA needs
+    single-device weights (one complete model per edge).
     """
-    if mode == PipelineMode.EPIC:
-        return run_epic(samples, weights, infra, drop_devices=drop_devices,
-                        ground_truth=ground_truth)
-    drops, _ = _check_run(mode, weights, infra, samples, drop_devices, ground_truth)
-    plan = {PipelineMode.SLA: _sla_plan, PipelineMode.CENTRALIZED: _centralized_plan,
-            PipelineMode.FLA: _fla_plan}[mode](weights, infra, samples)
+    return _run(mode, samples, weights, infra, drop_devices, ground_truth)
+
+
+def _run(mode: PipelineMode, samples, weights: ModelWeights, infra: InfraConfig,
+         drop_devices, ground_truth, extra_delay_s=None):
+    """The one body of run_epic and run_baseline: a socket EPIC run goes to
+    the wall link; any other run is checked, then looped under its plan."""
+    if infra.transport == "socket" and mode == PipelineMode.EPIC:
+        from .transport import run_epic_socket
+
+        return run_epic_socket(samples, weights, infra, extra_delay_s, drop_devices, ground_truth)
+    drops, delays = _check_run(mode, weights, infra, samples, drop_devices, ground_truth,
+                               extra_delay_s)
+    n_t = np.shape(getattr(samples[0], "data", samples[0]))[1] if len(samples) else None
+    plan = _PLANS[mode](weights, infra, delays, n_t)
     return _run_plan(mode, plan, samples, weights, infra, drops, ground_truth)
 
 
@@ -787,14 +781,19 @@ def check_runs(runs, samples=(), ground_truth=None) -> list:
 def run_many(samples, runs, ground_truth=None) -> list[RunReport]:
     """The reports of runs, each (mode, weights, infra, drop_devices), over
     the same samples, in order. Every argument of every run, sample widths
-    included, is checked before the first starts; they share one _Shared
-    sample list (see the module docstring).
+    included, is checked before the first starts; the runs share what
+    they compute alike through the `done` dict that this call owns (see
+    the module docstring).
     """
-    samples = _Shared(samples)
+    samples = list(samples)
     runs = check_runs(runs, samples, ground_truth)
-    return [run_baseline(mode, samples, weights, infra, drop_devices=drops,
-                         ground_truth=ground_truth)[1]
-            for mode, weights, infra, drops in runs]
+    token = _DONE.set({})
+    try:
+        return [run_baseline(mode, samples, weights, infra, drop_devices=drops,
+                             ground_truth=ground_truth)[1]
+                for mode, weights, infra, drops in runs]
+    finally:
+        _DONE.reset(token)
 
 
 # ---------------------------------------------------------------------------

@@ -188,16 +188,35 @@ def test_centralized_with_drops_equals_zero_filled_forward(weights):
                                              (False, False, False)]
 
 
-def test_reuse_needs_the_owning_samples(weights):
+def _memos(monkeypatch):
+    """Record the shared-results dict in force after each run_baseline call."""
+    memos = []
+    original = runtime.run_baseline
+
+    def captured(*args, **kwargs):
+        result = original(*args, **kwargs)
+        memos.append(runtime._DONE.get())
+        return result
+
+    monkeypatch.setattr(runtime, "run_baseline", captured)
+    return memos
+
+
+def test_reuse_needs_the_owning_sweep(monkeypatch, weights):
     """A run over other samples than a sweep's computes its own."""
     waves, others = _waves(), [w + 1.0 for w in _waves()]
     infra = _infra()
     ref_maps, _ = runtime.run_baseline(PipelineMode.EPIC, others, weights, infra)
-    shared = runtime._Shared(waves)
-    runtime.run_baseline(PipelineMode.EPIC, shared, weights, infra)
-    assert shared.done
-    for samples in (others, runtime._Shared(others)):
-        maps, _ = runtime.run_baseline(PipelineMode.EPIC, samples, weights, infra)
+    memos = _memos(monkeypatch)
+    runtime.run_many(waves, [(PipelineMode.EPIC, weights, infra, None)])
+    [done] = memos
+    assert done
+    monkeypatch.undo()
+    maps, _ = runtime.run_baseline(PipelineMode.EPIC, others, weights, infra)
+    runs = _capture_runs(monkeypatch)
+    runtime.run_many(others, [(PipelineMode.EPIC, weights, infra, None)])
+    [(_, _, shared_maps, _)] = runs
+    for maps in (maps, shared_maps):
         assert any(m is not None for m in maps)
         _assert_same_maps(maps, ref_maps)
 
@@ -252,7 +271,7 @@ def test_bench_report_unchanged_by_reuse(monkeypatch, tmp_path):
                          model=dataclasses.replace(TINY, n_devices=1), deadline_s=0.3)
     run_benchmark(spec, tmp_path / "reused")
 
-    monkeypatch.setattr(runtime, "_once", lambda samples, key, compute: compute())
+    monkeypatch.setattr(runtime, "_once", lambda key, compute: compute())
     run_benchmark(spec, tmp_path / "fresh")
     for name in ("bench_samples.csv", "bench_summary.csv", "bench_report.json"):
         assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
@@ -339,13 +358,25 @@ def test_reused_maps_are_distinct_arrays(monkeypatch, weights):
 
 
 def test_written_map_leaves_later_hits_unchanged(monkeypatch, weights):
-    waves = runtime._Shared(_waves())
+    waves = _waves()
     infra = _clean_infra()
-    first, _ = runtime.run_baseline(PipelineMode.EPIC, waves, weights, infra)
-    for vmap in first:
-        vmap.values[:] = 0.0
     decodes = _Calls(monkeypatch, "decode")
-    again, _ = runtime.run_baseline(PipelineMode.CENTRALIZED, waves, weights, infra)
+    runs = _capture_runs(monkeypatch)
+    original = runtime.run_baseline
+
+    def run(mode, *args, **kwargs):
+        # the EPIC maps are written over before the CENTRALIZED run hits
+        decodes.args.clear()
+        maps, report = original(mode, *args, **kwargs)
+        for vmap in maps if mode == PipelineMode.EPIC else ():
+            vmap.values[:] = 0.0
+        return maps, report
+
+    monkeypatch.setattr(runtime, "run_baseline", run)
+    runtime.run_many(waves, [(PipelineMode.EPIC, weights, infra, None),
+                             (PipelineMode.CENTRALIZED, weights, infra, None)])
+    [(_, _, first, _), (_, _, again, _)] = runs
+    assert not any(vmap.values.any() for vmap in first)
     assert not decodes.args
     for wave, vmap in zip(waves, again):
         np.testing.assert_array_equal(vmap.values,
@@ -373,17 +404,17 @@ def test_ssim_reference_once_per_sample(monkeypatch, weights, fla_weights, stack
 
 
 def test_no_central_state_outside_a_block(monkeypatch, weights):
-    """A single run repeats nothing, so it keeps nothing: every lookup
-    gets the caller's plain list and computes."""
+    """A single run repeats nothing, so it keeps nothing: outside run_many
+    no shared-results dict is in force, and every lookup computes."""
     waves = _waves()
     truths = [np.full((70, 70), 3000.0, np.float32)] * len(waves)
     kinds = []
     original = runtime._once
 
-    def once(samples, key, compute):
-        assert samples is waves
+    def once(key, compute):
+        assert runtime._DONE.get() is None
         kinds.append(key[0])
-        return original(samples, key, compute)
+        return original(key, compute)
 
     monkeypatch.setattr(runtime, "_once", once)
     refs = _Calls(monkeypatch, "ssim_reference")
@@ -392,6 +423,26 @@ def test_no_central_state_outside_a_block(monkeypatch, weights):
                              ground_truth=truths)
     assert set(kinds) == {"latent", "fuse+decode", "plain", "truth"}
     assert len(refs.args) == 3 * len(waves)
+
+
+def test_run_many_that_raises_leaves_no_shared_results(monkeypatch, weights):
+    """A run_many whose second run raises partway keeps its dict only
+    until it raises: afterwards no run shares anything."""
+    waves = _waves(2)
+    nan = waves[1].copy()
+    nan[0, 0, 0] = np.nan  # in device 0's slice: the first run drops it
+    memos = _memos(monkeypatch)
+    runs = [(PipelineMode.EPIC, weights, _clean_infra(), {0}),
+            (PipelineMode.EPIC, weights, _clean_infra(), None)]
+    with pytest.raises(InputValidationError):
+        runtime.run_many([waves[0], nan], runs)
+    [done] = memos
+    assert done
+    assert runtime._DONE.get() is None
+    encodes = _Calls(monkeypatch, "encode")
+    runtime.run_baseline(PipelineMode.EPIC, waves, weights, _clean_infra())
+    runtime.run_baseline(PipelineMode.EPIC, waves, weights, _clean_infra())
+    assert len(encodes.args) == 2 * len(waves) * TINY.n_devices
 
 
 @pytest.mark.parametrize("n_samples", [8, 16])
