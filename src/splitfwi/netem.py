@@ -13,8 +13,8 @@ The emulator is a pure function of its inputs plus a seed. Expected mode
 uses the closed form latency = l + (bits/b) / (1 - p); stochastic mode
 splits the payload into MTU packets, draws per-packet Bernoulli losses and
 charges one round trip (2l) per retransmission. On a shared medium,
-concurrent uplinks serialize in device-id order; a dedicated medium runs
-them in parallel.
+concurrent uplinks serialize in order of ready time, ties by device id;
+a dedicated medium runs them in parallel.
 """
 
 from __future__ import annotations
@@ -177,8 +177,9 @@ def transmit_group(
     seed, which it needs: an integer >= 0 or a list or tuple of them
     (expected mode ignores the seed). ``start_times`` gives when each
     device's payload becomes ready. On a dedicated medium uplinks run in
-    parallel; on a shared medium the channel grants airtime in device-id
-    order and each transfer waits for the channel to free up.
+    parallel; on a shared medium the channel grants airtime in order of
+    ready time, ties by device id, and each transfer waits for the
+    channel to free up.
     """
     if mode not in ("expected", "stochastic"):
         raise ConfigError(f"transmit mode must be 'expected' or 'stochastic', got {mode!r}")
@@ -189,9 +190,11 @@ def transmit_group(
     starts = [0.0] * len(sizes) if start_times is None else [float(t) for t in start_times]
     if len(starts) != len(sizes):
         raise ConfigError(f"{len(starts)} start times for {len(sizes)} transfers")
-    results = []
+    results = [None] * len(sizes)
     channel_free = 0.0
-    for dev, (size, start) in enumerate(zip(sizes, starts)):
+    # a stable sort: devices ready at the same time keep id order
+    for dev in sorted(range(len(sizes)), key=starts.__getitem__):
+        size, start = sizes[dev], starts[dev]
         airtime, retries = _airtime_and_retries(size, profile, mode, stream + [dev])
         duration = airtime + retries * 2.0 * profile.base_latency_s
         if profile.medium == "shared":
@@ -200,7 +203,7 @@ def transmit_group(
         else:
             completion = start + duration + profile.base_latency_s
         energy_j = energy.tx_power_w * airtime + energy.per_byte_j * size
-        results.append(UplinkResult(completion, energy_j, retries))
+        results[dev] = UplinkResult(completion, energy_j, retries)
     return results
 
 

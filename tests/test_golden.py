@@ -17,8 +17,8 @@ from splitfwi.netem import NetworkProfile
 from splitfwi.reporting import write_per_sample_csv, write_summary_csv
 from splitfwi.runtime import InfraConfig, PipelineMode, run_epic, run_robustness_sweep
 
-SAMPLES_SHA256 = "70a343de934f069a69e67a3887996f18dd8b2d690d6f5f27a4158635f73063ef"
-SUMMARY_SHA256 = "242d602fbebb14f2d7814c90c3a362a8b977317cad6a6bf51982a056802a26a0"
+SAMPLES_SHA256 = "d4881f5901e4992311c3b05aff4fdda8a3b2de643e03834a18c67940f8152255"
+SUMMARY_SHA256 = "073d2aec8a4ffc3c979747a86a25ccf7e25fc9034288c5b34d2129b4a5dad9bc"
 
 # lossy and slow enough that retransmissions push some latents past T - T_d
 LOSSY = NetworkProfile(bandwidth_bps=2e6, base_latency_s=0.02, loss_rate=0.3, mtu_bytes=32)

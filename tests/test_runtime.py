@@ -848,3 +848,36 @@ class TestProfiling:
 
     def test_encoder_flops_monotone_in_width(self):
         assert encoder_flops(TINY, 100, 24) > encoder_flops(TINY, 100, 8)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: no oracle gives a sample's latency, but runs that
+# differ only by a relabelling of the devices must agree
+
+
+@pytest.mark.parametrize("medium", ["dedicated", "shared"])
+@given(delays=st.lists(st.sampled_from([0.0, 0.01, 0.03, 0.06]), min_size=3, max_size=3),
+       dropped=st.sets(st.integers(0, 2), max_size=3), perm=st.permutations(range(3)))
+@settings(max_examples=40, deadline=None)
+def test_relabelling_devices_permutes_the_mask(weights, medium, delays, dropped, perm):
+    """With equal slices, device d's delay and drop moved to device
+    perm[d] move its mask bit there, and change no l_total, comm_bytes or
+    energy_j. Devices with equal ready times may trade places, since the
+    shared channel breaks ties by id: only their count is compared."""
+    # 64-byte latents take 25.6 ms each on the air, so on the shared
+    # medium the order of the uplinks decides which make T - T_d
+    infra = InfraConfig(n_devices=3, partition=((0, 20), (20, 40), (40, 60)),
+                        network=NetworkProfile(2e4, 0.01, 0.0, medium=medium), deadline_s=0.07)
+    waves = [w[:, :, :60] for w in tiny_waves(2)]
+    _, a = run_epic(waves, weights, infra, extra_delay_s=dict(enumerate(delays)),
+                    drop_devices=dropped)
+    _, b = run_epic(waves, weights, infra,
+                    extra_delay_s={perm[d]: x for d, x in enumerate(delays)},
+                    drop_devices={perm[d] for d in dropped})
+    ready = {d: (d in dropped, delays[d]) for d in range(3)}
+    for row_a, row_b in zip(a.rows, b.rows):
+        assert (row_a.status, row_a.l_total_s, row_a.comm_bytes, row_a.energy_j) == \
+            (row_b.status, row_b.l_total_s, row_b.comm_bytes, row_b.energy_j)
+        for group in set(ready.values()):
+            same = [d for d in range(3) if ready[d] == group]
+            assert sum(row_a.mask[d] for d in same) == sum(row_b.mask[perm[d]] for d in same)
