@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two readers of a
-numeric field: every config and input number is typed by one of them."""
+"""Exception types shared across the package, and the readers of a
+field: every config and input number is typed by int_field or
+real_field, and every tuple of them by tuple_field."""
 
 import math
 import numbers
@@ -67,6 +68,21 @@ def int_field(name: str, value, error: type[SplitFwiError] = ConfigError) -> int
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def tuple_field(name: str, value, count: int, error: type[SplitFwiError] = ConfigError, *,
+                exact: bool = True) -> tuple:
+    """value as a tuple of exactly count entries, or of at least count
+    unless exact; anything else, such as a number or None, raises error
+    naming the field."""
+    try:
+        entries = tuple(value)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) < count or (exact and len(entries) > count):
+        want = count if exact else f"{count} or more"
+        raise error(f"{name} must hold {want} entries, got {value!r}")
+    return entries
 
 
 def real_field(name: str, value, error: type[SplitFwiError] = ConfigError, *,

@@ -75,7 +75,8 @@ def ssim(a, b, dynamic_range: float | None = None) -> float:
     x = as_f32(a).astype(np.float64)
     if not isinstance(b, SsimReference):
         b = ssim_reference(b, dynamic_range)
-    elif dynamic_range is not None and dynamic_range != b.dynamic_range:
+    elif (dynamic_range is not None and real_field("dynamic_range", dynamic_range, ShapeError,
+                                                    above=0) != b.dynamic_range):
         raise ShapeError(f"ssim dynamic_range {dynamic_range} differs from the "
                          f"reference's {b.dynamic_range}")
     if x.shape != b.values.shape:

@@ -55,6 +55,7 @@ from .errors import (
     SplitFwiError,
     int_field,
     real_field,
+    tuple_field,
 )
 from .numerics import (
     as_f32,
@@ -77,19 +78,6 @@ _GRID_CHANNELS = 8
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _entries(name: str, value, count: int, exact: bool = True) -> tuple:
-    """value as a tuple of exactly count entries, or of at least count
-    unless exact; anything else raises ShapeError naming the field."""
-    try:
-        entries = tuple(value)
-    except TypeError:
-        entries = None
-    if entries is None or len(entries) < count or (exact and len(entries) > count):
-        want = count if exact else f"{count} or more"
-        raise ShapeError(f"{name} must hold {want} entries, got {value!r}")
-    return entries
 
 
 @dataclass(frozen=True)
@@ -115,7 +103,8 @@ class ModelConfig:
 
     def __post_init__(self):
         def ints(name, values, count, exact=True):
-            return tuple(int_field(name, v, ShapeError) for v in _entries(name, values, count, exact))
+            return tuple(int_field(name, v, ShapeError)
+                         for v in tuple_field(name, values, count, ShapeError, exact=exact))
 
         for name in ("n_devices", "latent_dim", "d_k", "d_pos", "n_heads"):
             object.__setattr__(self, name, int_field(name, getattr(self, name), ShapeError))
@@ -126,10 +115,11 @@ class ModelConfig:
         object.__setattr__(self, "output_dims", ints("output_dims", self.output_dims, 2))
         object.__setattr__(self, "decoder_resolutions", tuple(
             ints("decoder_resolutions", r, 2)
-            for r in _entries("decoder_resolutions", self.decoder_resolutions, 1, exact=False)))
+            for r in tuple_field("decoder_resolutions", self.decoder_resolutions, 1, ShapeError,
+                                 exact=False)))
         object.__setattr__(self, "velocity_range", tuple(
             real_field("velocity range", v, ShapeError)
-            for v in _entries("velocity_range", self.velocity_range, 2)))
+            for v in tuple_field("velocity_range", self.velocity_range, 2, ShapeError)))
         if self.n_devices < 1:
             raise ShapeError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.d_k < 1 or self.d_pos < 1 or self.latent_dim < 1:
@@ -569,13 +559,18 @@ def _decoder_trunk(global_latent, weights: ModelWeights, latents: LatentSet | No
     return VelocityMap(values=squash_to_range(raw, cfg.velocity_range))
 
 
-def validate_partition(partition, n_receivers: int, n_devices: int) -> tuple[tuple[int, int], ...]:
-    """Check slices are contiguous, disjoint and cover [0, n_receivers);
-    return them as int pairs. A bound that is not an integer (a float, a
-    bool) is a PartitionError too."""
-    slices = tuple((int_field(f"partition slice {i} start", a, PartitionError),
-                    int_field(f"partition slice {i} stop", b, PartitionError))
-                   for i, (a, b) in enumerate(partition))
+def validate_partition(partition, n_receivers: int | None, n_devices: int
+                       ) -> tuple[tuple[int, int], ...]:
+    """Check slices are contiguous, disjoint and cover [0, n_receivers),
+    or [0, the last stop) if n_receivers is None; return them as int
+    pairs. A partition or slice that is not a sequence of the right
+    length, or a bound that is not an integer (a float, a bool), is a
+    PartitionError too."""
+    slices = []
+    for i, pair in enumerate(tuple_field("partition", partition, 1, PartitionError, exact=False)):
+        a, b = tuple_field(f"partition slice {i}", pair, 2, PartitionError)
+        slices.append((int_field(f"partition slice {i} start", a, PartitionError),
+                       int_field(f"partition slice {i} stop", b, PartitionError)))
     if len(slices) != n_devices:
         raise PartitionError(
             f"partition has {len(slices)} slices for {n_devices} devices"
@@ -587,11 +582,11 @@ def validate_partition(partition, n_receivers: int, n_devices: int) -> tuple[tup
                 f"slice {i} = [{a},{b}) breaks contiguous coverage at {cursor}"
             )
         cursor = b
-    if cursor != n_receivers:
+    if n_receivers is not None and cursor != n_receivers:
         raise PartitionError(
             f"partition covers [0,{cursor}) but there are {n_receivers} receivers"
         )
-    return slices
+    return tuple(slices)
 
 
 def forward_full(waveform, weights: ModelWeights, partition) -> VelocityMap:

@@ -26,7 +26,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, int_field, real_field
+from .errors import ConfigError, ProtocolError, int_field, real_field, tuple_field
 
 FRAME_MAGIC = b"EP"
 FRAME_VERSION = 1
@@ -184,10 +184,11 @@ def transmit_group(
     if mode not in ("expected", "stochastic"):
         raise ConfigError(f"transmit mode must be 'expected' or 'stochastic', got {mode!r}")
     stream = _seed_stream(seed) if mode == "stochastic" else []
-    sizes = [int(s) for s in sizes]
+    sizes = [int_field("transfer size", s) for s in tuple_field("sizes", sizes, 0, exact=False)]
     if min(sizes, default=0) < 0:
         raise ConfigError(f"transfer sizes must be >= 0, got {min(sizes)}")
-    starts = [0.0] * len(sizes) if start_times is None else [float(t) for t in start_times]
+    starts = [0.0] * len(sizes) if start_times is None else [
+        real_field("start time", t) for t in tuple_field("start_times", start_times, 0, exact=False)]
     if len(starts) != len(sizes):
         raise ConfigError(f"{len(starts)} start times for {len(sizes)} transfers")
     results = [None] * len(sizes)

@@ -48,6 +48,7 @@ from .errors import (
     ZeroEnergyError,
     int_field,
     real_field,
+    tuple_field,
 )
 from .jsondoc import fail, fields, get, load, positive, reading, typed
 from .model import validate_partition
@@ -99,13 +100,12 @@ class AcquisitionGeometry:
         if self.n_t < 1:
             raise InputValidationError(f"n_t must be >= 1, got {self.n_t}")
         for name in ("source_cols", "receiver_cols"):
+            cols = tuple_field(name, getattr(self, name), 1, InputValidationError, exact=False)
             object.__setattr__(self, name, tuple(
-                int_field(f"{name} entry", c, InputValidationError) for c in getattr(self, name)))
+                int_field(f"{name} entry", c, InputValidationError) for c in cols))
         for name in ("dt", "f0"):
             real_field(name, getattr(self, name), InputValidationError, above=0)
         real_field("amplitude", self.amplitude, InputValidationError)
-        if len(self.source_cols) < 1 or len(self.receiver_cols) < 1:
-            raise InputValidationError("need at least one source and one receiver")
 
 
 @dataclass(frozen=True)
@@ -331,6 +331,9 @@ def generate_dataset(
     ``faulted`` adds one dipping displacement. The same seed always yields
     bit-identical samples.
     """
+    seed, n_samples, rows, cols = (
+        int_field(name, v, InputValidationError)
+        for name, v in (("seed", seed), ("n_samples", n_samples), ("rows", rows), ("cols", cols)))
     if seed < 0:
         raise InputValidationError(f"seed must be >= 0, got {seed}")
     if n_samples < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, ReportError
+from .errors import ConfigError, ReportError, int_field, tuple_field
 from .jsondoc import choice, fail, get, load, reading, typed
 from .jsondoc import fields as read_fields
 from .model import ModelConfig, init_weights
@@ -231,10 +231,15 @@ class BenchmarkSpec:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if not self.modes:
-            raise ConfigError("benchmark needs at least one mode")
-        if not self.device_counts or not self.profiles:
-            raise ConfigError("benchmark needs device counts and profiles")
+        for name, kind in (("modes", PipelineMode), ("profiles", NetworkProfile)):
+            entries = tuple_field(name, getattr(self, name), 1, exact=False)
+            if not all(isinstance(e, kind) for e in entries):
+                raise ConfigError(f"{name} must hold {kind.__name__} entries, got {entries!r}")
+            object.__setattr__(self, name, entries)
+        object.__setattr__(self, "device_counts", tuple(
+            int_field("device count", n)
+            for n in tuple_field("device_counts", self.device_counts, 1, exact=False)))
+        object.__setattr__(self, "n_samples", int_field("n_samples", self.n_samples))
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
 

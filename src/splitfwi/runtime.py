@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, PartitionError, ShapeError, int_field, real_field
+from .errors import ConfigError, PartitionError, ShapeError, int_field, real_field, tuple_field
 from .metrics import SsimReference, ssim, ssim_reference
 from .model import (
     LatentSet,
@@ -124,6 +124,8 @@ class ComputeModel:
 
 def partition_receivers(n_receivers: int = 70, n_devices: int = 5) -> tuple[tuple[int, int], ...]:
     """Contiguous near-equal receiver slices; the first n mod d are wider."""
+    n_receivers = int_field("n_receivers", n_receivers)
+    n_devices = int_field("n_devices", n_devices)
     if not 1 <= n_devices <= n_receivers:
         raise ConfigError(
             f"n_devices must be in [1, {n_receivers}], got {n_devices}"
@@ -162,10 +164,11 @@ class InfraConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.socket_port <= 65535:
             raise ConfigError(f"socket_port must be in [0, 65535], got {self.socket_port}")
-        if not self.partition:
-            object.__setattr__(self, "partition", partition_receivers(70, self.n_devices))
+        # an empty partition is the default: near-equal slices of 70 receivers
+        slices = (tuple_field("partition", self.partition, 0, exact=False)
+                  or partition_receivers(70, self.n_devices))
         try:
-            slices = validate_partition(self.partition, self.partition[-1][1], self.n_devices)
+            slices = validate_partition(slices, None, self.n_devices)
         except PartitionError as exc:
             raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "partition", slices)
@@ -661,6 +664,8 @@ def _check_run(mode: PipelineMode, weights: ModelWeights, infra: InfraConfig, sa
     sample's drop set and each device's extra delay. An EPIC run's T_d
     is its declared one on the simulated clock and its measured one
     (_decode_budget) on a socket."""
+    if not isinstance(mode, PipelineMode):
+        raise ConfigError(f"mode must be a PipelineMode, got {mode!r}")
     # only EPIC has a wall-clock twin; another mode would run simulated under a socket config
     if infra.transport == "socket" and mode != PipelineMode.EPIC:
         raise ConfigError(f"transport 'socket' runs EPIC only, not {mode.value}")
@@ -804,6 +809,7 @@ def random_drop_sets(seed: int, n_devices: int, k: int, n_samples: int) -> list[
     """k seeded-random offline devices per sample, from the stream
     [seed, 7001, k, sample_id]; seed and k must be ints, Python's or numpy's."""
     seed, k = int_field("drop seed", seed), int_field("drop count", k)
+    n_devices, n_samples = int_field("n_devices", n_devices), int_field("n_samples", n_samples)
     if seed < 0:
         raise ConfigError(f"drop seed must be >= 0, got {seed}")
     if not 0 <= k <= n_devices:

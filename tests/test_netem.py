@@ -175,6 +175,20 @@ class TestTransmitGroup:
         assert ups[0].completion_s == pytest.approx(1.0 + 0.008)
 
 
+@pytest.mark.parametrize("sizes, start_times, match", [
+    ([1.5], None, "transfer size must be an integer, got 1.5"),
+    (["x"], None, "transfer size must be an integer, got 'x'"),
+    ([True], None, "transfer size must be an integer, got True"),
+    (2048, None, "sizes must hold 0 or more entries, got 2048"),
+    ([2048], ["0.1"], "start time must be a real number, got '0.1'"),
+    ([2048], 0.1, "start_times must hold 0 or more entries, got 0.1"),
+])
+def test_mistyped_transfer_rejected_typed(sizes, start_times, match):
+    # 1.5 was charged as 1 byte, and "x" leaked a bare ValueError
+    with pytest.raises(ConfigError, match=match):
+        transmit_group(sizes, FOUR_G, start_times=start_times)
+
+
 class TestProfileValidation:
     def test_bounds(self):
         with pytest.raises(ConfigError):

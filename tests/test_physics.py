@@ -75,6 +75,29 @@ def test_invalid_geometry_field_rejected_typed(field, value):
         AcquisitionGeometry(**dict(good, **{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("source_cols", 5), ("receiver_cols", None), ("source_cols", ()), ("receiver_cols", []),
+])
+def test_malformed_column_list_rejected_typed(field, value):
+    # 5 and None leaked a bare TypeError
+    good = dict(source_cols=(10,), receiver_cols=(0,), n_t=10, dt=1e-3)
+    with pytest.raises(InputValidationError, match=f"{field} must hold 1 or more entries"):
+        AcquisitionGeometry(**dict(good, **{field: value}))
+
+
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((0, "1"), {}, "n_samples must be an integer, got '1'"),
+    ((0, 1.0), {}, "n_samples must be an integer, got 1.0"),
+    (("0", 1), {}, "seed must be an integer, got '0'"),
+    ((0, 1), {"rows": 70.5}, "rows must be an integer, got 70.5"),
+    ((0, 1), {"cols": True}, "cols must be an integer, got True"),
+])
+def test_mistyped_dataset_count_rejected_typed(args, kwargs, match):
+    # a str count or seed leaked a bare TypeError
+    with pytest.raises(InputValidationError, match=match):
+        generate_dataset(*args, **kwargs)
+
+
 def test_geometry_stores_n_t_as_int():
     geom = AcquisitionGeometry(source_cols=(10,), receiver_cols=(0,), n_t=np.int64(10), dt=1e-3)
     assert type(geom.n_t) is int

@@ -158,6 +158,32 @@ class TestCsv:
         assert type(energy) is float and energy == 0.0
 
 
+@pytest.mark.parametrize("change, match", [
+    ({"modes": 5}, "modes must hold 1 or more entries, got 5"),
+    ({"modes": ()}, r"modes must hold 1 or more entries, got \(\)"),
+    ({"modes": ("epic",)}, "modes must hold PipelineMode entries"),
+    ({"profiles": (None,)}, "profiles must hold NetworkProfile entries"),
+    ({"device_counts": ("a",)}, "device count must be an integer, got 'a'"),
+    ({"device_counts": (2.5,)}, "device count must be an integer, got 2.5"),
+    ({"device_counts": None}, "device_counts must hold 1 or more entries, got None"),
+    ({"n_samples": "2"}, "n_samples must be an integer, got '2'"),
+    ({"n_samples": True}, "n_samples must be an integer, got True"),
+])
+def test_malformed_benchmark_spec_rejected_typed(change, match):
+    # modes=5 and device_counts=("a",) were accepted, and n_samples="2"
+    # leaked a bare TypeError
+    with pytest.raises(ConfigError, match=match):
+        BenchmarkSpec(**change)
+
+
+def test_benchmark_spec_stores_tuples_of_ints():
+    spec = BenchmarkSpec(modes=[PipelineMode.SLA], device_counts=[np.int64(2)],
+                         profiles=[FOUR_G], n_samples=np.int32(3))
+    assert spec.modes == (PipelineMode.SLA,) and spec.profiles == (FOUR_G,)
+    assert spec.device_counts == (2,) and type(spec.device_counts[0]) is int
+    assert type(spec.n_samples) is int
+
+
 class TestBenchmark:
     def _tiny_spec(self):
         return BenchmarkSpec(

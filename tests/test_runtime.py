@@ -474,6 +474,40 @@ def test_fractional_partition_bound_rejected():
         InfraConfig(n_devices=2, partition=((0, 34.5), (34.5, 70)))
 
 
+@pytest.mark.parametrize("n_devices, partition, match", [
+    (1, [(0, 35, 70)], r"partition slice 0 must hold 2 entries, got \(0, 35, 70\)"),
+    (5, 5, "partition must hold 0 or more entries, got 5"),
+    (1, [None], "partition slice 0 must hold 2 entries, got None"),
+    (2, [(0, 35), 70], "partition slice 1 must hold 2 entries, got 70"),
+])
+def test_malformed_partition_rejected_typed(n_devices, partition, match):
+    # a three-entry slice leaked a bare ValueError, 5 and [None] a TypeError
+    with pytest.raises(ConfigError, match=match):
+        InfraConfig(n_devices=n_devices, partition=partition)
+
+
+def test_partition_array_read_as_int_pairs():
+    # its truth value leaked numpy's bare ValueError
+    infra = InfraConfig(n_devices=2, partition=np.array([[0, 35], [35, 70]]))
+    assert infra.partition == ((0, 35), (35, 70))
+    assert all(type(b) is int for pair in infra.partition for b in pair)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda w: partition_receivers(70.0, 5), "n_receivers must be an integer, got 70.0"),
+    (lambda w: partition_receivers(70, 2.5), "n_devices must be an integer, got 2.5"),
+    (lambda w: random_drop_sets(0, 5, 1, "2"), "n_samples must be an integer, got '2'"),
+    (lambda w: random_drop_sets(0, 5.0, 1, 2), "n_devices must be an integer, got 5.0"),
+    (lambda w: run_baseline("epic", tiny_waves(1), w, tiny_infra()),
+     "mode must be a PipelineMode, got 'epic'"),
+])
+def test_mistyped_count_or_mode_rejected_typed(weights, call, match):
+    # 70.0 gave float slices, "2" leaked a bare TypeError, and a mode
+    # given by its value reached the plan table
+    with pytest.raises(ConfigError, match=match):
+        call(weights)
+
+
 def test_config_integers_stored_as_ints():
     infra = InfraConfig(n_devices=np.int64(2), seed=np.int32(4), socket_port=np.uint16(80),
                         partition=[[np.int64(0), 35], (35, np.int64(70))],
