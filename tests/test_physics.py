@@ -68,20 +68,12 @@ def test_cfl_violation_names_admissible_dt():
     ("amplitude", float("inf")), ("amplitude", float("nan")),
     ("dt", "0.001"), ("f0", "15"), ("amplitude", None), ("dt", True),
     ("source_cols", (10.7,)), ("receiver_cols", (3.2, 5)), ("source_cols", ("10",)),
+    # 5 and None leaked a bare TypeError
+    ("source_cols", 5), ("receiver_cols", None), ("source_cols", ()), ("receiver_cols", []),
 ])
 def test_invalid_geometry_field_rejected_typed(field, value):
     good = dict(source_cols=(10,), receiver_cols=(0,), n_t=10, dt=1e-3, f0=15.0, amplitude=1.0)
     with pytest.raises(InputValidationError, match=field):
-        AcquisitionGeometry(**dict(good, **{field: value}))
-
-
-@pytest.mark.parametrize("field, value", [
-    ("source_cols", 5), ("receiver_cols", None), ("source_cols", ()), ("receiver_cols", []),
-])
-def test_malformed_column_list_rejected_typed(field, value):
-    # 5 and None leaked a bare TypeError
-    good = dict(source_cols=(10,), receiver_cols=(0,), n_t=10, dt=1e-3)
-    with pytest.raises(InputValidationError, match=f"{field} must hold 1 or more entries"):
         AcquisitionGeometry(**dict(good, **{field: value}))
 
 

@@ -461,9 +461,12 @@ def test_config_number_past_float_range_rejected():
     ((1.5, 5, 1, 2), "drop seed must be an integer, got 1.5"),
     (("3", 5, 1, 2), "drop seed must be an integer, got '3'"),
     ((3, 5, True, 2), "drop count must be an integer, got True"),
+    ((0, 5, 1, "2"), "n_samples must be an integer, got '2'"),
+    ((0, 5.0, 1, 2), "n_devices must be an integer, got 5.0"),
 ])
 def test_mistyped_drop_seed_or_count_rejected(args, match):
-    # a float or a str seed leaked a bare TypeError, and True was read as 1
+    # a float or a str seed or sample count leaked a bare TypeError, and
+    # True was read as 1
     with pytest.raises(ConfigError, match=match):
         random_drop_sets(*args)
 
@@ -496,14 +499,12 @@ def test_partition_array_read_as_int_pairs():
 @pytest.mark.parametrize("call, match", [
     (lambda w: partition_receivers(70.0, 5), "n_receivers must be an integer, got 70.0"),
     (lambda w: partition_receivers(70, 2.5), "n_devices must be an integer, got 2.5"),
-    (lambda w: random_drop_sets(0, 5, 1, "2"), "n_samples must be an integer, got '2'"),
-    (lambda w: random_drop_sets(0, 5.0, 1, 2), "n_devices must be an integer, got 5.0"),
     (lambda w: run_baseline("epic", tiny_waves(1), w, tiny_infra()),
      "mode must be a PipelineMode, got 'epic'"),
 ])
 def test_mistyped_count_or_mode_rejected_typed(weights, call, match):
-    # 70.0 gave float slices, "2" leaked a bare TypeError, and a mode
-    # given by its value reached the plan table
+    # 70.0 gave float slices, and a mode given by its value reached the
+    # plan table
     with pytest.raises(ConfigError, match=match):
         call(weights)
 
