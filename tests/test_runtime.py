@@ -890,25 +890,33 @@ class TestProfiling:
 # differ only by a relabelling of the devices must agree
 
 
+EXTRA_DELAYS = st.lists(st.sampled_from([0.0, 0.01, 0.03, 0.06]), min_size=3, max_size=3)
+
+
+def _equal_slices_epic(weights, medium, delays, dropped, bandwidth_bps=2e4, deadline_s=0.07):
+    """The report of a two-sample EPIC run on three equal slices, in
+    expected netem mode. 64-byte latents take 25.6 ms each on the air at
+    the default bandwidth, so on the shared medium the order of the
+    uplinks decides which make T - T_d."""
+    infra = InfraConfig(n_devices=3, partition=((0, 20), (20, 40), (40, 60)),
+                        network=NetworkProfile(bandwidth_bps, 0.01, 0.0, medium=medium),
+                        deadline_s=deadline_s)
+    waves = [w[:, :, :60] for w in tiny_waves(2)]
+    return run_epic(waves, weights, infra, extra_delay_s=delays, drop_devices=dropped)[1]
+
+
 @pytest.mark.parametrize("medium", ["dedicated", "shared"])
-@given(delays=st.lists(st.sampled_from([0.0, 0.01, 0.03, 0.06]), min_size=3, max_size=3),
-       dropped=st.sets(st.integers(0, 2), max_size=3), perm=st.permutations(range(3)))
+@given(delays=EXTRA_DELAYS, dropped=st.sets(st.integers(0, 2), max_size=3),
+       perm=st.permutations(range(3)))
 @settings(max_examples=40, deadline=None)
 def test_relabelling_devices_permutes_the_mask(weights, medium, delays, dropped, perm):
     """With equal slices, device d's delay and drop moved to device
     perm[d] move its mask bit there, and change no l_total, comm_bytes or
     energy_j. Devices with equal ready times may trade places, since the
     shared channel breaks ties by id: only their count is compared."""
-    # 64-byte latents take 25.6 ms each on the air, so on the shared
-    # medium the order of the uplinks decides which make T - T_d
-    infra = InfraConfig(n_devices=3, partition=((0, 20), (20, 40), (40, 60)),
-                        network=NetworkProfile(2e4, 0.01, 0.0, medium=medium), deadline_s=0.07)
-    waves = [w[:, :, :60] for w in tiny_waves(2)]
-    _, a = run_epic(waves, weights, infra, extra_delay_s=dict(enumerate(delays)),
-                    drop_devices=dropped)
-    _, b = run_epic(waves, weights, infra,
-                    extra_delay_s={perm[d]: x for d, x in enumerate(delays)},
-                    drop_devices={perm[d] for d in dropped})
+    a = _equal_slices_epic(weights, medium, dict(enumerate(delays)), dropped)
+    b = _equal_slices_epic(weights, medium, {perm[d]: x for d, x in enumerate(delays)},
+                           {perm[d] for d in dropped})
     ready = {d: (d in dropped, delays[d]) for d in range(3)}
     for row_a, row_b in zip(a.rows, b.rows):
         assert (row_a.status, row_a.l_total_s, row_a.comm_bytes, row_a.energy_j) == \
@@ -916,3 +924,22 @@ def test_relabelling_devices_permutes_the_mask(weights, medium, delays, dropped,
         for group in set(ready.values()):
             same = [d for d in range(3) if ready[d] == group]
             assert sum(row_a.mask[d] for d in same) == sum(row_b.mask[perm[d]] for d in same)
+
+
+@pytest.mark.parametrize("medium", ["dedicated", "shared"])
+@given(delays=EXTRA_DELAYS, dropped=st.sets(st.integers(0, 2), max_size=2),
+       more=st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_more_resources_never_remove_an_online_device(weights, medium, delays, dropped, more):
+    """More bandwidth, a later T or one more dropped device never takes
+    another online device out of the mask. (A device ready earlier may
+    delay the one it now precedes, so no delay is lowered here.)"""
+    delays = dict(enumerate(delays))
+    base = [r.mask for r in _equal_slices_epic(weights, medium, delays, dropped).rows]
+    for report in (_equal_slices_epic(weights, medium, delays, dropped, bandwidth_bps=4e4),
+                   _equal_slices_epic(weights, medium, delays, dropped, deadline_s=0.1)):
+        for mask, richer in zip(base, (r.mask for r in report.rows)):
+            assert all(richer[d] for d in range(3) if mask[d])
+    fewer = _equal_slices_epic(weights, medium, delays, dropped | {more})
+    for mask, row in zip(base, fewer.rows):
+        assert all(row.mask[d] for d in range(3) if mask[d] and d != more)
